@@ -37,11 +37,6 @@ def handles_errors(fn):
         try:
             return fn(*args, **kwargs)
         except DlnFlowError as exc:
-            partial = getattr(exc, "partial_report", None)
-            if partial is not None and partial.rows:
-                out = Path("compare.partial.json")
-                experiments.write_json(out, partial.to_json_dict())
-                click.echo(f"flushed partial results to {out}", err=True)
             click.echo(f"error: {exc}", err=True)
             sys.exit(exit_code(exc))
 
@@ -264,13 +259,21 @@ def compare(ctx, config, instance_path, epsilons, c_text, k_text, s_max, grid, t
                                k_text, s_max, grid, tol)
     instance = cfg.resolve_instance()
     C, k = cfg.vectors(instance.d)
-    report = experiments.run_compare(
-        instance, C, k, cfg.epsilons, s_max=cfg.s_max,
-        grid_points=cfg.grid_points, tol=cfg.tol,
-        delta_fraction=cfg.delta_fraction, eta_fraction=cfg.eta_fraction,
-    )
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        report = experiments.run_compare(
+            instance, C, k, cfg.epsilons, s_max=cfg.s_max,
+            grid_points=cfg.grid_points, tol=cfg.tol,
+            delta_fraction=cfg.delta_fraction, eta_fraction=cfg.eta_fraction,
+        )
+    except DlnFlowError as exc:
+        partial = getattr(exc, "partial_report", None)
+        if partial is not None and partial.rows:
+            out = out_dir / "compare.partial.json"
+            experiments.write_json(out, partial.to_json_dict())
+            click.echo(f"flushed partial results to {out}", err=True)
+        raise
     out = out_dir / "compare.json"
     experiments.write_json(out, report.to_json_dict())
     click.echo(f"wrote {out}")

@@ -123,7 +123,7 @@ class NegativePrimalOnSegment(NumericalFailure):
 
 
 class PathInconsistent(NumericalFailure):
-    """Closed-form path segment disagrees with a pointwise solve."""
+    """Closed-form path segment fails its KKT certificate."""
 
 
 class NotReached(NumericalFailure):

@@ -233,7 +233,12 @@ def run_compare(
     limit_theta, limit_loss, limit_mu = _limit_on_grid(instance, path, grid)
     eta = eta_fraction * float(np.min(instance.minimizer()))
 
-    def partial_report(rows):
+    def report(rows, complete: bool):
+        # Monotonicity flags need every epsilon; a partial report has none.
+        flags = [None] * 3
+        if complete and len(rows) >= 2:
+            flags = [_monotone_decreasing([getattr(r, name) for r in rows])
+                     for name in ("state_error", "loss_error", "average_error")]
         return ComparisonReport(
             rows=tuple(rows),
             excluded_windows=windows,
@@ -241,9 +246,9 @@ def run_compare(
             breakpoints=tuple(float(b) for b in path.breakpoints),
             s_star=float(s_star),
             eta=float(eta),
-            state_monotone=None,
-            loss_monotone=None,
-            average_monotone=None,
+            state_monotone=flags[0],
+            loss_monotone=flags[1],
+            average_monotone=flags[2],
         )
 
     rows = []
@@ -253,7 +258,7 @@ def run_compare(
             traj = dynamics.simulate(instance, init, s_max, s_grid=grid, tol=tol)
         except Exception as exc:
             # Keep what already completed available to the caller.
-            exc.partial_report = partial_report(rows)
+            exc.partial_report = report(rows, complete=False)
             raise
         state_err = float(
             np.max(np.abs(traj.theta[state_mask] - limit_theta[state_mask]))
@@ -279,24 +284,7 @@ def run_compare(
             )
         )
 
-    if len(rows) >= 2:
-        state_mono = _monotone_decreasing([r.state_error for r in rows])
-        loss_mono = _monotone_decreasing([r.loss_error for r in rows])
-        avg_mono = _monotone_decreasing([r.average_error for r in rows])
-    else:
-        state_mono = loss_mono = avg_mono = None
-
-    return ComparisonReport(
-        rows=tuple(rows),
-        excluded_windows=windows,
-        average_window=(float(avg_lo), float(s_max)),
-        breakpoints=tuple(float(b) for b in path.breakpoints),
-        s_star=float(s_star),
-        eta=float(eta),
-        state_monotone=state_mono,
-        loss_monotone=loss_mono,
-        average_monotone=avg_mono,
-    )
+    return report(rows, complete=True)
 
 
 # -- hitting-time experiment ---------------------------------------------------

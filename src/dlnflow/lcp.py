@@ -6,7 +6,8 @@ Given q and such a matrix M (a K-matrix), find (w, z) with
 
 K-matrices make the solution unique and monotone in q, which the pivoting
 solver exploits: inverses of principal submatrices have nonnegative entries,
-so growing the active set never pushes a primal coordinate negative. A
+so growing the active set never pushes a primal coordinate negative; one
+Cholesky factor, extended a row per activation, serves every solve. A
 brute-force enumerator and a projected-gradient bound-constrained QP solver
 provide two independent cross-checks.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, solve_triangular
 
 from .errors import (
     DimensionMismatch,
@@ -26,6 +27,8 @@ from .errors import (
     NoSolution,
     NotKMatrix,
     PivotCycle,
+    PositivityViolation,
+    SingularSubmatrix,
 )
 
 # Strict-inequality threshold; scale-relative on non-unit-scale data.
@@ -84,55 +87,72 @@ def check_k_matrix(M: np.ndarray) -> None:
         raise NotKMatrix("matrix is not positive definite") from None
 
 
-def solve_lcp(q, M) -> LcpSolution:
-    """Solve the complementarity problem by active-set pivoting.
+class ActiveSetCholesky:
+    """Lower Cholesky factor of M[I, I] for an active set I that only grows.
 
-    Starting from z = 0, any coordinate with negative dual value joins the
-    active set and the principal system is re-solved; coordinates whose
-    primal value turns negative are dropped. For K-matrices the primal
-    iterates are monotone, so drops never fire except through roundoff and
-    the loop terminates after at most d additions. A generous pivot bound
-    guards against the impossible cycle.
+    Rows sit in activation order in a preallocated d x d array; appending a
+    coordinate costs one O(|I|^2) triangular solve, solving costs two.
+    """
+
+    def __init__(self, M: np.ndarray):
+        self.M = M
+        self.order: list[int] = []
+        self._lower = np.zeros_like(M)
+
+    def append(self, joining) -> None:
+        """Add the coordinates in ``joining`` to I, one row each."""
+        for j in joining:
+            n = len(self.order)
+            row = solve_triangular(self._lower[:n, :n], self.M[self.order, j],
+                                   lower=True, check_finite=False)
+            pivot = self.M[j, j] - row @ row
+            if not pivot > 0.0:
+                raise SingularSubmatrix(
+                    f"pivot {pivot:.3e} adding coordinate {j} to {self.order}"
+                )
+            self._lower[n, :n] = row
+            self._lower[n, n] = np.sqrt(pivot)
+            self.order.append(int(j))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with M[I, I] x_I = b_I and x = 0 off I; b may have columns."""
+        n = len(self.order)
+        lower = self._lower[:n, :n]
+        y = solve_triangular(lower, b[self.order], lower=True, check_finite=False)
+        x = np.zeros_like(b, dtype=float)
+        x[self.order] = solve_triangular(lower, y, lower=True, trans="T",
+                                         check_finite=False)
+        return x
+
+
+def solve_lcp(q, M) -> LcpSolution:
+    """Solve the complementarity problem by Chandrasekaran's method.
+
+    Starting from z = 0, the coordinate with the most negative dual value
+    joins the active set, its row is appended to the Cholesky factor and
+    the principal system is re-solved. For K-matrices the primal iterates
+    are monotone, so no coordinate leaves and at most d additions are
+    needed; a primal value below -STRICT_TOL raises ``PositivityViolation``.
     """
     q, M = _prepare(q, M)
     check_k_matrix(M)
-    d = q.size
-
-    active = np.zeros(d, dtype=bool)
-    z = np.zeros(d)
-    w = q.copy()
-    max_pivots = d * (2 ** min(d, 24))
-    pivots = 0
+    factor = ActiveSetCholesky(M)
     while True:
-        pivots += 1
-        if pivots > max_pivots:
-            raise PivotCycle(f"exceeded {max_pivots} pivots at d={d}")
-        idx = np.flatnonzero(active)
-        if idx.size:
-            try:
-                factor = cho_factor(M[np.ix_(idx, idx)])
-            except LinAlgError:
-                raise NotKMatrix(
-                    f"principal submatrix {idx.tolist()} not positive definite"
-                ) from None
-            z_active = cho_solve(factor, -q[idx])
-        else:
-            z_active = np.empty(0)
-
-        negative = z_active < -STRICT_TOL
-        if negative.any():
-            active[idx[negative]] = False
-            continue
-
-        z = np.zeros(d)
-        if idx.size:
-            z[idx] = np.maximum(z_active, 0.0)
+        z = factor.solve(-q)
+        if np.min(z) < -STRICT_TOL:
+            raise PositivityViolation(
+                f"primal value {np.min(z):.3e} on active set {factor.order}"
+            )
+        z = np.maximum(z, 0.0)
         w = q + M @ z
-        w[idx] = 0.0
-        violated = np.flatnonzero(~active & (w < -STRICT_TOL))
+        # w is zero on the active set, so only inactive coordinates violate.
+        w[factor.order] = 0.0
+        violated = np.flatnonzero(w < -STRICT_TOL)
         if violated.size == 0:
             break
-        active[violated[np.argmin(w[violated])]] = True
+        if len(factor.order) == q.size:
+            raise PivotCycle(f"exceeded {q.size} pivots")
+        factor.append([violated[np.argmin(w[violated])]])
 
     support = tuple(np.flatnonzero(z > STRICT_TOL).tolist())
     w = np.maximum(w, 0.0)

@@ -12,7 +12,8 @@ q(s) = k - s r: the primal solution z(s) equals s * mu(s) and its support
 I(s) grows with s. On each interval between activation events z and the
 dual w are affine in s, so the whole path is computed exactly by a
 homotopy: follow the affine formulas, find the next dual zero crossing in
-closed form, enlarge the active set, repeat until it saturates.
+closed form, enlarge the active set, repeat until it saturates. A segment
+that fails its KKT certificate raises ``PathInconsistent``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+# cho_factor and fixed_point are unused here; bench/tracer.py wraps them by name.
+from scipy.linalg import cho_factor  # noqa: F401
 
 from . import lcp
 from .errors import (
@@ -30,9 +32,9 @@ from .errors import (
     NegativePrimalOnSegment,
     OutOfRange,
     PathInconsistent,
-    SingularSubmatrix,
+    PositivityViolation,
 )
-from .fixed_points import fixed_point
+from .fixed_points import POSITIVITY_TOL, fixed_point  # noqa: F401
 from .problem import ProblemInstance
 
 BREAKPOINT_TOL = 1e-12
@@ -76,13 +78,7 @@ class LimitPath:
     def segment_at(self, s: float) -> PathSegment:
         if s <= 0.0:
             raise OutOfRange("the limit path is defined for s > 0")
-        for seg in self.segments:
-            if seg.s_lo <= s < seg.s_hi:
-                return seg
-        return self.segments[-1]
-
-    def active_at(self, s: float) -> tuple[int, ...]:
-        return self.segment_at(s).active
+        return self.segments[int(np.searchsorted(self.breakpoints, s, side="right"))]
 
     def z_at(self, s: float) -> np.ndarray:
         return self.segment_at(s).z_at(s)
@@ -123,45 +119,36 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
     is the smallest root beyond the current one, and every coordinate tied
     at that root activates simultaneously. Coordinates never deactivate,
     so the loop ends after at most d events with the full set; the last
-    breakpoint is the convergence time. Each segment's closed form is
-    verified against a pointwise solve at the segment midpoint.
+    breakpoint is the convergence time. Activations append rows to one
+    Cholesky factor of M[I, I]; each segment must pass its KKT certificate.
+    A segment's stationary point is its slope M_II^{-1} r_I.
     """
     k = _check_k(instance, k)
     M, r, d = instance.M, instance.r, instance.d
+    lcp.check_k_matrix(M)
 
-    active: list[int] = []
+    factor = lcp.ActiveSetCholesky(M)
     s_cur = 0.0
     breakpoints: list[float] = []
     segments: list[PathSegment] = []
 
-    for _ in range(d + 1):
-        idx = np.array(active, dtype=int)
-        z_int, z_slp = np.zeros(d), np.zeros(d)
-        if idx.size:
-            try:
-                factor = cho_factor(M[np.ix_(idx, idx)])
-            except LinAlgError:
-                raise SingularSubmatrix(
-                    f"active submatrix {active} failed to factor"
-                ) from None
-            z_int[idx] = cho_solve(factor, -k[idx])
-            z_slp[idx] = cho_solve(factor, r[idx])
+    while True:
+        active = sorted(factor.order)
+        z_int, z_slp = factor.solve(np.column_stack([-k, r])).T
+        w_int = k + M @ z_int
+        w_slp = M @ z_slp - r
+        w_int[active] = 0.0
+        w_slp[active] = 0.0
+        if np.any(z_slp[active] <= POSITIVITY_TOL):
+            raise PositivityViolation(
+                f"stationary point on {active} not positive: {z_slp[active]}"
+            )
 
-        inactive = np.setdiff1d(np.arange(d), idx, assume_unique=True)
-        w_int, w_slp = np.zeros(d), np.zeros(d)
-        if inactive.size:
-            cross = M[np.ix_(inactive, idx)] if idx.size else None
-            w_int[inactive] = k[inactive]
-            w_slp[inactive] = -r[inactive]
-            if idx.size:
-                w_int[inactive] += cross @ z_int[idx]
-                w_slp[inactive] += cross @ z_slp[idx]
-
+        inactive = np.setdiff1d(np.arange(d), active, assume_unique=True)
         if inactive.size:
             # Next event: earliest upcoming zero of an inactive dual line.
             roots = np.full(d, np.inf)
-            descending = w_slp[inactive] < 0.0
-            cand = inactive[descending]
+            cand = inactive[w_slp[inactive] < 0.0]
             roots[cand] = -w_int[cand] / w_slp[cand]
             roots[roots <= s_cur + BREAKPOINT_TOL * max(1.0, s_cur)] = np.inf
             s_next = float(np.min(roots))
@@ -175,15 +162,14 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
             )
         else:
             s_next = math.inf
-            joining = np.empty(0, dtype=int)
 
         segment = PathSegment(
             s_lo=s_cur,
             s_hi=s_next,
             active=tuple(active),
-            theta_star=fixed_point(instance, active).theta,
-            z_intercept=z_int,
-            z_slope=z_slp,
+            theta_star=z_slp.copy(),
+            z_intercept=z_int.copy(),
+            z_slope=z_slp.copy(),
             w_intercept=w_int,
             w_slope=w_slp,
         )
@@ -193,19 +179,24 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
         if not inactive.size:
             break
         breakpoints.append(s_next)
-        active = sorted(active + joining.tolist())
+        factor.append(joining)
         s_cur = s_next
 
-    path = LimitPath(
+    return LimitPath(
         breakpoints=np.array(breakpoints),
         segments=tuple(segments),
         s_star=breakpoints[-1],
     )
-    return path
 
 
 def _verify_segment(instance, k, segment: PathSegment) -> None:
-    """Compare the affine formulas with a pointwise solve at the midpoint."""
+    """KKT certificate of the affine formulas at the segment midpoint.
+
+    Checks w = k - s r + M z, z >= 0, w >= 0 and complementarity in O(d^2)
+    (``LcpSolution.residuals``). K-matrix complementarity solutions are
+    unique, so a passing midpoint is the pointwise solution: a missed
+    activation shows as a negative w, a spurious one as a negative z.
+    """
     if math.isinf(segment.s_hi):
         mid = segment.s_lo + max(1.0, segment.s_lo)
     else:
@@ -217,38 +208,35 @@ def _verify_segment(instance, k, segment: PathSegment) -> None:
             f"z(s) negative on segment [{segment.s_lo:.6g}, {segment.s_hi:.6g}): "
             f"min {np.min(z_mid):.3e}"
         )
-    sol = solve_limit_lcp(instance, k, mid)
+    residuals = lcp.LcpSolution(w=w_mid, z=z_mid, support=segment.active).residuals(
+        k - mid * instance.r, instance.M
+    )
     scale = max(1.0, float(np.max(np.abs(z_mid))), float(np.max(np.abs(w_mid))))
-    z_err = float(np.max(np.abs(z_mid - sol.z)))
-    w_err = float(np.max(np.abs(w_mid - sol.w)))
-    if max(z_err, w_err) > SEGMENT_CHECK_TOL * scale:
+    if max(residuals.values()) > SEGMENT_CHECK_TOL * scale:
+        detail = ", ".join(f"{name} {err:.3e}" for name, err in residuals.items())
         raise PathInconsistent(
-            f"segment [{segment.s_lo:.6g}, {segment.s_hi:.6g}) disagrees with "
-            f"pointwise solve at s={mid:.6g}: z err {z_err:.3e}, w err {w_err:.3e}"
+            f"segment [{segment.s_lo:.6g}, {segment.s_hi:.6g}) fails its KKT "
+            f"certificate at s={mid:.6g}: {detail}"
         )
 
 
-def convergence_time_s_star(
-    instance: ProblemInstance, k, verify: bool = True
-) -> float:
+def convergence_time_s_star(instance: ProblemInstance, k) -> float:
     """Closed form max_i (M^{-1} k)_i / (M^{-1} r)_i.
 
     Past this rescaled time the full support is active and the limit sits
-    at the unconstrained minimizer. When ``verify`` is set, the value is
-    cross-checked against the last breakpoint of the computed path.
+    at the unconstrained minimizer. The value is cross-checked against the
+    last breakpoint of the computed path.
     """
     k = _check_k(instance, k)
     mk = np.linalg.solve(instance.M, k)
     mr = instance.minimizer()
     s_star = float(np.max(mk / mr))
-    if verify:
-        path = compute_path(instance, k)
-        last = float(path.breakpoints[-1])
-        if abs(last - s_star) > 1e-9 * max(1.0, abs(s_star)):
-            raise PathInconsistent(
-                f"path terminal breakpoint {last!r} disagrees with closed form "
-                f"{s_star!r}"
-            )
+    last = float(compute_path(instance, k).breakpoints[-1])
+    if abs(last - s_star) > 1e-9 * max(1.0, abs(s_star)):
+        raise PathInconsistent(
+            f"path terminal breakpoint {last!r} disagrees with closed form "
+            f"{s_star!r}"
+        )
     return s_star
 
 

@@ -335,7 +335,7 @@ def test_criterion_10_path_consistency():
         sol = solve_limit_lcp(inst, k, s)
         worst = max(worst, float(np.max(np.abs(seg.z_at(s) - sol.z))))
         assert np.allclose(seg.z_at(s), sol.z, atol=1e-9)
-    s_star = convergence_time_s_star(inst, k, verify=False)
+    s_star = convergence_time_s_star(inst, k)
     terminal_gap = abs(path.breakpoints[-1] - s_star) / max(1.0, s_star)
     ok = terminal_gap <= 1e-9
     report(10, ok, f"100 pointwise checks, worst gap {worst:.2e} (bound 1e-9); "

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from dlnflow import dynamics
 from dlnflow.cli import main
+from dlnflow.errors import StepUnderflow
 
 
 @pytest.fixture
@@ -148,6 +150,16 @@ class TestLimitPath:
         assert obj["active_sets"][-1] == [0, 1]
         assert out_csv.exists()
 
+    def test_singular_instance_exit_code(self, runner, tmp_path):
+        inst = tmp_path / "singular.json"
+        inst.write_text(json.dumps({"M": [[1.0, -1.0], [-1.0, 1.0]],
+                                    "r": [1.0, 1.0], "meta": {}}))
+        result = runner.invoke(main, [
+            "limit-path", "--instance", str(inst),
+            "--out-json", str(tmp_path / "path.json"),
+        ])
+        assert result.exit_code == 2
+
 
 class TestExperimentsCommands:
     def test_compare_with_config(self, runner, tmp_path):
@@ -176,6 +188,31 @@ class TestExperimentsCommands:
         data = np.loadtxt(tmp_path / "compare.csv", delimiter=",", skiprows=2)
         assert data.shape == (2, 5)
         assert np.all(np.isfinite(data))
+
+    def test_partial_results_flushed_to_out_dir(self, runner, tmp_path,
+                                                monkeypatch):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(TRIDIAG_JSON))
+        simulate = dynamics.simulate
+        calls = []
+
+        def fail_on_second(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise StepUnderflow("injected failure")
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "simulate", fail_on_second)
+        monkeypatch.chdir(tmp_path)
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, [
+            "--out-dir", str(out_dir), "compare", "--instance", str(inst),
+            "--epsilons", "1e-6,1e-10", "--grid", "80",
+        ])
+        assert result.exit_code == 3
+        assert not (tmp_path / "compare.partial.json").exists()
+        partial = json.loads((out_dir / "compare.partial.json").read_text())
+        assert [row["epsilon"] for row in partial["rows"]] == [1e-6]
 
     def test_hitting_time_flags(self, runner, tmp_path):
         inst = tmp_path / "inst.json"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,15 @@ from dlnflow import (
     solve_qp_nonneg,
     theta_star_of_s,
 )
-from dlnflow.errors import AtBreakpoint, DomainError, OutOfRange
+from dlnflow.errors import (
+    AtBreakpoint,
+    DomainError,
+    NegativePrimalOnSegment,
+    NotKMatrix,
+    OutOfRange,
+    PathInconsistent,
+)
+from dlnflow.limit_path import _verify_segment
 from dlnflow.problem import loss
 
 ONES = np.ones(2)
@@ -37,7 +47,7 @@ class TestPointwiseSolve:
         assert sol.w[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_full_support_region(self, tridiag_instance):
-        s_star = convergence_time_s_star(tridiag_instance, ONES, verify=False)
+        s_star = convergence_time_s_star(tridiag_instance, ONES)
         s = s_star + 1.0
         sol = solve_limit_lcp(tridiag_instance, ONES, s)
         assert sol.support == (0, 1)
@@ -64,7 +74,7 @@ class TestMu:
         for _ in range(10):
             inst = random_instance(rng, int(rng.integers(1, 6)))
             k = rng.uniform(0.5, 1.5, size=inst.d)
-            s_star = convergence_time_s_star(inst, k, verify=False)
+            s_star = convergence_time_s_star(inst, k)
             for s in rng.uniform(0.05, 1.4, size=4) * s_star:
                 via_qp = solve_qp_nonneg(k / s - inst.r, inst.M)
                 np.testing.assert_allclose(mu(inst, k, s), via_qp, atol=1e-8)
@@ -149,6 +159,52 @@ class TestComputePath:
         # Loss staircase is strictly decreasing along activations.
         values = [loss(inst, seg.theta_star) for seg in path.segments]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+
+class TestSegmentCertificate:
+    """Corrupted segments of M = [[2,-1],[-1,2]], r = (1,2), k = 1.
+
+    The path activates coordinate 1 at s = 1/2 and coordinate 0 at 3/4.
+    """
+
+    @pytest.fixture
+    def path(self):
+        inst = ProblemInstance(M=[[2.0, -1.0], [-1.0, 2.0]], r=[1.0, 2.0])
+        return inst, compute_path(inst, ONES)
+
+    def test_exact_segments_pass(self, path):
+        inst, path = path
+        assert [seg.active for seg in path.segments] == [(), (1,), (0, 1)]
+        for seg in path.segments:
+            _verify_segment(inst, ONES, seg)
+
+    def test_perturbed_slope_rejected(self, path):
+        inst, path = path
+        seg = path.segments[1]
+        bad = dataclasses.replace(seg, z_slope=seg.z_slope + [0.0, 1e-6])
+        with pytest.raises(PathInconsistent, match="affine"):
+            _verify_segment(inst, ONES, bad)
+
+    def test_missed_activation_rejected(self, path):
+        # The affine pieces of (1,) carried past s = 3/4, where 0 joins.
+        inst, path = path
+        last = path.segments[2]
+        bad = dataclasses.replace(path.segments[1], s_lo=last.s_lo,
+                                  s_hi=last.s_hi)
+        with pytest.raises(PathInconsistent, match="negative_w [1-9]"):
+            _verify_segment(inst, ONES, bad)
+
+    def test_negative_primal_rejected(self, path):
+        inst, path = path
+        seg = path.segments[1]
+        bad = dataclasses.replace(seg, z_intercept=seg.z_intercept - [0.0, 10.0])
+        with pytest.raises(NegativePrimalOnSegment):
+            _verify_segment(inst, ONES, bad)
+
+    def test_singular_instance_rejected(self):
+        inst = ProblemInstance(M=[[1.0, -1.0], [-1.0, 1.0]], r=[1.0, 1.0])
+        with pytest.raises(NotKMatrix):
+            compute_path(inst, ONES)
 
 
 class TestConvergenceTime:
