@@ -5,7 +5,6 @@ from . import errors
 from .dynamics import (
     Trajectory,
     TrajectoryPoint,
-    average_trajectory,
     hitting_time,
     hitting_time_on,
     in_invariant_region,
@@ -60,7 +59,6 @@ __all__ = [
     "RegressionData",
     "Trajectory",
     "TrajectoryPoint",
-    "average_trajectory",
     "check_positive_definite",
     "compute_path",
     "convergence_time_s_star",

@@ -119,14 +119,7 @@ def fixed_points_cmd(instance_path):
     """Print all 2^d stationary points of an instance as JSON."""
     instance = problem.load_instance(instance_path)
     points = fixed_points.enumerate_fixed_points(instance)
-    click.echo(json.dumps({
-        "schema": "dlnflow-fixed-points v1",
-        "points": [
-            {"support": list(p.support), "theta": p.theta.tolist(),
-             "residual": p.residual}
-            for p in points
-        ],
-    }, indent=2))
+    click.echo(json.dumps(experiments.fixed_points_json(points), indent=2))
 
 
 @main.command()
@@ -151,19 +144,7 @@ def simulate(instance_path, epsilon, c_text, k_text, s_max, grid, tol, out):
     traj = dynamics.simulate(
         instance, init, s_max, s_grid=np.linspace(0.0, s_max, grid), tol=tol
     )
-    losses = traj.loss_values()
-    averages = np.zeros_like(traj.theta)
-    positive = traj.s > 0
-    averages[positive] = traj.integral[positive] / traj.s[positive, None]
-    header = (
-        ["s", "t"]
-        + [f"theta_{i + 1}" for i in range(d)]
-        + [f"w_{i + 1}" for i in range(d)]
-        + ["loss"]
-        + [f"avg_{i + 1}" for i in range(d)]
-    )
-    rows = np.column_stack([traj.s, traj.t, traj.theta, traj.w, losses, averages])
-    experiments.write_csv(out, "trajectory", header, rows)
+    experiments.write_trajectory(out, traj)
     click.echo(
         f"wrote {out} ({len(traj)} samples, {traj.stats.steps} steps, "
         f"{traj.stats.rejected} rejected)"
@@ -184,24 +165,11 @@ def limit_path_cmd(instance_path, k_text, out_json, out_csv, grid):
     instance = problem.load_instance(instance_path)
     k = _vector(k_text, instance.d, "k")
     path = limit_path.compute_path(instance, k)
-    experiments.write_json(out_json, {
-        "schema": "dlnflow-limit-path v1",
-        "breakpoints": path.breakpoints.tolist(),
-        "s_star": path.s_star,
-        "active_sets": [list(seg.active) for seg in path.segments],
-        "fixed_points": [seg.theta_star.tolist() for seg in path.segments],
-    })
+    written = experiments.write_limit_path(instance, path, out_json, out_csv, grid)
     click.echo(f"wrote {out_json} ({len(path.breakpoints)} breakpoints, "
                f"s_star={path.s_star:.6g})")
-    if out_csv is not None:
-        s_grid = np.linspace(0.0, 1.5 * path.s_star, grid)
-        theta, _, mu_vals = experiments._limit_on_grid(instance, path, s_grid)
-        d = instance.d
-        header = (["s"] + [f"mu_{i + 1}" for i in range(d)]
-                  + [f"theta_star_{i + 1}" for i in range(d)])
-        rows = np.column_stack([s_grid, mu_vals, theta])
-        experiments.write_csv(out_csv, "limit-path", header, rows)
-        click.echo(f"wrote {out_csv}")
+    for out in written[1:]:
+        click.echo(f"wrote {out}")
 
 
 def _config_from_options(ctx, config, instance_path, epsilons, c_text, k_text,
@@ -259,8 +227,6 @@ def compare(ctx, config, instance_path, epsilons, c_text, k_text, s_max, grid, t
                                k_text, s_max, grid, tol)
     instance = cfg.resolve_instance()
     C, k = cfg.vectors(instance.d)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         report = experiments.run_compare(
             instance, C, k, cfg.epsilons, s_max=cfg.s_max,
@@ -270,27 +236,11 @@ def compare(ctx, config, instance_path, epsilons, c_text, k_text, s_max, grid, t
     except DlnFlowError as exc:
         partial = getattr(exc, "partial_report", None)
         if partial is not None and partial.rows:
-            out = out_dir / "compare.partial.json"
-            experiments.write_json(out, partial.to_json_dict())
+            [out] = partial.write(cfg.out_dir, csv=False, stem="compare.partial")
             click.echo(f"flushed partial results to {out}", err=True)
         raise
-    out = out_dir / "compare.json"
-    experiments.write_json(out, report.to_json_dict())
-    click.echo(f"wrote {out}")
-    if cfg.format == "csv":
-        rows = [
-            [r.epsilon, r.state_error, r.loss_error, r.average_error,
-             r.hitting_ratio if r.hitting_ratio is not None else float("nan")]
-            for r in report.rows if r.hitting_reached
-        ]
-        out_csv = out_dir / "compare.csv"
-        experiments.write_csv(
-            out_csv, "compare",
-            ["epsilon", "state_error", "loss_error", "average_error",
-             "hitting_ratio"],
-            rows,
-        )
-        click.echo(f"wrote {out_csv}")
+    for out in report.write(cfg.out_dir, csv=cfg.format == "csv"):
+        click.echo(f"wrote {out}")
     for row in report.rows:
         click.echo(
             f"epsilon={row.epsilon:.0e}  state={row.state_error:.3e}  "
@@ -314,18 +264,10 @@ def hitting_time_cmd(ctx, config, instance_path, epsilons, c_text, k_text,
         instance, C, k, cfg.epsilons, cfg.eta_fraction,
         s_cap=cfg.s_max, tol=cfg.tol,
     )
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / "hitting.json"
-    experiments.write_json(out, table.to_json_dict())
-    click.echo(f"wrote {out} (target s_star={table.s_star:.6g})")
-    if cfg.format == "csv":
-        rows = [[r.epsilon, r.ratio, r.relative_error]
-                for r in table.rows if r.reached]
-        out_csv = out_dir / "hitting.csv"
-        experiments.write_csv(out_csv, "hitting",
-                              ["epsilon", "ratio", "relative_error"], rows)
-        click.echo(f"wrote {out_csv}")
+    written = table.write(cfg.out_dir, csv=cfg.format == "csv")
+    click.echo(f"wrote {written[0]} (target s_star={table.s_star:.6g})")
+    for out in written[1:]:
+        click.echo(f"wrote {out}")
     for row in table.rows:
         if row.reached:
             click.echo(f"epsilon={row.epsilon:.0e}  ratio={row.ratio:.6g}  "

@@ -101,7 +101,7 @@ class Trajectory:
         return avg[0] if np.ndim(s) == 0 else avg
 
     def loss_values(self) -> np.ndarray:
-        return np.array([loss(self.instance, th) for th in self.theta])
+        return loss(self.instance, self.theta)
 
 
 def _flow(instance: ProblemInstance, log_eps: float):
@@ -188,11 +188,6 @@ def simulate(
         if s_grid[0] < 0 or s_grid[-1] > s_max * (1 + 1e-12):
             raise OutOfRange(f"s_grid must lie within [0, {s_max}]")
     return Trajectory(instance, init, s_grid, result.dense, result.stats, result.s)
-
-
-def average_trajectory(trajectory: Trajectory, s: float) -> np.ndarray:
-    """Trajectory average (1/s) * integral of theta, at rescaled time s."""
-    return trajectory.average(s)
 
 
 def hitting_time_on(trajectory: Trajectory, eta: float) -> float:

@@ -7,9 +7,7 @@ are written atomically (temp file + rename) with a schema version header.
 
 from __future__ import annotations
 
-import csv
 import json
-import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,23 +19,28 @@ from .errors import DimensionMismatch, DomainError, NotReached
 from .problem import Initialization, ProblemInstance
 
 CSV_SCHEMA = "dlnflow-csv v1"
+# repr() of the floats that write_csv rejects.
+_NON_FINITE = frozenset({"nan", "inf", "-inf"})
 
 
 # -- output helpers ----------------------------------------------------------
 
 def write_csv(path, kind: str, header: list[str], rows) -> Path:
-    """Write a CSV with a version/kind comment header, atomically."""
+    """Write a CSV with a version/kind comment header, atomically.
+
+    ``None`` is written as an empty cell, for a value that does not exist;
+    NaN and infinity are rejected.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", newline="") as fh:
         fh.write(f"# {CSV_SCHEMA} {kind}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for row in rows:
-            values = [float(v) for v in row]
-            if not all(math.isfinite(v) for v in values):
-                raise DomainError(f"non-finite value in {kind} row: {values}")
-            writer.writerow(f"{v!r}" for v in values)
+            cells = ["" if v is None else repr(float(v)) for v in row]
+            if not _NON_FINITE.isdisjoint(cells):
+                raise DomainError(f"non-finite value in {kind} row: {cells}")
+            fh.write(",".join(cells) + "\r\n")
     os.replace(tmp, path)
     return path
 
@@ -48,6 +51,17 @@ def write_json(path, obj) -> Path:
     tmp.write_text(json.dumps(obj, indent=2))
     os.replace(tmp, path)
     return path
+
+
+def _write_report(out_dir, stem: str, document: dict, csv: bool, kind: str,
+                  header: list[str], rows) -> list[Path]:
+    """``<stem>.json`` and, if ``csv``, ``<stem>.csv`` in ``out_dir``."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = [write_json(out_dir / f"{stem}.json", document)]
+    if csv:
+        written.append(write_csv(out_dir / f"{stem}.csv", kind, header, rows))
+    return written
 
 
 # -- configuration -----------------------------------------------------------
@@ -122,21 +136,69 @@ class ExperimentConfig:
 
 def _limit_on_grid(instance, path: limit_path.LimitPath, grid: np.ndarray):
     """theta*(I(s)), f(theta*(I(s))) and mu(s) for every positive grid point."""
-    theta = np.zeros((grid.size, instance.d))
-    losses = np.zeros(grid.size)
-    mu_vals = np.zeros((grid.size, instance.d))
     seg_idx = np.searchsorted(path.breakpoints, grid, side="right")
-    for j, seg in enumerate(path.segments):
-        mask = seg_idx == j
-        if not mask.any():
-            continue
-        theta[mask] = seg.theta_star
-        losses[mask] = problem.loss(instance, seg.theta_star)
-        mu_vals[mask] = seg.z_intercept[None, :] + grid[mask, None] * seg.z_slope
+    theta = np.array([seg.theta_star for seg in path.segments])[seg_idx]
+    intercepts = np.array([seg.z_intercept for seg in path.segments])[seg_idx]
+    slopes = np.array([seg.z_slope for seg in path.segments])[seg_idx]
+    mu_vals = intercepts + grid[:, None] * slopes
     positive = grid > 0
     mu_vals[positive] /= grid[positive, None]
     mu_vals[~positive] = 0.0
-    return theta, losses, mu_vals
+    return theta, problem.loss(instance, theta), mu_vals
+
+
+def write_limit_path(instance, path: limit_path.LimitPath, out_json, out_csv,
+                     grid_points: int) -> list[Path]:
+    """Write the path's breakpoints, active sets and stationary points as
+    JSON and, with ``out_csv``, mu(s) and the limit process sampled on
+    ``grid_points`` uniform points of [0, 1.5 s*] as CSV."""
+    written = [write_json(out_json, {
+        "schema": "dlnflow-limit-path v1",
+        "breakpoints": path.breakpoints.tolist(),
+        "s_star": path.s_star,
+        "active_sets": [list(seg.active) for seg in path.segments],
+        "fixed_points": [seg.theta_star.tolist() for seg in path.segments],
+    })]
+    if out_csv is not None:
+        s_grid = np.linspace(0.0, 1.5 * path.s_star, grid_points)
+        theta, _, mu_vals = _limit_on_grid(instance, path, s_grid)
+        d = instance.d
+        header = (["s"] + [f"mu_{i + 1}" for i in range(d)]
+                  + [f"theta_star_{i + 1}" for i in range(d)])
+        written.append(write_csv(out_csv, "limit-path", header,
+                                 np.column_stack([s_grid, mu_vals, theta])))
+    return written
+
+
+def write_trajectory(path, traj: dynamics.Trajectory) -> Path:
+    """Write the sampled trajectory: s, t, theta_*, w_*, loss and the
+    running average avg_* (0 at s = 0)."""
+    d = traj.instance.d
+    averages = np.zeros_like(traj.theta)
+    positive = traj.s > 0
+    averages[positive] = traj.integral[positive] / traj.s[positive, None]
+    header = (
+        ["s", "t"]
+        + [f"theta_{i + 1}" for i in range(d)]
+        + [f"w_{i + 1}" for i in range(d)]
+        + ["loss"]
+        + [f"avg_{i + 1}" for i in range(d)]
+    )
+    rows = np.column_stack([traj.s, traj.t, traj.theta, traj.w,
+                            traj.loss_values(), averages])
+    return write_csv(path, "trajectory", header, rows)
+
+
+def fixed_points_json(points) -> dict:
+    """The fixed-points document for a list of ``FixedPoint``."""
+    return {
+        "schema": "dlnflow-fixed-points v1",
+        "points": [
+            {"support": list(p.support), "theta": p.theta.tolist(),
+             "residual": p.residual}
+            for p in points
+        ],
+    }
 
 
 # -- comparison experiment -----------------------------------------------------
@@ -188,6 +250,16 @@ class ComparisonReport:
                 for row in self.rows
             ],
         }
+
+    def write(self, out_dir, csv: bool, stem: str = "compare") -> list[Path]:
+        """Write ``<stem>.json`` and, if ``csv``, ``<stem>.csv`` with one row
+        per epsilon; a hitting ratio that was not reached is an empty cell."""
+        rows = [[r.epsilon, r.state_error, r.loss_error, r.average_error,
+                 r.hitting_ratio, r.hitting_reached] for r in self.rows]
+        return _write_report(
+            out_dir, stem, self.to_json_dict(), csv, "compare",
+            ["epsilon", "state_error", "loss_error", "average_error",
+             "hitting_ratio", "reached"], rows)
 
 
 def _monotone_decreasing(values: list[float]) -> bool:
@@ -319,6 +391,15 @@ class HittingTable:
             ],
         }
 
+    def write(self, out_dir, csv: bool) -> list[Path]:
+        """Write ``hitting.json`` and, if ``csv``, ``hitting.csv`` with one
+        row per epsilon; values of an unreached epsilon are empty cells."""
+        rows = [[r.epsilon, r.ratio, r.relative_error, r.reached]
+                for r in self.rows]
+        return _write_report(
+            out_dir, "hitting", self.to_json_dict(), csv, "hitting",
+            ["epsilon", "ratio", "relative_error", "reached"], rows)
+
 
 def run_hitting(
     instance: ProblemInstance,
@@ -393,53 +474,22 @@ def run_figure1(
     hi = max(hi, 1e-3)
 
     axis = np.linspace(0.0, hi, field_points)
-    field_rows = []
-    for th1 in axis:
-        for th2 in axis:
-            theta = np.array([th1, th2])
-            v = theta * (instance.r - instance.M @ theta)
-            field_rows.append([th1, th2, v[0], v[1]])
-    paths = {}
-    paths["field"] = str(
-        write_csv(
-            out_dir / "field.csv",
-            "figure1-field",
-            ["theta_1", "theta_2", "v_1", "v_2"],
-            field_rows,
-        )
-    )
-
-    paths["fixed_points"] = str(
-        write_json(
-            out_dir / "fixed_points.json",
-            {
-                "schema": "dlnflow-fixed-points v1",
-                "points": [
-                    {
-                        "support": list(p.support),
-                        "theta": p.theta.tolist(),
-                        "residual": p.residual,
-                    }
-                    for p in points
-                ],
-            },
-        )
-    )
-
+    th1, th2 = np.meshgrid(axis, axis, indexing="ij")
+    theta = np.column_stack([th1.ravel(), th2.ravel()])
+    field = theta * (instance.r - theta @ instance.M.T)
+    paths = {
+        "field": str(write_csv(out_dir / "field.csv", "figure1-field",
+                               ["theta_1", "theta_2", "v_1", "v_2"],
+                               np.column_stack([theta, field]))),
+        "fixed_points": str(write_json(out_dir / "fixed_points.json",
+                                       fixed_points_json(points))),
+    }
     for eps in sorted(epsilons, reverse=True):
         init = Initialization(C=C, k=k, epsilon=float(eps))
         traj = dynamics.simulate(
             instance, init, s_max, s_grid=np.linspace(0.0, s_max, grid_points),
             tol=tol,
         )
-        rows = np.column_stack([traj.s, traj.t, traj.theta, traj.w])
         name = f"trajectory_eps_{eps:.0e}.csv"
-        paths[name] = str(
-            write_csv(
-                out_dir / name,
-                "figure1-trajectory",
-                ["s", "t", "theta_1", "theta_2", "w_1", "w_2"],
-                rows,
-            )
-        )
+        paths[name] = str(write_trajectory(out_dir / name, traj))
     return paths

@@ -258,20 +258,21 @@ def generate_direct(
     return instance, data
 
 
-def loss(instance: ProblemInstance, theta) -> float:
-    """Quadratic loss at theta.
+def loss(instance: ProblemInstance, theta) -> float | np.ndarray:
+    """Quadratic loss at theta, or at each row of a (..., d) array of them.
 
     Includes the constant 0.5*||y||^2 only when the instance carries its
     raw data; otherwise the offset-free value is returned (flagged by
-    ``instance.has_offset``).
+    ``instance.has_offset``). A single theta gives a float.
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (instance.d,):
-        raise DimensionMismatch(f"theta must have shape ({instance.d},)")
-    value = -float(instance.r @ theta) + 0.5 * float(theta @ instance.M @ theta)
+    if theta.shape[-1:] != (instance.d,):
+        raise DimensionMismatch(f"theta must have shape (..., {instance.d})")
+    value = (0.5 * np.einsum("...i,...i->...", theta @ instance.M, theta)
+             - theta @ instance.r)
     if instance.data is not None:
         value += 0.5 * float(instance.data.y @ instance.data.y)
-    return value
+    return float(value) if theta.ndim == 1 else value
 
 
 def loss_gradient(instance: ProblemInstance, theta) -> np.ndarray:

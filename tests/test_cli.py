@@ -1,10 +1,11 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dlnflow import dynamics
+from dlnflow import dynamics, generate_direct, save_instance
 from dlnflow.cli import main
 from dlnflow.errors import StepUnderflow
 
@@ -16,6 +17,13 @@ def runner():
 
 def invoke(runner, args, **kwargs):
     return runner.invoke(main, args, catch_exceptions=False, **kwargs)
+
+
+def read_csv_cells(path):
+    """Header and string cells of a ``# dlnflow-csv v1`` file."""
+    with open(path, newline="") as fh:
+        lines = list(csv.reader(fh))
+    return lines[1], lines[2:]
 
 
 TRIDIAG_JSON = {
@@ -87,6 +95,12 @@ class TestFixedPoints:
         assert result.exit_code == 0
         obj = json.loads(result.output)
         assert len(obj["points"]) == 4
+
+    def test_dimension_too_large_exit_code(self, runner, tmp_path):
+        inst = tmp_path / "d21.json"
+        save_instance(generate_direct(21, 3)[0], inst)
+        result = runner.invoke(main, ["fixed-points", "--instance", str(inst)])
+        assert result.exit_code == 2
 
 
 class TestSimulate:
@@ -186,7 +200,7 @@ class TestExperimentsCommands:
         ])
         assert result.exit_code == 0
         data = np.loadtxt(tmp_path / "compare.csv", delimiter=",", skiprows=2)
-        assert data.shape == (2, 5)
+        assert data.shape == (2, 6)
         assert np.all(np.isfinite(data))
 
     def test_partial_results_flushed_to_out_dir(self, runner, tmp_path,
@@ -247,3 +261,64 @@ class TestExperimentsCommands:
         assert (tmp_path / "field.csv").exists()
         assert (tmp_path / "fixed_points.json").exists()
         assert (tmp_path / "trajectory_eps_1e-08.csv").exists()
+
+
+class TestUnreachedRows:
+    """A CSV keeps one row per epsilon, reached or not (s_max 0.6 < s* = 1)."""
+
+    def test_compare_keeps_unreached_rows(self, runner, tmp_path):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(TRIDIAG_JSON))
+        result = invoke(runner, [
+            "--out-dir", str(tmp_path), "compare", "--instance", str(inst),
+            "--epsilons", "1e-6,1e-10", "--s-max", "0.6",
+        ])
+        assert result.exit_code == 0
+        header, rows = read_csv_cells(tmp_path / "compare.csv")
+        assert header == ["epsilon", "state_error", "loss_error",
+                          "average_error", "hitting_ratio", "reached"]
+        report = json.loads((tmp_path / "compare.json").read_text())
+        assert len(rows) == len(report["rows"]) == 2
+        for cells, row in zip(rows, report["rows"]):
+            assert not row["hitting_reached"]
+            assert float(cells[0]) == row["epsilon"]
+            assert float(cells[1]) == row["state_error"]
+            assert float(cells[2]) == row["loss_error"]
+            assert float(cells[3]) == row["average_error"]
+            assert cells[4] == ""
+            assert float(cells[5]) == 0.0
+
+    def test_hitting_keeps_unreached_rows(self, runner, tmp_path):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(TRIDIAG_JSON))
+        result = invoke(runner, [
+            "--out-dir", str(tmp_path), "hitting-time", "--instance", str(inst),
+            "--epsilons", "1e-6,1e-10", "--s-max", "0.6",
+        ])
+        assert result.exit_code == 0
+        header, rows = read_csv_cells(tmp_path / "hitting.csv")
+        assert header == ["epsilon", "ratio", "relative_error", "reached"]
+        assert [[float(cells[0])] + cells[1:3] + [float(cells[3])]
+                for cells in rows] == [[1e-6, "", "", 0.0], [1e-10, "", "", 0.0]]
+
+
+class TestInputExitCodes:
+    def test_hitting_eta_fraction_out_of_range(self, runner, tmp_path):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(TRIDIAG_JSON))
+        result = runner.invoke(main, [
+            "--out-dir", str(tmp_path), "hitting-time", "--instance", str(inst),
+            "--epsilons", "1e-8", "--eta-fraction", "1.5",
+        ])
+        assert result.exit_code == 2
+        assert not (tmp_path / "hitting.json").exists()
+
+    def test_compare_config_unknown_key(self, runner, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "instance": {"generator": "direct", "d": 2, "seed": 1},
+            "epsilons": [1e-8], "out_dir": str(tmp_path), "bogus": 1,
+        }))
+        result = runner.invoke(main, ["compare", "--config", str(config)])
+        assert result.exit_code == 2
+        assert not (tmp_path / "compare.json").exists()

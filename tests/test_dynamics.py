@@ -5,7 +5,6 @@ from conftest import scalar_logistic
 from dlnflow import (
     Initialization,
     ProblemInstance,
-    average_trajectory,
     fixed_point,
     hitting_time,
     hitting_time_on,
@@ -163,12 +162,12 @@ class TestInvariantRegion:
 class TestAverage:
     def test_vanishes_at_small_s(self, scalar_instance):
         traj = simulate(scalar_instance, make_init(1, 1e-12), 2.0)
-        assert average_trajectory(traj, 1e-6)[0] < 1e-6
+        assert traj.average(1e-6)[0] < 1e-6
 
     def test_scalar_value_near_limit(self, scalar_instance):
         # mu(2) = (2*1 - 1)/(2*1) = 0.5 for the scalar problem.
         traj = simulate(scalar_instance, make_init(1, 1e-12), 2.0, tol=TIGHT_TOL)
-        assert abs(average_trajectory(traj, 2.0)[0] - 0.5) < 5e-2
+        assert abs(traj.average(2.0)[0] - 0.5) < 5e-2
 
     def test_componentwise_nondecreasing(self, separable_instance):
         traj = simulate(separable_instance, make_init(2, 1e-10), 2.0,

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -11,6 +13,7 @@ from dlnflow import (
     from_data,
     generate_direct,
     generate_rejection,
+    loss,
     run_compare,
     run_figure1,
     run_hitting,
@@ -188,6 +191,19 @@ class TestRunFigure1:
                 )
                 assert approach <= 1e-3
 
+    def test_trajectory_schema(self, portrait):
+        # The simulate command's schema: s, t, theta_*, w_*, loss, avg_*.
+        instance, out, _ = portrait
+        lines = (out / "trajectory_eps_1e-08.csv").read_text().splitlines()
+        assert lines[0] == "# dlnflow-csv v1 trajectory"
+        assert lines[1].split(",") == ["s", "t", "theta_1", "theta_2", "w_1",
+                                       "w_2", "loss", "avg_1", "avg_2"]
+        rows = np.loadtxt(out / "trajectory_eps_1e-08.csv", delimiter=",",
+                          skiprows=2)
+        np.testing.assert_array_equal(rows[0, 7:], [0.0, 0.0])
+        np.testing.assert_allclose(rows[:, 6], loss(instance, rows[:, 2:4]),
+                                   rtol=1e-12, atol=1e-12)
+
     def test_dimension_guard(self, tmp_path):
         inst = ProblemInstance(M=np.eye(3), r=[1.0, 1.0, 1.0])
         with pytest.raises(DimensionMismatch):
@@ -253,3 +269,27 @@ class TestWriters:
     def test_non_finite_rejected(self, tmp_path):
         with pytest.raises(DomainError):
             write_csv(tmp_path / "t.csv", "test-kind", ["a"], [[np.nan]])
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinity_rejected(self, tmp_path, value):
+        with pytest.raises(DomainError):
+            write_csv(tmp_path / "t.csv", "test-kind", ["a", "b"], [[1.0, value]])
+
+    def test_none_is_an_empty_cell(self, tmp_path):
+        p = write_csv(tmp_path / "t.csv", "test-kind", ["a", "b", "c"],
+                      [[1.0, None, True], [None, 2.5, False]])
+        assert p.read_bytes().split(b"\r\n")[1:] == [
+            b"1.0,,1.0", b",2.5,0.0", b""]
+
+    def test_bytes_match_csv_module(self, tmp_path, rng):
+        # Reference: the csv module with repr() of each float.
+        rows = rng.standard_normal((20, 7)) * 10.0 ** rng.integers(-300, 300, (20, 7))
+        expected = io.StringIO(newline="")
+        expected.write("# dlnflow-csv v1 test-kind\n")
+        writer = csv.writer(expected)
+        writer.writerow([f"c{i}" for i in range(7)])
+        for row in rows:
+            writer.writerow(repr(float(v)) for v in row)
+        p = write_csv(tmp_path / "t.csv", "test-kind",
+                      [f"c{i}" for i in range(7)], rows)
+        assert p.read_bytes() == expected.getvalue().encode()

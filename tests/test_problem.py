@@ -215,6 +215,23 @@ class TestLoss:
             loss(inst_without, theta) + offset
         )
 
+    def test_batched_matches_rows(self, rng):
+        inst, data = generate_direct(d=4, seed=8)
+        theta = rng.uniform(0.0, 2.0, size=(3, 5, 4))
+        values = loss(inst, theta)
+        assert values.shape == (3, 5)
+        offset = 0.5 * float(data.y @ data.y)
+        for idx in np.ndindex(3, 5):
+            th = theta[idx]
+            expected = -float(inst.r @ th) + 0.5 * float(th @ inst.M @ th) + offset
+            assert values[idx] == pytest.approx(expected, rel=1e-13, abs=1e-13)
+        assert isinstance(loss(inst, theta[0, 0]), float)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 5)])
+    def test_wrong_last_dimension(self, tridiag_instance, shape):
+        with pytest.raises(DimensionMismatch):
+            loss(tridiag_instance, np.zeros(shape))
+
 
 class TestInitialization:
     def test_valid(self):
