@@ -104,11 +104,7 @@ def lcp_solve(input_path):
     obj = json.loads(Path(input_path).read_text())
     solution = lcp.solve_lcp(np.array(obj["q"], dtype=float),
                              np.array(obj["M"], dtype=float))
-    click.echo(json.dumps({
-        "w": solution.w.tolist(),
-        "z": solution.z.tolist(),
-        "support": list(solution.support),
-    }, indent=2))
+    click.echo(json.dumps(experiments.lcp_json(solution), indent=2))
 
 
 @main.command("fixed-points")

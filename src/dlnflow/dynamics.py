@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, MonotonicityViolated, NotReached, OutOfRange
+from .errors import (DomainError, MonotonicityViolated, NotKMatrix, NotReached,
+                     OutOfRange)
 from .fixed_points import FixedPoint
 from .integrate import IntegratorStats, integrate
 from .problem import Initialization, ProblemInstance, loss
@@ -144,6 +145,10 @@ def simulate(
     w0 = init.k + np.log(init.C) / log_eps
     u0 = np.concatenate([w0, np.zeros(d)])
 
+    # A2 holds for every instance, so lambda_min(M) > 0 makes M a K-matrix.
+    lam = np.linalg.eigvalsh(instance.M)
+    if not lam[0] > 0.0:
+        raise NotKMatrix(f"M is not positive definite (lambda_min {lam[0]:.3e})")
     # Inside the invariant region theta stays componentwise below the
     # minimizer, so the flow's local rates never exceed
     # |log eps| * lambda_max(M) * max theta. Capping the step keeps the
@@ -155,8 +160,7 @@ def simulate(
         float(np.max(instance.minimizer())),
         float(np.max(init.C * np.exp(init.k * log_eps))),
     )
-    lam_max = float(np.linalg.eigvalsh(instance.M)[-1])
-    h_stab = 2.8 / (abs(log_eps) * lam_max * max(theta_cap, 1e-12))
+    h_stab = 2.8 / (abs(log_eps) * float(lam[-1]) * max(theta_cap, 1e-12))
 
     def check_monotone(s_old, u_old, s_new, u_new):
         drop = np.exp(u_old[:d] * log_eps) - np.exp(u_new[:d] * log_eps)
@@ -193,35 +197,32 @@ def simulate(
 def hitting_time_on(trajectory: Trajectory, eta: float) -> float:
     """First physical time t with ||theta(t) - M^{-1} r||_2 <= eta.
 
-    Scans the dense output on the accepted-step grid refined enough to
-    bracket the first crossing, then bisects to relative accuracy 1e-6.
+    Under A1 and A2, M is a K-matrix, so M^{-1} >= 0 entrywise. A
+    trajectory ``simulate`` returns has nondecreasing coordinates (it aborts
+    on any drop beyond ``MONOTONE_RUNTIME_TOL``) and stays in the invariant
+    region {r - M theta >= 0}, that is theta <= M^{-1} r componentwise.
+    Every coordinate of M^{-1} r - theta(s) is therefore nonnegative and,
+    up to the integration tolerance, nonincreasing, and so is the l2 gap:
+    the ball is entered once, and a bisection on [0, s_max] finds that time
+    to relative accuracy 1e-6.
     """
-    instance = trajectory.instance
-    target = instance.minimizer()
+    target = trajectory.instance.minimizer()
 
     def gap(s):
         return float(np.linalg.norm(trajectory.theta_at(s) - target)) - eta
 
-    log_term = -trajectory.init.log_epsilon
     if gap(0.0) <= 0.0:
         return 0.0
-    # Coordinates are monotone but the l2 gap need not be; a fine scan
-    # bounds the risk of skipping a crossing.
-    s_cap = trajectory.s_max
-    grid = np.linspace(0.0, s_cap, max(4 * DEFAULT_GRID_POINTS, 1600))
-    values = np.array([gap(s) for s in grid])
-    below = np.flatnonzero(values <= 0.0)
-    if below.size == 0:
-        raise NotReached(s_cap)
-    j = below[0]
-    lo, hi = grid[j - 1], grid[j]
+    lo, hi = 0.0, trajectory.s_max
+    if gap(hi) > 0.0:
+        raise NotReached(hi)
     while hi - lo > HITTING_REL_ACCURACY * max(hi, 1e-300):
         mid = 0.5 * (lo + hi)
         if gap(mid) <= 0.0:
             hi = mid
         else:
             lo = mid
-    return hi * log_term
+    return hi * -trajectory.init.log_epsilon
 
 
 def hitting_time(

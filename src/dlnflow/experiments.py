@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,15 +25,28 @@ _NON_FINITE = frozenset({"nan", "inf", "-inf"})
 
 # -- output helpers ----------------------------------------------------------
 
+def _write_atomic(path, write) -> Path:
+    """Call ``write(fh)`` on ``<path>.tmp``, then rename it over ``path``;
+    if ``write`` raises, the temp file is removed first."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
 def write_csv(path, kind: str, header: list[str], rows) -> Path:
     """Write a CSV with a version/kind comment header, atomically.
 
     ``None`` is written as an empty cell, for a value that does not exist;
     NaN and infinity are rejected.
     """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
+    def write(fh):
         fh.write(f"# {CSV_SCHEMA} {kind}\n")
         fh.write(",".join(header) + "\r\n")
         for row in rows:
@@ -41,16 +54,12 @@ def write_csv(path, kind: str, header: list[str], rows) -> Path:
             if not _NON_FINITE.isdisjoint(cells):
                 raise DomainError(f"non-finite value in {kind} row: {cells}")
             fh.write(",".join(cells) + "\r\n")
-    os.replace(tmp, path)
-    return path
+
+    return _write_atomic(path, write)
 
 
 def write_json(path, obj) -> Path:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(obj, indent=2))
-    os.replace(tmp, path)
-    return path
+    return _write_atomic(path, lambda fh: fh.write(json.dumps(obj, indent=2)))
 
 
 def _write_report(out_dir, stem: str, document: dict, csv: bool, kind: str,
@@ -189,6 +198,12 @@ def write_trajectory(path, traj: dynamics.Trajectory) -> Path:
     return write_csv(path, "trajectory", header, rows)
 
 
+def lcp_json(solution) -> dict:
+    """The ``lcp-solve`` document for one ``LcpSolution``."""
+    return {"schema": "dlnflow-lcp v1", "w": solution.w.tolist(),
+            "z": solution.z.tolist(), "support": list(solution.support)}
+
+
 def fixed_points_json(points) -> dict:
     """The fixed-points document for a list of ``FixedPoint``."""
     return {
@@ -238,28 +253,24 @@ class ComparisonReport:
             "state_monotone": self.state_monotone,
             "loss_monotone": self.loss_monotone,
             "average_monotone": self.average_monotone,
-            "rows": [
-                {
-                    "epsilon": row.epsilon,
-                    "state_error": row.state_error,
-                    "loss_error": row.loss_error,
-                    "average_error": row.average_error,
-                    "hitting_ratio": row.hitting_ratio,
-                    "hitting_reached": row.hitting_reached,
-                }
-                for row in self.rows
-            ],
+            "rows": [asdict(row) for row in self.rows],
         }
 
     def write(self, out_dir, csv: bool, stem: str = "compare") -> list[Path]:
         """Write ``<stem>.json`` and, if ``csv``, ``<stem>.csv`` with one row
         per epsilon; a hitting ratio that was not reached is an empty cell."""
-        rows = [[r.epsilon, r.state_error, r.loss_error, r.average_error,
-                 r.hitting_ratio, r.hitting_reached] for r in self.rows]
         return _write_report(
             out_dir, stem, self.to_json_dict(), csv, "compare",
             ["epsilon", "state_error", "loss_error", "average_error",
-             "hitting_ratio", "reached"], rows)
+             "hitting_ratio", "reached"], map(astuple, self.rows))
+
+
+def _hitting_radius(instance: ProblemInstance, eta_fraction: float) -> float:
+    """eta = eta_fraction * min_i (M^{-1} r)_i, with eta_fraction in (0, 1),
+    where the limiting hitting ratio does not depend on eta."""
+    if not (0.0 < eta_fraction < 1.0):
+        raise DomainError("eta_fraction must lie strictly between 0 and 1")
+    return eta_fraction * float(np.min(instance.minimizer()))
 
 
 def _monotone_decreasing(values: list[float]) -> bool:
@@ -303,7 +314,7 @@ def run_compare(
     avg_mask = (grid >= avg_lo) & (grid <= s_max)
 
     limit_theta, limit_loss, limit_mu = _limit_on_grid(instance, path, grid)
-    eta = eta_fraction * float(np.min(instance.minimizer()))
+    eta = _hitting_radius(instance, eta_fraction)
 
     def report(rows, complete: bool):
         # Monotonicity flags need every epsilon; a partial report has none.
@@ -380,25 +391,16 @@ class HittingTable:
             "schema": "dlnflow-hitting v1",
             "s_star": self.s_star,
             "eta": self.eta,
-            "rows": [
-                {
-                    "epsilon": r.epsilon,
-                    "ratio": r.ratio,
-                    "relative_error": r.relative_error,
-                    "reached": r.reached,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(row) for row in self.rows],
         }
 
     def write(self, out_dir, csv: bool) -> list[Path]:
         """Write ``hitting.json`` and, if ``csv``, ``hitting.csv`` with one
         row per epsilon; values of an unreached epsilon are empty cells."""
-        rows = [[r.epsilon, r.ratio, r.relative_error, r.reached]
-                for r in self.rows]
         return _write_report(
             out_dir, "hitting", self.to_json_dict(), csv, "hitting",
-            ["epsilon", "ratio", "relative_error", "reached"], rows)
+            ["epsilon", "ratio", "relative_error", "reached"],
+            map(astuple, self.rows))
 
 
 def run_hitting(
@@ -413,19 +415,16 @@ def run_hitting(
 ) -> HittingTable:
     """Rescaled hitting times of the eta-ball around the minimizer.
 
-    eta is eta_fraction times the smallest minimizer coordinate, which
-    keeps it inside the regime where the limiting ratio is insensitive to
-    eta. Rows are ordered by decreasing epsilon and carry the relative gap
-    to the predicted convergence time.
+    eta is eta_fraction times the smallest minimizer coordinate. Rows are
+    ordered by decreasing epsilon and carry the relative gap to the
+    predicted convergence time.
     """
-    if not (0.0 < eta_fraction < 1.0):
-        raise DomainError("eta_fraction must lie strictly between 0 and 1")
     C = np.asarray(C, dtype=float)
     k = np.asarray(k, dtype=float)
     s_star = limit_path.convergence_time_s_star(instance, k)
     if s_cap is None:
         s_cap = 2.0 * s_star
-    eta = eta_fraction * float(np.min(instance.minimizer()))
+    eta = _hitting_radius(instance, eta_fraction)
 
     rows = []
     for eps in sorted(epsilons, reverse=True):

@@ -228,10 +228,9 @@ def convergence_time_s_star(instance: ProblemInstance, k) -> float:
     last breakpoint of the computed path.
     """
     k = _check_k(instance, k)
-    mk = np.linalg.solve(instance.M, k)
-    mr = instance.minimizer()
-    s_star = float(np.max(mk / mr))
+    # The path certifies M before the closed form solves with it.
     last = float(compute_path(instance, k).breakpoints[-1])
+    s_star = float(np.max(np.linalg.solve(instance.M, k) / instance.minimizer()))
     if abs(last - s_star) > 1e-9 * max(1.0, abs(s_star)):
         raise PathInconsistent(
             f"path terminal breakpoint {last!r} disagrees with closed form "

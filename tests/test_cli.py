@@ -32,6 +32,13 @@ TRIDIAG_JSON = {
     "meta": {},
 }
 
+# Satisfies A1 and A2, but M is singular: not a K-matrix.
+SINGULAR_JSON = {
+    "M": [[1.0, -1.0], [-1.0, 1.0]],
+    "r": [1.0, 1.0],
+    "meta": {},
+}
+
 
 class TestGen:
     def test_direct(self, runner, tmp_path):
@@ -76,6 +83,7 @@ class TestLcpSolve:
         result = invoke(runner, ["lcp-solve", "--input", str(p)])
         assert result.exit_code == 0
         obj = json.loads(result.output)
+        assert obj["schema"] == "dlnflow-lcp v1"
         np.testing.assert_allclose(obj["z"], [1.0, 1.0], atol=1e-10)
         np.testing.assert_allclose(obj["w"], [0.0, 0.0], atol=1e-10)
         assert obj["support"] == [0, 1]
@@ -134,6 +142,16 @@ class TestSimulate:
         ])
         assert result.exit_code == 2
 
+    def test_singular_instance_exit_code(self, runner, tmp_path):
+        inst = tmp_path / "singular.json"
+        inst.write_text(json.dumps(SINGULAR_JSON))
+        result = runner.invoke(main, [
+            "simulate", "--instance", str(inst), "--epsilon", "1e-8",
+            "--s-max", "1.0", "--out", str(tmp_path / "t.csv"),
+        ])
+        assert result.exit_code == 2
+        assert not (tmp_path / "t.csv").exists()
+
     def test_numerical_failure_exit_code(self, runner, tmp_path):
         inst = tmp_path / "inst.json"
         inst.write_text(json.dumps(TRIDIAG_JSON))
@@ -166,8 +184,7 @@ class TestLimitPath:
 
     def test_singular_instance_exit_code(self, runner, tmp_path):
         inst = tmp_path / "singular.json"
-        inst.write_text(json.dumps({"M": [[1.0, -1.0], [-1.0, 1.0]],
-                                    "r": [1.0, 1.0], "meta": {}}))
+        inst.write_text(json.dumps(SINGULAR_JSON))
         result = runner.invoke(main, [
             "limit-path", "--instance", str(inst),
             "--out-json", str(tmp_path / "path.json"),
@@ -312,6 +329,30 @@ class TestInputExitCodes:
         ])
         assert result.exit_code == 2
         assert not (tmp_path / "hitting.json").exists()
+
+    def test_hitting_singular_instance(self, runner, tmp_path):
+        inst = tmp_path / "singular.json"
+        inst.write_text(json.dumps(SINGULAR_JSON))
+        result = runner.invoke(main, [
+            "--out-dir", str(tmp_path), "hitting-time", "--instance", str(inst),
+            "--epsilons", "1e-8",
+        ])
+        assert result.exit_code == 2
+        assert not (tmp_path / "hitting.json").exists()
+
+    @pytest.mark.parametrize("fraction", [1.5, 0.0, -0.2])
+    def test_compare_config_eta_fraction_out_of_range(self, runner, tmp_path,
+                                                      fraction):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(TRIDIAG_JSON))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "instance": str(inst), "epsilons": [1e-8],
+            "eta_fraction": fraction, "out_dir": str(tmp_path),
+        }))
+        result = runner.invoke(main, ["compare", "--config", str(config)])
+        assert result.exit_code == 2
+        assert not (tmp_path / "compare.json").exists()
 
     def test_compare_config_unknown_key(self, runner, tmp_path):
         config = tmp_path / "config.json"

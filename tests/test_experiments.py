@@ -142,8 +142,14 @@ class TestRunHitting:
         assert table.rows[0].ratio is None
 
     def test_eta_fraction_validated(self, scalar_instance):
-        with pytest.raises(DomainError):
-            run_hitting(scalar_instance, [1.0], [1.0], [1e-8], eta_fraction=1.5)
+        # Both harnesses derive the hitting radius through one check.
+        for fraction in (1.5, 1.0, 0.0, -0.2):
+            with pytest.raises(DomainError):
+                run_hitting(scalar_instance, [1.0], [1.0], [1e-8],
+                            eta_fraction=fraction)
+            with pytest.raises(DomainError):
+                run_compare(scalar_instance, [1.0], [1.0], [1e-8],
+                            eta_fraction=fraction)
 
 
 class TestRunFigure1:
@@ -269,11 +275,13 @@ class TestWriters:
     def test_non_finite_rejected(self, tmp_path):
         with pytest.raises(DomainError):
             write_csv(tmp_path / "t.csv", "test-kind", ["a"], [[np.nan]])
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_infinity_rejected(self, tmp_path, value):
         with pytest.raises(DomainError):
             write_csv(tmp_path / "t.csv", "test-kind", ["a", "b"], [[1.0, value]])
+        assert list(tmp_path.glob("*.tmp")) == []
 
     def test_none_is_an_empty_cell(self, tmp_path):
         p = write_csv(tmp_path / "t.csv", "test-kind", ["a", "b", "c"],

@@ -1,19 +1,26 @@
-"""Property tests: the limit path and the three LCP routes over generated
-instances, with fixed (derandomized) example sequences."""
+"""Property tests: the limit path, the three LCP routes and trajectory
+invariants over generated instances, with fixed (derandomized) example
+sequences."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from conftest import random_instance, random_k_matrix
 from dlnflow import (
+    Initialization,
     ProblemInstance,
     compute_path,
     generate_direct,
+    simulate,
     solve_lcp,
     solve_lcp_bruteforce,
     solve_qp_nonneg,
 )
+from dlnflow.dynamics import DEFAULT_TOL, MONOTONE_RUNTIME_TOL, hitting_time_on
+from dlnflow.errors import NotReached
 
 AGREE_TOL = 1e-8
 
@@ -96,3 +103,53 @@ def test_large_d_mu_matches_qp():
         np.testing.assert_allclose(path.mu_at(s),
                                    solve_qp_nonneg(k / s - inst.r, inst.M),
                                    atol=AGREE_TOL)
+
+
+@st.composite
+def trajectories(draw):
+    """``generate_direct`` instances with d <= 6, C and k uniform in [0.5, 2]
+    and log-uniform eps in [1e-300, 1e-4], simulated to 2 s*."""
+    d = draw(st.integers(1, 6))
+    inst, _ = generate_direct(d, draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    C, k = rng.uniform(0.5, 2.0, size=(2, d))
+    eps = 10.0 ** draw(st.floats(-300.0, -4.0))
+    s_max = 2.0 * compute_path(inst, k).s_star
+    return simulate(inst, Initialization(C=C, k=k, epsilon=eps), s_max)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(trajectories())
+def test_trajectory_invariants_and_hitting_time(traj):
+    # 16 points per accepted step of the dense output, plus the end point:
+    # every 16th point is a step endpoint.
+    dense = traj._dense
+    fractions = np.arange(16) / 16
+    s = np.append((dense._lefts[:, None] + dense._widths[:, None] * fractions)
+                  .ravel(), traj.s_max)
+    theta = traj.theta_at(s)
+    target = traj.instance.minimizer()
+    gap = np.linalg.norm(theta - target, axis=1)
+    # simulate certifies the step endpoints. Between them the quartic dense
+    # output is accurate to the integration tolerance in w, that is to
+    # |log eps| * tol * theta in theta (README, numerical notes).
+    slack = DEFAULT_TOL * -traj.init.log_epsilon * float(np.max(target))
+    for stride, extra in ((16, 0.0), (1, slack)):
+        tol = MONOTONE_RUNTIME_TOL + extra
+        assert np.min(np.diff(theta[::stride], axis=0)) >= -tol
+        assert np.max(np.diff(gap[::stride])) <= tol
+        assert np.all(theta[::stride] <= target + 1e-10 + extra)
+
+    # The bisection finds the first crossing of the fine scan.
+    eta = 0.1 * float(np.min(target))
+    below = np.flatnonzero(gap <= eta)
+    if below.size == 0:
+        with pytest.raises(NotReached):
+            hitting_time_on(traj, eta)
+        return
+    j = below[0]
+    assert j > 0
+    first = brentq(lambda x: np.linalg.norm(traj.theta_at(x) - target) - eta,
+                   s[j - 1], s[j], xtol=1e-15, rtol=1e-15)
+    ratio = hitting_time_on(traj, eta) / -traj.init.log_epsilon
+    assert abs(ratio - first) <= 2e-6 * first
