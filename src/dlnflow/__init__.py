@@ -4,7 +4,6 @@ saddle-to-saddle limit paths, and the complementarity machinery behind them."""
 from . import errors
 from .dynamics import (
     Trajectory,
-    TrajectoryPoint,
     hitting_time,
     hitting_time_on,
     in_invariant_region,
@@ -58,7 +57,6 @@ __all__ = [
     "ProblemInstance",
     "RegressionData",
     "Trajectory",
-    "TrajectoryPoint",
     "check_positive_definite",
     "compute_path",
     "convergence_time_s_star",

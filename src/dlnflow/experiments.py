@@ -183,9 +183,6 @@ def write_trajectory(path, traj: dynamics.Trajectory) -> Path:
     """Write the sampled trajectory: s, t, theta_*, w_*, loss and the
     running average avg_* (0 at s = 0)."""
     d = traj.instance.d
-    averages = np.zeros_like(traj.theta)
-    positive = traj.s > 0
-    averages[positive] = traj.integral[positive] / traj.s[positive, None]
     header = (
         ["s", "t"]
         + [f"theta_{i + 1}" for i in range(d)]
@@ -194,7 +191,7 @@ def write_trajectory(path, traj: dynamics.Trajectory) -> Path:
         + [f"avg_{i + 1}" for i in range(d)]
     )
     rows = np.column_stack([traj.s, traj.t, traj.theta, traj.w,
-                            traj.loss_values(), averages])
+                            traj.loss_values(), traj.averages])
     return write_csv(path, "trajectory", header, rows)
 
 
@@ -349,8 +346,7 @@ def run_compare(
         loss_err = float(
             np.max(np.abs(traj.loss_values()[state_mask] - limit_loss[state_mask]))
         )
-        avg = traj.integral[avg_mask] / grid[avg_mask, None]
-        avg_err = float(np.max(np.abs(avg - limit_mu[avg_mask])))
+        avg_err = float(np.max(np.abs(traj.averages[avg_mask] - limit_mu[avg_mask])))
         try:
             ratio = dynamics.hitting_time_on(traj, eta) / (-init.log_epsilon)
             reached = True

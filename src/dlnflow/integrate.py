@@ -99,14 +99,14 @@ class IntegrationResult:
     stats: IntegratorStats
 
 
-def _initial_step(f, s0, y0, f0, s_end, scale, idx):
+def _initial_step(f, s0, y0, f0, s_end, scale):
     """Hairer-style starting step guess, clipped to the span."""
-    d0 = np.sqrt(np.mean((y0[idx] / scale) ** 2))
-    d1 = np.sqrt(np.mean((f0[idx] / scale) ** 2))
+    d0 = np.sqrt(np.mean((y0 / scale) ** 2))
+    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, s_end - s0)
     f1 = f(s0 + h0, y0 + h0 * f0)
-    d2 = np.sqrt(np.mean(((f1 - f0)[idx] / scale) ** 2)) / h0
+    d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -121,20 +121,18 @@ def integrate(
     s_end: float,
     rtol: float,
     atol: float,
-    err_indices: slice | None = None,
     max_step: float = np.inf,
     step_callback: Callable[[float, np.ndarray, float, np.ndarray], None] | None = None,
 ) -> IntegrationResult:
     """Integrate y' = f(s, y) from s0 to s_end.
 
-    Error control is mixed (atol + rtol * |y|), applied to the components
-    selected by ``err_indices`` (all by default), RMS-normed. After each
-    accepted step ``step_callback(s_old, y_old, s_new, y_new)`` may raise to
-    abort with a domain-specific diagnosis.
+    Error control is mixed (atol + rtol * |y|) and RMS-normed over every
+    component. After each accepted step
+    ``step_callback(s_old, y_old, s_new, y_new)`` may raise to abort with a
+    domain-specific diagnosis.
     """
     y = np.array(y0, dtype=float)
     n = y.size
-    idx = err_indices if err_indices is not None else slice(None)
     if s_end <= s0:
         raise ValueError("s_end must exceed s0")
 
@@ -143,8 +141,8 @@ def integrate(
     k[0] = f(s0, y)
     stats.rhs_evaluations += 2  # includes the probe in _initial_step
 
-    scale0 = atol + rtol * np.abs(y[idx])
-    h = min(_initial_step(f, s0, y, k[0], s_end, scale0, idx), max_step)
+    scale0 = atol + rtol * np.abs(y)
+    h = min(_initial_step(f, s0, y, k[0], s_end, scale0), max_step)
 
     s = s0
     lefts, widths, conts = [], [], []
@@ -160,9 +158,9 @@ def integrate(
         y_new = y + h * (_B @ k)
 
         err_vec = h * (_E @ k)
-        scale = atol + rtol * np.maximum(np.abs(y[idx]), np.abs(y_new[idx]))
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         with np.errstate(over="ignore", invalid="ignore"):
-            err_norm = float(np.sqrt(np.mean((err_vec[idx] / scale) ** 2)))
+            err_norm = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
 
         if not np.isfinite(err_norm):
             stats.rejected += 1

@@ -148,6 +148,11 @@ class Initialization:
         """log(epsilon) < 0; the only form in which epsilon enters the flow."""
         return float(np.log(self.epsilon))
 
+    @property
+    def w0(self) -> np.ndarray:
+        """Log coordinates w_i(0) = k_i + log(C_i) / log(epsilon)."""
+        return self.k + np.log(self.C) / self.log_epsilon
+
 
 @dataclass(frozen=True)
 class PdReport:

@@ -110,6 +110,13 @@ class TestFixedPoints:
         result = runner.invoke(main, ["fixed-points", "--instance", str(inst)])
         assert result.exit_code == 2
 
+    def test_singular_instance_exit_code(self, runner, tmp_path):
+        inst = tmp_path / "singular.json"
+        inst.write_text(json.dumps(SINGULAR_JSON))
+        result = runner.invoke(main, ["fixed-points", "--instance", str(inst)])
+        assert result.exit_code == 2
+        assert "not positive definite" in result.output
+
 
 class TestSimulate:
     def test_csv_schema(self, runner, tmp_path):

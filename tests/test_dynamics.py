@@ -79,12 +79,6 @@ class TestTrajectoryStructure:
         np.testing.assert_allclose(traj.t, traj.s * np.log(1e8), rtol=1e-12)
         assert np.all(np.diff(traj.s) > 0)
 
-    def test_point_accessor(self, separable_instance):
-        traj = simulate(separable_instance, make_init(2, 1e-8), s_max=1.0)
-        p = traj.point(10)
-        assert p.s == traj.s[10]
-        np.testing.assert_array_equal(p.theta, traj.theta[10])
-
     def test_custom_grid(self, separable_instance):
         grid = np.array([0.0, 0.4, 0.8, 1.2])
         traj = simulate(separable_instance, make_init(2, 1e-8), 1.2, s_grid=grid)

@@ -64,17 +64,6 @@ def test_max_step_respected():
     assert res.stats.max_step <= 0.05 + 1e-15
 
 
-def test_err_indices_restrict_control():
-    # Quadrature component rides along without driving the step size but
-    # still comes out accurate because the controlled component does.
-    def f(s, y):
-        return np.array([-y[0], y[0]])
-
-    res = integrate(f, 0.0, np.array([1.0, 0.0]), 3.0, rtol=1e-10, atol=1e-10,
-                    err_indices=slice(0, 1))
-    assert res.y[1] == pytest.approx(1.0 - np.exp(-3.0), rel=1e-8)
-
-
 def test_step_underflow_near_blowup():
     # y' = y^2 from y(0)=1 blows up at s=1; the controller must not march
     # through it.

@@ -85,6 +85,9 @@ def test_three_lcp_routes_agree(d, seed, scale):
     np.testing.assert_allclose(pivoting.z, exact.z, atol=AGREE_TOL)
     np.testing.assert_allclose(pivoting.w, exact.w, atol=AGREE_TOL)
     np.testing.assert_allclose(pivoting.z, theta, atol=AGREE_TOL)
+    # K-matrices make the solution antitone in q: raising q lowers z.
+    q_up = q + np.abs(scale * rng.normal(size=d))
+    assert np.all(solve_lcp(q_up, M).z <= pivoting.z + AGREE_TOL)
 
 
 def test_tie_joins_in_one_event():
@@ -139,6 +142,19 @@ def test_trajectory_invariants_and_hitting_time(traj):
         assert np.min(np.diff(theta[::stride], axis=0)) >= -tol
         assert np.max(np.diff(gap[::stride])) <= tol
         assert np.all(theta[::stride] <= target + 1e-10 + extra)
+
+    # Running averages against an independent oracle: the cumulative
+    # 8-point Gauss-Legendre quadrature of theta over the accepted steps.
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    lefts, widths = dense._lefts, dense._widths
+    x = lefts[:, None] + 0.5 * widths[:, None] * (nodes + 1.0)
+    theta_x = traj.theta_at(x.ravel()).reshape(*x.shape, -1)
+    per_step = 0.5 * widths[:, None] * np.einsum("j,njd->nd", weights, theta_x)
+    integral = np.cumsum(per_step, axis=0)
+    ends = lefts + widths
+    late = ends >= 0.01 * traj.s_max
+    quadrature = integral[late] / ends[late, None]
+    assert np.max(np.abs(traj.average(ends[late]) - quadrature)) <= slack
 
     # The bisection finds the first crossing of the fine scan.
     eta = 0.1 * float(np.min(target))
