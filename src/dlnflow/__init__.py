@@ -33,7 +33,6 @@ from .problem import (
     Initialization,
     ProblemInstance,
     RegressionData,
-    check_positive_definite,
     from_data,
     generate_direct,
     generate_rejection,
@@ -57,7 +56,6 @@ __all__ = [
     "ProblemInstance",
     "RegressionData",
     "Trajectory",
-    "check_positive_definite",
     "compute_path",
     "convergence_time_s_star",
     "enumerate_fixed_points",

@@ -90,9 +90,9 @@ def gen(ctx, n, d, seed, generator, offdiag_scale, max_attempts, out):
             M=instance.M, r=instance.r, data=data,
             meta={"seed": seed, "generator": "rejection", "n": n, "d": d},
         )
-    report = problem.check_positive_definite(instance)
+    lambda_min = float(np.linalg.eigvalsh(instance.M)[0])
     problem.save_instance(instance, out)
-    click.echo(f"wrote {out} (d={instance.d}, lambda_min={report.lambda_min:.6g})")
+    click.echo(f"wrote {out} (d={instance.d}, lambda_min={lambda_min:.6g})")
 
 
 @main.command("lcp-solve")
@@ -169,7 +169,8 @@ def limit_path_cmd(instance_path, k_text, out_json, out_csv, grid):
 
 
 def _config_from_options(ctx, config, instance_path, epsilons, c_text, k_text,
-                         s_max, grid, tol, eta_fraction=None):
+                         s_max, tol, **fields):
+    """``fields`` are the command's own ``ExperimentConfig`` fields."""
     if config is not None:
         cfg = experiments.ExperimentConfig.from_json(config)
     else:
@@ -182,16 +183,15 @@ def _config_from_options(ctx, config, instance_path, epsilons, c_text, k_text,
             C=None if c_text is None else [float(x) for x in c_text.split(",")],
             k=None if k_text is None else [float(x) for x in k_text.split(",")],
             s_max=s_max,
-            grid_points=grid,
             tol=tol,
             out_dir=str(ctx.obj["out_dir"]),
             format=ctx.obj["format"],
+            **fields,
         )
-        if eta_fraction is not None:
-            cfg.eta_fraction = eta_fraction
     return cfg
 
 
+_GRID_OPTION = click.option("--grid", type=int, default=400, show_default=True)
 _common_options = [
     click.option("--config", type=click.Path(exists=True), default=None,
                  help="JSON experiment config; overrides the other flags."),
@@ -201,26 +201,30 @@ _common_options = [
     click.option("--C", "c_text", default=None),
     click.option("--k", "k_text", default=None),
     click.option("--s-max", type=float, default=None),
-    click.option("--grid", type=int, default=400, show_default=True),
+    _GRID_OPTION,
     click.option("--tol", type=float, default=dynamics.DEFAULT_TOL,
                  show_default=True),
 ]
 
 
-def common_options(fn):
-    for option in reversed(_common_options):
-        fn = option(fn)
-    return fn
+def common_options(grid: bool):
+    """The experiment options; ``--grid`` only for commands that sample."""
+    def decorate(fn):
+        for option in reversed(_common_options):
+            if grid or option is not _GRID_OPTION:
+                fn = option(fn)
+        return fn
+    return decorate
 
 
 @main.command()
-@common_options
+@common_options(grid=True)
 @click.pass_context
 @handles_errors
 def compare(ctx, config, instance_path, epsilons, c_text, k_text, s_max, grid, tol):
     """Compare simulations against the limit process and its average."""
     cfg = _config_from_options(ctx, config, instance_path, epsilons, c_text,
-                               k_text, s_max, grid, tol)
+                               k_text, s_max, tol, grid_points=grid)
     instance = cfg.resolve_instance()
     C, k = cfg.vectors(instance.d)
     try:
@@ -245,15 +249,15 @@ def compare(ctx, config, instance_path, epsilons, c_text, k_text, s_max, grid, t
 
 
 @main.command("hitting-time")
-@common_options
+@common_options(grid=False)
 @click.option("--eta-fraction", type=float, default=0.1, show_default=True)
 @click.pass_context
 @handles_errors
 def hitting_time_cmd(ctx, config, instance_path, epsilons, c_text, k_text,
-                     s_max, grid, tol, eta_fraction):
+                     s_max, tol, eta_fraction):
     """Measure hitting times of the minimizer ball across epsilons."""
     cfg = _config_from_options(ctx, config, instance_path, epsilons, c_text,
-                               k_text, s_max, grid, tol, eta_fraction)
+                               k_text, s_max, tol, eta_fraction=eta_fraction)
     instance = cfg.resolve_instance()
     C, k = cfg.vectors(instance.d)
     table = experiments.run_hitting(
@@ -273,13 +277,13 @@ def hitting_time_cmd(ctx, config, instance_path, epsilons, c_text, k_text,
 
 
 @main.command()
-@common_options
+@common_options(grid=True)
 @click.pass_context
 @handles_errors
 def figure1(ctx, config, instance_path, epsilons, c_text, k_text, s_max, grid, tol):
     """Emit phase-portrait data (d = 2): field, fixed points, trajectories."""
     cfg = _config_from_options(ctx, config, instance_path, epsilons, c_text,
-                               k_text, s_max, grid, tol)
+                               k_text, s_max, tol, grid_points=grid)
     instance = cfg.resolve_instance()
     C, k = cfg.vectors(instance.d)
     paths = experiments.run_figure1(

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (DomainError, MonotonicityViolated, NotKMatrix, NotReached,
-                     OutOfRange)
+from .errors import DomainError, MonotonicityViolated, NotReached, OutOfRange
 from .fixed_points import FixedPoint
 from .integrate import IntegratorStats, integrate
 from .problem import Initialization, ProblemInstance, loss
@@ -64,7 +63,7 @@ class Trajectory:
     def _running_average(self, s: np.ndarray, w: np.ndarray) -> np.ndarray:
         """(1/s) * M^{-1} (w - w(0) + s r) row by row, 0 where s = 0."""
         shifted = w - self.init.w0 + s[:, None] * self.instance.r
-        integral = np.linalg.solve(self.instance.M, shifted.T).T
+        integral = self.instance.solve(shifted.T).T
         return np.divide(integral, s[:, None], out=np.zeros_like(integral),
                          where=s[:, None] > 0.0)
 
@@ -132,10 +131,6 @@ def simulate(
         raise OutOfRange("s_max must be positive")
     log_eps = init.log_epsilon
 
-    # A2 holds for every instance, so lambda_min(M) > 0 makes M a K-matrix.
-    lam = np.linalg.eigvalsh(instance.M)
-    if not lam[0] > 0.0:
-        raise NotKMatrix(f"M is not positive definite (lambda_min {lam[0]:.3e})")
     # Inside the invariant region theta stays componentwise below the
     # minimizer, so the flow's local rates never exceed
     # |log eps| * lambda_max(M) * max theta. Capping the step keeps the
@@ -147,7 +142,8 @@ def simulate(
         float(np.max(instance.minimizer())),
         float(np.max(init.C * np.exp(init.k * log_eps))),
     )
-    h_stab = 2.8 / (abs(log_eps) * float(lam[-1]) * max(theta_cap, 1e-12))
+    lam_max = float(np.linalg.eigvalsh(instance.M)[-1])
+    h_stab = 2.8 / (abs(log_eps) * lam_max * max(theta_cap, 1e-12))
 
     def check_monotone(s_old, w_old, s_new, w_new):
         drop = np.exp(w_old * log_eps) - np.exp(w_new * log_eps)
@@ -183,7 +179,7 @@ def simulate(
 def hitting_time_on(trajectory: Trajectory, eta: float) -> float:
     """First physical time t with ||theta(t) - M^{-1} r||_2 <= eta.
 
-    Under A1 and A2, M is a K-matrix, so M^{-1} >= 0 entrywise. A
+    An instance's M is a certified K-matrix, so M^{-1} >= 0 entrywise. A
     trajectory ``simulate`` returns has nondecreasing coordinates (it aborts
     on any drop beyond ``MONOTONE_RUNTIME_TOL``) and stays in the invariant
     region {r - M theta >= 0}, that is theta <= M^{-1} r componentwise.

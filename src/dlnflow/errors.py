@@ -69,14 +69,6 @@ class AtBreakpoint(ValidationError):
 
 # -- numerical failures ----------------------------------------------------
 
-class NotPositiveDefinite(NumericalFailure):
-    """Smallest eigenvalue is not positive; carries the measured value."""
-
-    def __init__(self, lambda_min: float):
-        self.lambda_min = lambda_min
-        super().__init__(f"smallest eigenvalue {lambda_min:.3e} is not positive")
-
-
 class PivotCycle(NumericalFailure):
     """Active-set pivoting exceeded its safety bound without converging."""
 

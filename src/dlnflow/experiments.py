@@ -8,7 +8,6 @@ are written atomically (temp file + rename) with a schema version header.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import dynamics, fixed_points, limit_path, problem
 from .errors import DimensionMismatch, DomainError, NotReached
-from .problem import Initialization, ProblemInstance
+from .problem import Initialization, ProblemInstance, _write_atomic
 
 CSV_SCHEMA = "dlnflow-csv v1"
 # repr() of the floats that write_csv rejects.
@@ -24,21 +23,6 @@ _NON_FINITE = frozenset({"nan", "inf", "-inf"})
 
 
 # -- output helpers ----------------------------------------------------------
-
-def _write_atomic(path, write) -> Path:
-    """Call ``write(fh)`` on ``<path>.tmp``, then rename it over ``path``;
-    if ``write`` raises, the temp file is removed first."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", newline="") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return path
-
 
 def write_csv(path, kind: str, header: list[str], rows) -> Path:
     """Write a CSV with a version/kind comment header, atomically.
@@ -146,10 +130,10 @@ class ExperimentConfig:
 def _limit_on_grid(instance, path: limit_path.LimitPath, grid: np.ndarray):
     """theta*(I(s)), f(theta*(I(s))) and mu(s) for every positive grid point."""
     seg_idx = np.searchsorted(path.breakpoints, grid, side="right")
+    # A segment's stationary point theta* is the slope of z(s) on it.
     theta = np.array([seg.theta_star for seg in path.segments])[seg_idx]
     intercepts = np.array([seg.z_intercept for seg in path.segments])[seg_idx]
-    slopes = np.array([seg.z_slope for seg in path.segments])[seg_idx]
-    mu_vals = intercepts + grid[:, None] * slopes
+    mu_vals = intercepts + grid[:, None] * theta
     positive = grid > 0
     mu_vals[positive] /= grid[positive, None]
     mu_vals[~positive] = 0.0

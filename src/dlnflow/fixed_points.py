@@ -21,7 +21,6 @@ from .errors import (
     PositivityViolation,
     SingularSubmatrix,
 )
-from .lcp import check_k_matrix
 from .problem import ProblemInstance
 
 POSITIVITY_TOL = 1e-12
@@ -74,7 +73,6 @@ def enumerate_fixed_points(instance: ProblemInstance) -> list[FixedPoint]:
     d = instance.d
     if d > ENUMERATION_MAX_DIM:
         raise DimensionTooLarge(f"enumeration limited to d <= {ENUMERATION_MAX_DIM}")
-    check_k_matrix(instance.M)
     points = []
     for mask in range(2 ** d):
         support = [i for i in range(d) if (mask >> i) & 1]

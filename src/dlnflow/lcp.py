@@ -74,7 +74,11 @@ def _prepare(q, M) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_k_matrix(M: np.ndarray) -> None:
-    """Cheap certification: symmetric, nonpositive off-diagonals, Cholesky."""
+    """Certify a raw matrix: symmetric, nonpositive off-diagonals, Cholesky.
+
+    A ``ProblemInstance`` is certified when it is built; this serves the
+    ``(q, M)`` pairs that enter :func:`solve_lcp` directly.
+    """
     asym = np.max(np.abs(M - M.T))
     if asym > STRICT_TOL * max(1.0, np.max(np.abs(M))):
         raise NotKMatrix(f"matrix not symmetric (max asymmetry {asym:.3e})")

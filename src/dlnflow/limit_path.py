@@ -45,20 +45,24 @@ SEGMENT_CHECK_TOL = 1e-9
 class PathSegment:
     """One constancy interval [s_lo, s_hi) of the active set.
 
-    Carries the stationary point the trajectory plateaus at and the exact
-    affine coefficients of the primal/dual path on the interval:
-    z(s) = z_intercept + s * z_slope (zero off the active set) and
-    w(s) = w_intercept + s * w_slope (zero on it).
+    Carries the exact affine coefficients of the primal/dual path on the
+    interval: z(s) = z_intercept + s * z_slope (zero off the active set)
+    and w(s) = w_intercept + s * w_slope (zero on it).
     """
 
     s_lo: float
     s_hi: float
     active: tuple[int, ...]
-    theta_star: np.ndarray
     z_intercept: np.ndarray
     z_slope: np.ndarray
     w_intercept: np.ndarray
     w_slope: np.ndarray
+
+    @property
+    def theta_star(self) -> np.ndarray:
+        """The stationary point the trajectory plateaus at: the slope
+        M_II^{-1} r_I of z on the active set I."""
+        return self.z_slope
 
     def z_at(self, s: float) -> np.ndarray:
         return self.z_intercept + s * self.z_slope
@@ -125,7 +129,6 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
     """
     k = _check_k(instance, k)
     M, r, d = instance.M, instance.r, instance.d
-    lcp.check_k_matrix(M)
 
     factor = lcp.ActiveSetCholesky(M)
     s_cur = 0.0
@@ -167,7 +170,6 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
             s_lo=s_cur,
             s_hi=s_next,
             active=tuple(active),
-            theta_star=z_slp.copy(),
             z_intercept=z_int.copy(),
             z_slope=z_slp.copy(),
             w_intercept=w_int,
@@ -228,9 +230,8 @@ def convergence_time_s_star(instance: ProblemInstance, k) -> float:
     last breakpoint of the computed path.
     """
     k = _check_k(instance, k)
-    # The path certifies M before the closed form solves with it.
     last = float(compute_path(instance, k).breakpoints[-1])
-    s_star = float(np.max(np.linalg.solve(instance.M, k) / instance.minimizer()))
+    s_star = float(np.max(instance.solve(k) / instance.minimizer()))
     if abs(last - s_star) > 1e-9 * max(1.0, abs(s_star)):
         raise PathInconsistent(
             f"path terminal breakpoint {last!r} disagrees with closed form "

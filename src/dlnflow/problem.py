@@ -7,8 +7,11 @@ r = X^T y the feature-output covariance, subject to
     A1:  r_i > 0 for every i,
     A2:  M_ij <= 0 for every i != j.
 
-Together these force M to be positive definite (hence n >= d), which every
-construction path here re-verifies.
+When r = X^T y, these force M to be positive definite (hence n >= d): a
+singular Z-matrix X^T X has a nonzero nonnegative null vector v, and then
+r^T v = y^T X v = 0 contradicts A1. A pair (M, r) given directly has no
+such link, so every instance is certified a K-matrix (symmetric positive
+definite with nonpositive off-diagonals) once, when it is built.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import (
     AssumptionViolated,
@@ -26,7 +30,7 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     NonFinite,
-    NotPositiveDefinite,
+    NotKMatrix,
     RejectionBudgetExceeded,
     ValidationError,
 )
@@ -73,17 +77,20 @@ class RegressionData:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """Validated pair (M, r); optionally keeps the data it came from.
+    """Certified K-matrix pair (M, r); optionally keeps the data it came from.
 
-    Construction checks symmetry, A1 and A2 and raises if any fails.
-    Positive definiteness is implied and is verified separately by
-    :func:`check_positive_definite`.
+    Construction checks symmetry, A1 and A2, then Cholesky-factors M once:
+    a singular or indefinite M raises ``NotKMatrix``. The factor serves
+    every solve with M (:meth:`solve`, :meth:`minimizer`), so no later
+    layer re-certifies the instance.
     """
 
     M: np.ndarray
     r: np.ndarray
     data: RegressionData | None = None
     meta: dict = field(default_factory=dict)
+    _factor: tuple = field(init=False, repr=False, compare=False)
+    _minimizer: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         M = _finite_array(self.M, "M", 2)
@@ -104,8 +111,16 @@ class ProblemInstance:
         bad_m = np.argwhere(off > 0.0)
         if bad_m.size:
             raise AssumptionViolated("A2", [tuple(ij) for ij in bad_m])
+        try:
+            factor = cho_factor(M)
+        except LinAlgError as exc:
+            raise NotKMatrix(f"M is not positive definite ({exc})") from None
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "r", r)
+        object.__setattr__(self, "_factor", factor)
+        minimizer = self.solve(r)
+        minimizer.flags.writeable = False
+        object.__setattr__(self, "_minimizer", minimizer)
 
     @property
     def d(self) -> int:
@@ -116,9 +131,13 @@ class ProblemInstance:
         """True when the constant 0.5*||y||^2 term of the loss is known."""
         return self.data is not None
 
+    def solve(self, b) -> np.ndarray:
+        """M^{-1} b through the Cholesky factor; b may have columns."""
+        return cho_solve(self._factor, b, check_finite=False)
+
     def minimizer(self) -> np.ndarray:
-        """Unconstrained minimizer M^{-1} r of the quadratic loss."""
-        return np.linalg.solve(self.M, self.r)
+        """Unconstrained minimizer M^{-1} r of the quadratic loss (read-only)."""
+        return self._minimizer
 
 
 @dataclass(frozen=True)
@@ -154,32 +173,11 @@ class Initialization:
         return self.k + np.log(self.C) / self.log_epsilon
 
 
-@dataclass(frozen=True)
-class PdReport:
-    """Smallest-eigenvalue certificate for an instance's covariance."""
-
-    lambda_min: float
-    success: bool
-
-
 def from_data(data: RegressionData) -> ProblemInstance:
     """Build the validated (M, r) pair from raw data, keeping provenance."""
     M = data.X.T @ data.X
     r = data.X.T @ data.y
     return ProblemInstance(M=M, r=r, data=data, meta={"n": data.n, "d": data.d})
-
-
-def check_positive_definite(instance: ProblemInstance) -> PdReport:
-    """Verify lambda_min(M) > 0.
-
-    This must hold for every instance that passed A1 and A2; a failure
-    indicates a construction or numerics bug, so it raises rather than
-    returning a failed report.
-    """
-    lam = float(np.linalg.eigvalsh(instance.M)[0])
-    if not lam > 0.0:
-        raise NotPositiveDefinite(lam)
-    return PdReport(lambda_min=lam, success=True)
 
 
 def generate_rejection(
@@ -316,12 +314,25 @@ def from_json_dict(obj: dict) -> ProblemInstance:
     )
 
 
-def save_instance(instance: ProblemInstance, path) -> None:
-    """Write the instance JSON atomically (temp file + rename)."""
+def _write_atomic(path, write) -> Path:
+    """Call ``write(fh)`` on ``<path>.tmp``, then rename it over ``path``;
+    if either step raises, the temp file is removed first."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(to_json_dict(instance), indent=2))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def save_instance(instance: ProblemInstance, path) -> None:
+    """Write the instance JSON atomically (temp file + rename)."""
+    _write_atomic(path, lambda fh: fh.write(json.dumps(to_json_dict(instance),
+                                                        indent=2)))
 
 
 def load_instance(path) -> ProblemInstance:

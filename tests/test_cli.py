@@ -39,6 +39,24 @@ SINGULAR_JSON = {
     "meta": {},
 }
 
+# Arguments of every command that reads an instance, given the instance
+# path and an output directory that must stay absent.
+INSTANCE_COMMANDS = {
+    "simulate": lambda inst, out: [
+        "simulate", "--instance", inst, "--epsilon", "1e-8", "--s-max", "1.0",
+        "--out", f"{out}/t.csv"],
+    "limit-path": lambda inst, out: [
+        "limit-path", "--instance", inst, "--out-json", f"{out}/path.json"],
+    "fixed-points": lambda inst, out: ["fixed-points", "--instance", inst],
+    "compare": lambda inst, out: [
+        "--out-dir", out, "compare", "--instance", inst, "--epsilons", "1e-8"],
+    "hitting-time": lambda inst, out: [
+        "--out-dir", out, "hitting-time", "--instance", inst,
+        "--epsilons", "1e-8"],
+    "figure1": lambda inst, out: [
+        "--out-dir", out, "figure1", "--instance", inst, "--epsilons", "1e-8"],
+}
+
 
 class TestGen:
     def test_direct(self, runner, tmp_path):
@@ -75,6 +93,16 @@ class TestGen:
         ])
         assert result.exit_code == 4
 
+    def test_failed_write_leaves_no_temp_file(self, runner, tmp_path):
+        # --out names an existing directory, so the final rename fails.
+        out = tmp_path / "taken"
+        out.mkdir()
+        result = runner.invoke(main, ["gen", "--d", "2", "--seed", "1",
+                                      "--out", str(out)])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, OSError)
+        assert list(tmp_path.glob("*.tmp")) == []
+
 
 class TestLcpSolve:
     def test_example(self, runner, tmp_path):
@@ -110,13 +138,6 @@ class TestFixedPoints:
         result = runner.invoke(main, ["fixed-points", "--instance", str(inst)])
         assert result.exit_code == 2
 
-    def test_singular_instance_exit_code(self, runner, tmp_path):
-        inst = tmp_path / "singular.json"
-        inst.write_text(json.dumps(SINGULAR_JSON))
-        result = runner.invoke(main, ["fixed-points", "--instance", str(inst)])
-        assert result.exit_code == 2
-        assert "not positive definite" in result.output
-
 
 class TestSimulate:
     def test_csv_schema(self, runner, tmp_path):
@@ -149,16 +170,6 @@ class TestSimulate:
         ])
         assert result.exit_code == 2
 
-    def test_singular_instance_exit_code(self, runner, tmp_path):
-        inst = tmp_path / "singular.json"
-        inst.write_text(json.dumps(SINGULAR_JSON))
-        result = runner.invoke(main, [
-            "simulate", "--instance", str(inst), "--epsilon", "1e-8",
-            "--s-max", "1.0", "--out", str(tmp_path / "t.csv"),
-        ])
-        assert result.exit_code == 2
-        assert not (tmp_path / "t.csv").exists()
-
     def test_numerical_failure_exit_code(self, runner, tmp_path):
         inst = tmp_path / "inst.json"
         inst.write_text(json.dumps(TRIDIAG_JSON))
@@ -188,15 +199,6 @@ class TestLimitPath:
         assert obj["active_sets"][0] == []
         assert obj["active_sets"][-1] == [0, 1]
         assert out_csv.exists()
-
-    def test_singular_instance_exit_code(self, runner, tmp_path):
-        inst = tmp_path / "singular.json"
-        inst.write_text(json.dumps(SINGULAR_JSON))
-        result = runner.invoke(main, [
-            "limit-path", "--instance", str(inst),
-            "--out-json", str(tmp_path / "path.json"),
-        ])
-        assert result.exit_code == 2
 
 
 class TestExperimentsCommands:
@@ -337,14 +339,27 @@ class TestInputExitCodes:
         assert result.exit_code == 2
         assert not (tmp_path / "hitting.json").exists()
 
-    def test_hitting_singular_instance(self, runner, tmp_path):
+    @pytest.mark.parametrize("command", INSTANCE_COMMANDS)
+    def test_singular_instance(self, runner, tmp_path, command):
         inst = tmp_path / "singular.json"
         inst.write_text(json.dumps(SINGULAR_JSON))
+        out = tmp_path / "out"
+        result = runner.invoke(main, INSTANCE_COMMANDS[command](str(inst), str(out)))
+        assert result.exit_code == 2
+        assert "error: M is not positive definite" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+    def test_hitting_time_rejects_grid(self, runner, tmp_path):
+        # hitting-time samples no grid; only compare and figure1 take --grid.
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(TRIDIAG_JSON))
         result = runner.invoke(main, [
             "--out-dir", str(tmp_path), "hitting-time", "--instance", str(inst),
-            "--epsilons", "1e-8",
+            "--epsilons", "1e-8", "--grid", "5",
         ])
         assert result.exit_code == 2
+        assert "No such option" in result.output and "--grid" in result.output
         assert not (tmp_path / "hitting.json").exists()
 
     @pytest.mark.parametrize("fraction", [1.5, 0.0, -0.2])

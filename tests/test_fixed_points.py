@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
 from conftest import random_instance
+from dlnflow import fixed_points
 from dlnflow import (
     ProblemInstance,
     enumerate_fixed_points,
@@ -34,11 +36,15 @@ class TestFixedPoint:
         with pytest.raises(DimensionMismatch):
             fixed_point(tridiag_instance, [2])
 
-    def test_singular_submatrix(self):
-        # Rank-one M passes construction but its full submatrix cannot factor.
-        inst = ProblemInstance(M=[[1.0, -1.0], [-1.0, 1.0]], r=[1.0, 1.0])
+    def test_singular_submatrix(self, tridiag_instance, monkeypatch):
+        # Every principal submatrix of a certified instance factors, so the
+        # failure is injected to reach the guard.
+        def fail(a):
+            raise LinAlgError("not positive definite")
+
+        monkeypatch.setattr(fixed_points, "cho_factor", fail)
         with pytest.raises(SingularSubmatrix):
-            fixed_point(inst, [0, 1])
+            fixed_point(tridiag_instance, [0, 1])
 
     def test_support_is_exact(self, rng):
         # Strict positivity on the support is guaranteed for valid instances.

@@ -202,9 +202,10 @@ class TestSegmentCertificate:
             _verify_segment(inst, ONES, bad)
 
     def test_singular_instance_rejected(self):
-        inst = ProblemInstance(M=[[1.0, -1.0], [-1.0, 1.0]], r=[1.0, 1.0])
+        # Construction certifies M, so no singular instance reaches the path.
         with pytest.raises(NotKMatrix):
-            compute_path(inst, ONES)
+            compute_path(ProblemInstance(M=[[1.0, -1.0], [-1.0, 1.0]],
+                                         r=[1.0, 1.0]), ONES)
 
 
 class TestConvergenceTime:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +8,6 @@ from dlnflow import (
     Initialization,
     ProblemInstance,
     RegressionData,
-    check_positive_definite,
     from_data,
     generate_direct,
     generate_rejection,
@@ -16,13 +16,14 @@ from dlnflow import (
     loss_gradient,
     save_instance,
 )
+from dlnflow.problem import from_json_dict, to_json_dict
 from dlnflow.errors import (
     AssumptionViolated,
     DegenerateScale,
     DimensionMismatch,
     DomainError,
     NonFinite,
-    NotPositiveDefinite,
+    NotKMatrix,
     RejectionBudgetExceeded,
     ValidationError,
 )
@@ -83,33 +84,56 @@ class TestInstanceValidation:
             tridiag_instance.M[0, 0] = 5.0
 
 
+# Symmetric, A1 and A2 hold, but M is not positive definite.
+SINGULAR = {"M": [[1.0, -1.0], [-1.0, 1.0]], "r": [1.0, 1.0]}
+INDEFINITE = {"M": [[1.0, -2.0], [-2.0, 1.0]], "r": [1.0, 1.0]}
+
+
 class TestPositiveDefiniteCheck:
+    """Construction certifies M as a K-matrix by one Cholesky factor."""
+
     def test_identity(self):
-        report = check_positive_definite(ProblemInstance(M=np.eye(2), r=[1, 1]))
-        assert report.success
-        assert report.lambda_min == pytest.approx(1.0)
+        inst = ProblemInstance(M=np.eye(2), r=[1, 1])
+        np.testing.assert_array_equal(inst.minimizer(), [1.0, 1.0])
 
     def test_tridiagonal(self, tridiag_instance):
-        # Eigenvalues of [[2,-1],[-1,2]] are 2 -+ 1.
-        report = check_positive_definite(tridiag_instance)
-        assert report.lambda_min == pytest.approx(1.0, abs=1e-12)
+        # M^{-1} = [[2, 1], [1, 2]] / 3, so M^{-1} r = (1, 1) and the
+        # columns of M^{-1} solve M x = e_i.
+        np.testing.assert_allclose(tridiag_instance.minimizer(), [1.0, 1.0],
+                                   atol=1e-15)
+        np.testing.assert_allclose(tridiag_instance.solve(np.eye(2)),
+                                   [[2 / 3, 1 / 3], [1 / 3, 2 / 3]], atol=1e-15)
 
-    def test_singular_matrix_raises(self):
-        # Passes A1/A2/symmetry but is rank one; only reachable because
-        # construction does not re-verify definiteness.
-        inst = ProblemInstance(M=[[1.0, -1.0], [-1.0, 1.0]], r=[1.0, 1.0])
-        with pytest.raises(NotPositiveDefinite) as info:
-            check_positive_definite(inst)
-        assert info.value.lambda_min == pytest.approx(0.0, abs=1e-12)
+    def test_singular_matrix_raises(self, tmp_path):
+        # Both matrices pass symmetry, A1 and A2 on every construction path.
+        path = tmp_path / "inst.json"
+        for obj in (SINGULAR, INDEFINITE):
+            with pytest.raises(NotKMatrix, match="not positive definite"):
+                ProblemInstance(M=obj["M"], r=obj["r"])
+            with pytest.raises(NotKMatrix):
+                from_json_dict(obj)
+            path.write_text(json.dumps(obj))
+            with pytest.raises(NotKMatrix):
+                load_instance(path)
 
     def test_holds_on_random_valid_instances(self):
-        # A1 and A2 together force definiteness; spot-check the generators.
+        # When r = X'y, A1 and A2 force definiteness; spot-check the
+        # generators against an independent eigenvalue computation.
         for seed in range(25):
             inst, _ = generate_direct(d=2 + seed % 5, seed=seed)
-            assert check_positive_definite(inst).lambda_min > 0
+            assert np.linalg.eigvalsh(inst.M)[0] > 0
         for seed in range(10):
             inst = from_data(generate_rejection(n=4, d=2, seed=seed))
-            assert check_positive_definite(inst).lambda_min > 0
+            assert np.linalg.eigvalsh(inst.M)[0] > 0
+
+    def test_factor_is_not_part_of_the_value(self, tridiag_instance):
+        assert "_factor" not in repr(tridiag_instance)
+        assert set(to_json_dict(tridiag_instance)) == {"M", "r", "meta"}
+        again = dataclasses.replace(tridiag_instance, meta={"tag": 1})
+        np.testing.assert_array_equal(again.minimizer(),
+                                      tridiag_instance.minimizer())
+        with pytest.raises(ValueError):
+            tridiag_instance.minimizer()[0] = 5.0
 
 
 class TestGenerateRejection:
