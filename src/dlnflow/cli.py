@@ -18,25 +18,32 @@ from . import dynamics, experiments, fixed_points, lcp, limit_path, problem
 from .errors import DlnFlowError, exit_code
 
 
-def _vector(text: str | None, d: int, name: str) -> np.ndarray:
-    if text is None:
-        return np.ones(d)
-    values = np.array([float(x) for x in text.split(",")], dtype=float)
-    if values.size != d:
-        raise click.UsageError(f"--{name} needs {d} comma-separated values")
-    return values
+class FloatList(click.ParamType):
+    """A comma-separated list of numbers, such as ``1e-6,1e-10``."""
+
+    name = "float,..."
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, list):
+            return value
+        try:
+            return [float(x) for x in value.split(",")]
+        except ValueError:
+            self.fail(f"{value!r} is not a comma-separated list of numbers",
+                      param, ctx)
 
 
-def _epsilon_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",")]
+FLOATS = FloatList()
 
 
 def handles_errors(fn):
+    """Report package errors, unreadable or malformed input files and
+    unwritable paths as an ``error:`` line with the documented exit code."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except DlnFlowError as exc:
+        except (DlnFlowError, OSError, json.JSONDecodeError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(exit_code(exc))
 
@@ -46,23 +53,18 @@ def handles_errors(fn):
 @click.group()
 @click.option("--out-dir", default=".", show_default=True,
               help="Directory for emitted files.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True, help="Tabular output format.")
-@click.option("--seed", type=int, default=None, help="Default generator seed.")
 @click.pass_context
-def main(ctx, out_dir, fmt, seed):
+def main(ctx, out_dir):
     """Simulate anti-correlated regression gradient flows and compare them
     with their small-initialization limit."""
     ctx.ensure_object(dict)
     ctx.obj["out_dir"] = Path(out_dir)
-    ctx.obj["format"] = fmt
-    ctx.obj["seed"] = seed
 
 
 @main.command()
 @click.option("--n", type=int, default=None, help="Samples (rejection generator).")
 @click.option("--d", type=int, required=True, help="Dimension.")
-@click.option("--seed", type=int, default=None, help="Generator seed.")
+@click.option("--seed", type=int, required=True, help="Generator seed.")
 @click.option("--generator", type=click.Choice(["rejection", "direct"]),
               default="direct", show_default=True)
 @click.option("--offdiag-scale", type=float, default=None,
@@ -71,25 +73,17 @@ def main(ctx, out_dir, fmt, seed):
 @click.option("--max-attempts", type=int, default=10_000, show_default=True,
               help="Rejection budget.")
 @click.option("--out", type=click.Path(), required=True, help="Instance JSON path.")
-@click.pass_context
 @handles_errors
-def gen(ctx, n, d, seed, generator, offdiag_scale, max_attempts, out):
+def gen(n, d, seed, generator, offdiag_scale, max_attempts, out):
     """Generate a valid instance and write it as JSON."""
-    if seed is None:
-        seed = ctx.obj.get("seed")
-    if seed is None:
-        raise click.UsageError("provide --seed (command or group level)")
+    spec = {"generator": generator, "d": d, "seed": seed}
     if generator == "direct":
-        instance, _ = problem.generate_direct(d, seed, offdiag_scale=offdiag_scale)
+        spec["offdiag_scale"] = offdiag_scale
     else:
-        if n is None:
-            raise click.UsageError("--n is required for the rejection generator")
-        data = problem.generate_rejection(n, d, seed, max_attempts=max_attempts)
-        instance = problem.from_data(data)
-        instance = problem.ProblemInstance(
-            M=instance.M, r=instance.r, data=data,
-            meta={"seed": seed, "generator": "rejection", "n": n, "d": d},
-        )
+        spec["max_attempts"] = max_attempts
+        if n is not None:
+            spec["n"] = n
+    instance = problem.generate(spec)
     lambda_min = float(np.linalg.eigvalsh(instance.M)[0])
     problem.save_instance(instance, out)
     click.echo(f"wrote {out} (d={instance.d}, lambda_min={lambda_min:.6g})")
@@ -102,8 +96,7 @@ def gen(ctx, n, d, seed, generator, offdiag_scale, max_attempts, out):
 def lcp_solve(input_path):
     """Solve the complementarity problem for a (q, M) pair."""
     obj = json.loads(Path(input_path).read_text())
-    solution = lcp.solve_lcp(np.array(obj["q"], dtype=float),
-                             np.array(obj["M"], dtype=float))
+    solution = lcp.solve_lcp(obj.get("q"), obj.get("M"))
     click.echo(json.dumps(experiments.lcp_json(solution), indent=2))
 
 
@@ -122,21 +115,20 @@ def fixed_points_cmd(instance_path):
 @click.option("--instance", "instance_path", type=click.Path(exists=True),
               required=True)
 @click.option("--epsilon", type=float, required=True)
-@click.option("--C", "c_text", default=None, help="Comma-separated, default all 1.")
-@click.option("--k", "k_text", default=None, help="Comma-separated, default all 1.")
+@click.option("--C", "C", type=FLOATS, default=None, help="Default all 1.")
+@click.option("--k", type=FLOATS, default=None, help="Default all 1.")
 @click.option("--s-max", type=float, required=True)
 @click.option("--grid", type=int, default=dynamics.DEFAULT_GRID_POINTS,
               show_default=True)
 @click.option("--tol", type=float, default=dynamics.DEFAULT_TOL, show_default=True)
 @click.option("--out", type=click.Path(), required=True, help="Trajectory CSV path.")
 @handles_errors
-def simulate(instance_path, epsilon, c_text, k_text, s_max, grid, tol, out):
+def simulate(instance_path, epsilon, C, k, s_max, grid, tol, out):
     """Integrate the flow and write the sampled trajectory as CSV."""
     instance = problem.load_instance(instance_path)
-    d = instance.d
-    init = problem.Initialization(
-        C=_vector(c_text, d, "C"), k=_vector(k_text, d, "k"), epsilon=epsilon
-    )
+    init = problem.Initialization(C=experiments.ones_unless(C, instance.d),
+                                  k=experiments.ones_unless(k, instance.d),
+                                  epsilon=epsilon)
     traj = dynamics.simulate(
         instance, init, s_max, s_grid=np.linspace(0.0, s_max, grid), tol=tol
     )
@@ -150,17 +142,16 @@ def simulate(instance_path, epsilon, c_text, k_text, s_max, grid, tol, out):
 @main.command("limit-path")
 @click.option("--instance", "instance_path", type=click.Path(exists=True),
               required=True)
-@click.option("--k", "k_text", default=None, help="Comma-separated, default all 1.")
+@click.option("--k", type=FLOATS, default=None, help="Default all 1.")
 @click.option("--out-json", type=click.Path(), required=True)
 @click.option("--out-csv", type=click.Path(), default=None,
               help="Optional grid sampling of mu(s) and the limit process.")
 @click.option("--grid", type=int, default=200, show_default=True)
 @handles_errors
-def limit_path_cmd(instance_path, k_text, out_json, out_csv, grid):
+def limit_path_cmd(instance_path, k, out_json, out_csv, grid):
     """Compute breakpoints, active sets and affine pieces of the limit."""
     instance = problem.load_instance(instance_path)
-    k = _vector(k_text, instance.d, "k")
-    path = limit_path.compute_path(instance, k)
+    path = limit_path.compute_path(instance, experiments.ones_unless(k, instance.d))
     written = experiments.write_limit_path(instance, path, out_json, out_csv, grid)
     click.echo(f"wrote {out_json} ({len(path.breakpoints)} breakpoints, "
                f"s_star={path.s_star:.6g})")
@@ -168,27 +159,18 @@ def limit_path_cmd(instance_path, k_text, out_json, out_csv, grid):
         click.echo(f"wrote {out}")
 
 
-def _config_from_options(ctx, config, instance_path, epsilons, c_text, k_text,
+def _config_from_options(ctx, unread, config, instance_path, epsilons, C, k,
                          s_max, tol, **fields):
-    """``fields`` are the command's own ``ExperimentConfig`` fields."""
+    """``fields`` are the command's own ``ExperimentConfig`` fields;
+    ``unread`` names those it ignores, which a config file may not set."""
     if config is not None:
-        cfg = experiments.ExperimentConfig.from_json(config)
-    else:
-        if instance_path is None or epsilons is None:
-            raise click.UsageError("provide --config or both --instance and "
-                                   "--epsilons")
-        cfg = experiments.ExperimentConfig(
-            instance=instance_path,
-            epsilons=_epsilon_list(epsilons),
-            C=None if c_text is None else [float(x) for x in c_text.split(",")],
-            k=None if k_text is None else [float(x) for x in k_text.split(",")],
-            s_max=s_max,
-            tol=tol,
-            out_dir=str(ctx.obj["out_dir"]),
-            format=ctx.obj["format"],
-            **fields,
-        )
-    return cfg
+        return experiments.ExperimentConfig.from_json(config, unread)
+    if instance_path is None or epsilons is None:
+        raise click.UsageError("provide --config or both --instance and "
+                               "--epsilons")
+    return experiments.ExperimentConfig(
+        instance=instance_path, epsilons=epsilons, C=C, k=k, s_max=s_max,
+        tol=tol, out_dir=str(ctx.obj["out_dir"]), **fields)
 
 
 _GRID_OPTION = click.option("--grid", type=int, default=400, show_default=True)
@@ -197,9 +179,9 @@ _common_options = [
                  help="JSON experiment config; overrides the other flags."),
     click.option("--instance", "instance_path", type=click.Path(exists=True),
                  default=None),
-    click.option("--epsilons", default=None, help="Comma-separated list."),
-    click.option("--C", "c_text", default=None),
-    click.option("--k", "k_text", default=None),
+    click.option("--epsilons", type=FLOATS, default=None),
+    click.option("--C", "C", type=FLOATS, default=None, help="Default all 1."),
+    click.option("--k", type=FLOATS, default=None, help="Default all 1."),
     click.option("--s-max", type=float, default=None),
     _GRID_OPTION,
     click.option("--tol", type=float, default=dynamics.DEFAULT_TOL,
@@ -221,25 +203,23 @@ def common_options(grid: bool):
 @common_options(grid=True)
 @click.pass_context
 @handles_errors
-def compare(ctx, config, instance_path, epsilons, c_text, k_text, s_max, grid, tol):
+def compare(ctx, config, instance_path, epsilons, C, k, s_max, grid, tol):
     """Compare simulations against the limit process and its average."""
-    cfg = _config_from_options(ctx, config, instance_path, epsilons, c_text,
-                               k_text, s_max, tol, grid_points=grid)
+    cfg = _config_from_options(ctx, (), config, instance_path, epsilons, C, k,
+                               s_max, tol, grid_points=grid)
     instance = cfg.resolve_instance()
-    C, k = cfg.vectors(instance.d)
-    try:
-        report = experiments.run_compare(
-            instance, C, k, cfg.epsilons, s_max=cfg.s_max,
-            grid_points=cfg.grid_points, tol=cfg.tol,
-            delta_fraction=cfg.delta_fraction, eta_fraction=cfg.eta_fraction,
-        )
-    except DlnFlowError as exc:
-        partial = getattr(exc, "partial_report", None)
-        if partial is not None and partial.rows:
-            [out] = partial.write(cfg.out_dir, csv=False, stem="compare.partial")
+
+    def flush(partial):
+        if partial.rows:
+            out = partial.write_partial(cfg.out_dir)
             click.echo(f"flushed partial results to {out}", err=True)
-        raise
-    for out in report.write(cfg.out_dir, csv=cfg.format == "csv"):
+
+    report = experiments.run_compare(
+        instance, *cfg.vectors(instance.d), cfg.epsilons, s_max=cfg.s_max,
+        grid_points=cfg.grid_points, tol=cfg.tol,
+        eta_fraction=cfg.eta_fraction, on_failure=flush,
+    )
+    for out in report.write(cfg.out_dir):
         click.echo(f"wrote {out}")
     for row in report.rows:
         click.echo(
@@ -253,18 +233,18 @@ def compare(ctx, config, instance_path, epsilons, c_text, k_text, s_max, grid, t
 @click.option("--eta-fraction", type=float, default=0.1, show_default=True)
 @click.pass_context
 @handles_errors
-def hitting_time_cmd(ctx, config, instance_path, epsilons, c_text, k_text,
-                     s_max, tol, eta_fraction):
+def hitting_time_cmd(ctx, config, instance_path, epsilons, C, k, s_max, tol,
+                     eta_fraction):
     """Measure hitting times of the minimizer ball across epsilons."""
-    cfg = _config_from_options(ctx, config, instance_path, epsilons, c_text,
-                               k_text, s_max, tol, eta_fraction=eta_fraction)
+    cfg = _config_from_options(ctx, ("grid_points",), config, instance_path,
+                               epsilons, C, k, s_max, tol,
+                               eta_fraction=eta_fraction)
     instance = cfg.resolve_instance()
-    C, k = cfg.vectors(instance.d)
     table = experiments.run_hitting(
-        instance, C, k, cfg.epsilons, cfg.eta_fraction,
+        instance, *cfg.vectors(instance.d), cfg.epsilons, cfg.eta_fraction,
         s_cap=cfg.s_max, tol=cfg.tol,
     )
-    written = table.write(cfg.out_dir, csv=cfg.format == "csv")
+    written = table.write(cfg.out_dir)
     click.echo(f"wrote {written[0]} (target s_star={table.s_star:.6g})")
     for out in written[1:]:
         click.echo(f"wrote {out}")
@@ -280,14 +260,13 @@ def hitting_time_cmd(ctx, config, instance_path, epsilons, c_text, k_text,
 @common_options(grid=True)
 @click.pass_context
 @handles_errors
-def figure1(ctx, config, instance_path, epsilons, c_text, k_text, s_max, grid, tol):
+def figure1(ctx, config, instance_path, epsilons, C, k, s_max, grid, tol):
     """Emit phase-portrait data (d = 2): field, fixed points, trajectories."""
-    cfg = _config_from_options(ctx, config, instance_path, epsilons, c_text,
-                               k_text, s_max, tol, grid_points=grid)
+    cfg = _config_from_options(ctx, ("eta_fraction",), config, instance_path,
+                               epsilons, C, k, s_max, tol, grid_points=grid)
     instance = cfg.resolve_instance()
-    C, k = cfg.vectors(instance.d)
     paths = experiments.run_figure1(
-        instance, C, k, cfg.epsilons, cfg.out_dir,
+        instance, *cfg.vectors(instance.d), cfg.epsilons, cfg.out_dir,
         s_max=cfg.s_max, grid_points=cfg.grid_points, tol=cfg.tol,
     )
     for name, path in paths.items():

@@ -5,6 +5,8 @@ model assumptions exit with 2, numerical failures with 3, exhausted
 sampling/iteration budgets with 4.
 """
 
+import json
+
 
 class DlnFlowError(Exception):
     """Base class for every error raised by this package."""
@@ -137,8 +139,9 @@ class RejectionBudgetExceeded(BudgetExceeded):
 
 
 def exit_code(exc: BaseException) -> int:
-    """Map an exception to the documented CLI exit code."""
-    if isinstance(exc, ValidationError):
+    """Map an exception to the documented CLI exit code; unreadable,
+    malformed or unwritable files count as rejected input."""
+    if isinstance(exc, (ValidationError, OSError, json.JSONDecodeError)):
         return 2
     if isinstance(exc, BudgetExceeded):
         return 4

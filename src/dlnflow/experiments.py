@@ -18,6 +18,9 @@ from .errors import DimensionMismatch, DomainError, NotReached
 from .problem import Initialization, ProblemInstance, _write_atomic
 
 CSV_SCHEMA = "dlnflow-csv v1"
+# Half-width of the windows around activation times that the compare
+# state and loss gaps exclude, as a fraction of s*.
+WINDOW_FRACTION = 0.05
 # repr() of the floats that write_csv rejects.
 _NON_FINITE = frozenset({"nan", "inf", "-inf"})
 
@@ -46,14 +49,14 @@ def write_json(path, obj) -> Path:
     return _write_atomic(path, lambda fh: fh.write(json.dumps(obj, indent=2)))
 
 
-def _write_report(out_dir, stem: str, document: dict, csv: bool, kind: str,
-                  header: list[str], rows) -> list[Path]:
-    """``<stem>.json`` and, if ``csv``, ``<stem>.csv`` in ``out_dir``."""
+def _write_report(out_dir, stem: str, document: dict, *table) -> list[Path]:
+    """``<stem>.json`` and, given ``table`` = (kind, header, rows),
+    ``<stem>.csv`` in ``out_dir``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = [write_json(out_dir / f"{stem}.json", document)]
-    if csv:
-        written.append(write_csv(out_dir / f"{stem}.csv", kind, header, rows))
+    if table:
+        written.append(write_csv(out_dir / f"{stem}.csv", *table))
     return written
 
 
@@ -75,10 +78,8 @@ class ExperimentConfig:
     s_max: float | None = None
     grid_points: int = 400
     tol: float = dynamics.DEFAULT_TOL
-    delta_fraction: float = 0.05
     eta_fraction: float = 0.1
     out_dir: str = "."
-    format: str = "csv"
 
     def __post_init__(self):
         eps = [float(e) for e in self.epsilons]
@@ -90,39 +91,34 @@ class ExperimentConfig:
             raise DomainError("epsilons must lie strictly inside (0, 1)")
         if self.grid_points < 2:
             raise DomainError("grid_points must be at least 2")
-        if self.format not in ("csv", "json"):
-            raise DomainError(f"unknown format {self.format!r}")
         self.epsilons = eps
 
     @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
+    def from_json(cls, path, unread=()) -> "ExperimentConfig":
+        """Read a config file; ``unread`` names the fields the calling
+        command ignores, which are rejected like unknown keys."""
         obj = json.loads(Path(path).read_text())
-        known = set(cls.__dataclass_fields__)
-        unknown = set(obj) - known
+        missing = {"instance", "epsilons"} - set(obj)
+        if missing:
+            raise DomainError(f"config lacks required keys: {sorted(missing)}")
+        unknown = set(obj) - set(cls.__dataclass_fields__).difference(unread)
         if unknown:
-            raise DomainError(f"unknown config keys: {sorted(unknown)}")
+            raise DomainError(f"config keys this command does not read: "
+                              f"{sorted(unknown)}")
         return cls(**obj)
 
     def resolve_instance(self) -> ProblemInstance:
         if isinstance(self.instance, str):
             return problem.load_instance(self.instance)
-        spec = dict(self.instance)
-        kind = spec.pop("generator")
-        if kind == "direct":
-            inst, _ = problem.generate_direct(**spec)
-            return inst
-        if kind == "rejection":
-            data = problem.generate_rejection(**spec)
-            inst = problem.from_data(data)
-            meta = dict(inst.meta)
-            meta.update(seed=spec.get("seed"), generator="rejection")
-            return ProblemInstance(M=inst.M, r=inst.r, data=data, meta=meta)
-        raise DomainError(f"unknown generator {kind!r}")
+        return problem.generate(self.instance)
 
     def vectors(self, d: int) -> tuple[np.ndarray, np.ndarray]:
-        C = np.ones(d) if self.C is None else np.asarray(self.C, dtype=float)
-        k = np.ones(d) if self.k is None else np.asarray(self.k, dtype=float)
-        return C, k
+        return ones_unless(self.C, d), ones_unless(self.k, d)
+
+
+def ones_unless(values, d: int) -> np.ndarray:
+    """``values`` as an array, or all ones of length d when absent."""
+    return np.ones(d) if values is None else np.asarray(values, dtype=float)
 
 
 # -- limit evaluation on a grid ----------------------------------------------
@@ -213,37 +209,33 @@ class ComparisonRow:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    rows: tuple[ComparisonRow, ...]          # ordered by decreasing epsilon
+    """Fields in the order of the ``dlnflow-compare v1`` JSON keys."""
+
+    s_star: float
+    breakpoints: tuple[float, ...]
     excluded_windows: tuple[tuple[float, float], ...]
     average_window: tuple[float, float]
-    breakpoints: tuple[float, ...]
-    s_star: float
     eta: float
     state_monotone: bool | None
     loss_monotone: bool | None
     average_monotone: bool | None
+    rows: tuple[ComparisonRow, ...]          # ordered by decreasing epsilon
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "dlnflow-compare v1",
-            "s_star": self.s_star,
-            "breakpoints": list(self.breakpoints),
-            "excluded_windows": [list(w) for w in self.excluded_windows],
-            "average_window": list(self.average_window),
-            "eta": self.eta,
-            "state_monotone": self.state_monotone,
-            "loss_monotone": self.loss_monotone,
-            "average_monotone": self.average_monotone,
-            "rows": [asdict(row) for row in self.rows],
-        }
+        return {"schema": "dlnflow-compare v1", **asdict(self)}
 
-    def write(self, out_dir, csv: bool, stem: str = "compare") -> list[Path]:
-        """Write ``<stem>.json`` and, if ``csv``, ``<stem>.csv`` with one row
-        per epsilon; a hitting ratio that was not reached is an empty cell."""
+    def write(self, out_dir) -> list[Path]:
+        """Write ``compare.json`` and ``compare.csv`` with one row per
+        epsilon; a hitting ratio that was not reached is an empty cell."""
         return _write_report(
-            out_dir, stem, self.to_json_dict(), csv, "compare",
+            out_dir, "compare", self.to_json_dict(), "compare",
             ["epsilon", "state_error", "loss_error", "average_error",
              "hitting_ratio", "reached"], map(astuple, self.rows))
+
+    def write_partial(self, out_dir) -> Path:
+        """Write ``compare.partial.json`` alone, for the rows that finished
+        before a failure."""
+        return _write_report(out_dir, "compare.partial", self.to_json_dict())[0]
 
 
 def _hitting_radius(instance: ProblemInstance, eta_fraction: float) -> float:
@@ -252,6 +244,10 @@ def _hitting_radius(instance: ProblemInstance, eta_fraction: float) -> float:
     if not (0.0 < eta_fraction < 1.0):
         raise DomainError("eta_fraction must lie strictly between 0 and 1")
     return eta_fraction * float(np.min(instance.minimizer()))
+
+
+def _sup_gap(values: np.ndarray, limit: np.ndarray, mask: np.ndarray) -> float:
+    return float(np.max(np.abs(values[mask] - limit[mask])))
 
 
 def _monotone_decreasing(values: list[float]) -> bool:
@@ -267,16 +263,18 @@ def run_compare(
     s_max: float | None = None,
     grid_points: int = 400,
     tol: float = dynamics.DEFAULT_TOL,
-    delta_fraction: float = 0.05,
     eta_fraction: float = 0.1,
+    on_failure=None,
 ) -> ComparisonReport:
     """Per-epsilon sup-norm gaps to the limiting process and its average.
 
-    The state and loss gaps are taken over the grid minus radius-delta
-    windows around each activation time, where uniform convergence provably
-    fails; the windows are recorded in the report. The average gap is taken
-    over [0.1 s*, s_max]. With several epsilons (ordered decreasing) the
-    report flags whether each gap decreases monotonically.
+    The state and loss gaps are taken over the grid minus windows of radius
+    ``WINDOW_FRACTION * s*`` around each activation time, where uniform
+    convergence provably fails; the windows are recorded in the report. The
+    average gap is taken over [0.1 s*, s_max]. With several epsilons
+    (ordered decreasing) the report flags whether each gap decreases
+    monotonically. If an epsilon's row raises, ``on_failure`` is called
+    with the report of the finished rows before the exception propagates.
     """
     C = np.asarray(C, dtype=float)
     k = np.asarray(k, dtype=float)
@@ -286,7 +284,7 @@ def run_compare(
         s_max = 1.5 * s_star
     grid = np.linspace(0.0, s_max, grid_points)
 
-    delta = delta_fraction * s_star
+    delta = WINDOW_FRACTION * s_star
     windows = tuple((float(b - delta), float(b + delta)) for b in path.breakpoints)
     state_mask = grid > 0
     for lo, hi in windows:
@@ -304,49 +302,39 @@ def run_compare(
             flags = [_monotone_decreasing([getattr(r, name) for r in rows])
                      for name in ("state_error", "loss_error", "average_error")]
         return ComparisonReport(
-            rows=tuple(rows),
+            s_star=float(s_star),
+            breakpoints=tuple(float(b) for b in path.breakpoints),
             excluded_windows=windows,
             average_window=(float(avg_lo), float(s_max)),
-            breakpoints=tuple(float(b) for b in path.breakpoints),
-            s_star=float(s_star),
             eta=float(eta),
             state_monotone=flags[0],
             loss_monotone=flags[1],
             average_monotone=flags[2],
+            rows=tuple(rows),
         )
 
     rows = []
-    for eps in sorted(epsilons, reverse=True):
-        init = Initialization(C=C, k=k, epsilon=float(eps))
-        try:
+    try:
+        for eps in sorted(epsilons, reverse=True):
+            init = Initialization(C=C, k=k, epsilon=float(eps))
             traj = dynamics.simulate(instance, init, s_max, s_grid=grid, tol=tol)
-        except Exception as exc:
-            # Keep what already completed available to the caller.
-            exc.partial_report = report(rows, complete=False)
-            raise
-        state_err = float(
-            np.max(np.abs(traj.theta[state_mask] - limit_theta[state_mask]))
-        )
-        loss_err = float(
-            np.max(np.abs(traj.loss_values()[state_mask] - limit_loss[state_mask]))
-        )
-        avg_err = float(np.max(np.abs(traj.averages[avg_mask] - limit_mu[avg_mask])))
-        try:
-            ratio = dynamics.hitting_time_on(traj, eta) / (-init.log_epsilon)
-            reached = True
-        except NotReached:
-            ratio, reached = None, False
-        rows.append(
-            ComparisonRow(
+            try:
+                ratio = dynamics.hitting_time_on(traj, eta) / (-init.log_epsilon)
+                reached = True
+            except NotReached:
+                ratio, reached = None, False
+            rows.append(ComparisonRow(
                 epsilon=float(eps),
-                state_error=state_err,
-                loss_error=loss_err,
-                average_error=avg_err,
+                state_error=_sup_gap(traj.theta, limit_theta, state_mask),
+                loss_error=_sup_gap(traj.loss_values(), limit_loss, state_mask),
+                average_error=_sup_gap(traj.averages, limit_mu, avg_mask),
                 hitting_ratio=ratio,
                 hitting_reached=reached,
-            )
-        )
-
+            ))
+    except Exception:
+        if on_failure is not None:
+            on_failure(report(rows, complete=False))
+        raise
     return report(rows, complete=True)
 
 
@@ -362,23 +350,20 @@ class HittingRow:
 
 @dataclass(frozen=True)
 class HittingTable:
-    rows: tuple[HittingRow, ...]
+    """Fields in the order of the ``dlnflow-hitting v1`` JSON keys."""
+
     s_star: float
     eta: float
+    rows: tuple[HittingRow, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "dlnflow-hitting v1",
-            "s_star": self.s_star,
-            "eta": self.eta,
-            "rows": [asdict(row) for row in self.rows],
-        }
+        return {"schema": "dlnflow-hitting v1", **asdict(self)}
 
-    def write(self, out_dir, csv: bool) -> list[Path]:
-        """Write ``hitting.json`` and, if ``csv``, ``hitting.csv`` with one
-        row per epsilon; values of an unreached epsilon are empty cells."""
+    def write(self, out_dir) -> list[Path]:
+        """Write ``hitting.json`` and ``hitting.csv`` with one row per
+        epsilon; values of an unreached epsilon are empty cells."""
         return _write_report(
-            out_dir, "hitting", self.to_json_dict(), csv, "hitting",
+            out_dir, "hitting", self.to_json_dict(), "hitting",
             ["epsilon", "ratio", "relative_error", "reached"],
             map(astuple, self.rows))
 
@@ -416,7 +401,7 @@ def run_hitting(
             rows.append(HittingRow(float(eps), ratio, rel, True))
         except NotReached:
             rows.append(HittingRow(float(eps), None, None, False))
-    return HittingTable(rows=tuple(rows), s_star=float(s_star), eta=float(eta))
+    return HittingTable(s_star=float(s_star), eta=float(eta), rows=tuple(rows))
 
 
 # -- phase-portrait experiment ---------------------------------------------------

@@ -35,10 +35,6 @@ class FixedPoint:
     theta: np.ndarray
     residual: float
 
-    @property
-    def size(self) -> int:
-        return len(self.support)
-
 
 def fixed_point(instance: ProblemInstance, support: Iterable[int]) -> FixedPoint:
     """Stationary point supported exactly on the given coordinate set."""

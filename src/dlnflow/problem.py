@@ -16,6 +16,7 @@ definite with nonpositive off-diagonals) once, when it is built.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 from dataclasses import dataclass, field
@@ -261,6 +262,27 @@ def generate_direct(
     return instance, data
 
 
+def generate(spec: dict) -> ProblemInstance:
+    """Build the instance a generator spec names, factoring M once:
+    {"generator": "direct", "d", "seed"[, "offdiag_scale"]} or
+    {"generator": "rejection", "n", "d", "seed"[, "max_attempts"]}."""
+    params = dict(spec)
+    kind = params.pop("generator", None)
+    generator = {"direct": generate_direct, "rejection": generate_rejection}.get(kind)
+    if generator is None:
+        raise DomainError(f"generator must be 'direct' or 'rejection', got {kind!r}")
+    try:
+        inspect.signature(generator).bind(**params)
+    except TypeError as exc:
+        raise DomainError(f"{kind} generator spec: {exc}") from None
+    if kind == "direct":
+        return generate_direct(**params)[0]
+    data = generate_rejection(**params)
+    return ProblemInstance(M=data.X.T @ data.X, r=data.X.T @ data.y, data=data,
+                           meta={"seed": params["seed"], "generator": "rejection",
+                                 "n": data.n, "d": data.d})
+
+
 def loss(instance: ProblemInstance, theta) -> float | np.ndarray:
     """Quadratic loss at theta, or at each row of a (..., d) array of them.
 
@@ -306,12 +328,8 @@ def from_json_dict(obj: dict) -> ProblemInstance:
     data = None
     if obj.get("X") is not None and obj.get("y") is not None:
         data = RegressionData(X=np.array(obj["X"]), y=np.array(obj["y"]))
-    return ProblemInstance(
-        M=np.array(obj["M"]),
-        r=np.array(obj["r"]),
-        data=data,
-        meta=dict(obj.get("meta", {})),
-    )
+    return ProblemInstance(M=obj.get("M"), r=obj.get("r"), data=data,
+                           meta=dict(obj.get("meta", {})))
 
 
 def _write_atomic(path, write) -> Path:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dlnflow import dynamics, generate_direct, save_instance
+from dlnflow import ExperimentConfig, dynamics, generate_direct, problem, save_instance
 from dlnflow.cli import main
 from dlnflow.errors import StepUnderflow
 
@@ -80,10 +80,13 @@ class TestGen:
         assert texts[0] == texts[1]
 
     def test_group_seed_fallback(self, runner, tmp_path):
+        # The seed belongs to gen alone; there is no group-level --seed.
         out = tmp_path / "inst.json"
-        result = invoke(runner, ["--seed", "9", "gen", "--d", "2",
-                                 "--out", str(out)])
-        assert result.exit_code == 0
+        result = runner.invoke(main, ["--seed", "9", "gen", "--d", "2",
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
+        assert not out.exists()
 
     def test_budget_exit_code(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -99,9 +102,31 @@ class TestGen:
         out.mkdir()
         result = runner.invoke(main, ["gen", "--d", "2", "--seed", "1",
                                       "--out", str(out)])
-        assert result.exit_code != 0
-        assert isinstance(result.exception, OSError)
+        assert result.exit_code == 2
+        assert "error: " in result.output and "Traceback" not in result.output
         assert list(tmp_path.glob("*.tmp")) == []
+
+
+    @pytest.mark.parametrize("route", ["gen", "resolve_instance"])
+    def test_rejection_spec_factors_once(self, runner, tmp_path, monkeypatch,
+                                         route):
+        cho_factor = problem.cho_factor
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(problem, "cho_factor", counting)
+        if route == "gen":
+            result = invoke(runner, ["gen", "--d", "2", "--n", "3", "--seed", "7",
+                                     "--generator", "rejection",
+                                     "--out", str(tmp_path / "inst.json")])
+            assert result.exit_code == 0
+        else:
+            spec = {"generator": "rejection", "n": 3, "d": 2, "seed": 7}
+            ExperimentConfig(instance=spec, epsilons=[1e-8]).resolve_instance()
+        assert len(calls) == 1
 
 
 class TestLcpSolve:
@@ -220,7 +245,7 @@ class TestExperimentsCommands:
         inst = tmp_path / "inst.json"
         inst.write_text(json.dumps(TRIDIAG_JSON))
         result = invoke(runner, [
-            "--out-dir", str(tmp_path), "--format", "csv", "compare",
+            "--out-dir", str(tmp_path), "compare",
             "--instance", str(inst), "--epsilons", "1e-6,1e-10",
             "--grid", "80",
         ])
@@ -287,6 +312,50 @@ class TestExperimentsCommands:
         assert (tmp_path / "field.csv").exists()
         assert (tmp_path / "fixed_points.json").exists()
         assert (tmp_path / "trajectory_eps_1e-08.csv").exists()
+
+
+    def test_partial_results_flushed_on_hitting_failure(self, runner, tmp_path,
+                                                        monkeypatch):
+        # Any failure inside an epsilon's row flushes the finished rows,
+        # not only one in the simulation.
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(TRIDIAG_JSON))
+        hitting_time_on = dynamics.hitting_time_on
+        calls = []
+
+        def fail_on_second(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise StepUnderflow("injected failure")
+            return hitting_time_on(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "hitting_time_on", fail_on_second)
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, [
+            "--out-dir", str(out_dir), "compare", "--instance", str(inst),
+            "--epsilons", "1e-6,1e-10", "--grid", "80",
+        ])
+        assert result.exit_code == 3
+        assert "error: injected failure" in result.output
+        partial = json.loads((out_dir / "compare.partial.json").read_text())
+        assert [row["epsilon"] for row in partial["rows"]] == [1e-6]
+        assert not (out_dir / "compare.json").exists()
+
+    def test_report_key_order(self, runner, tmp_path):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(TRIDIAG_JSON))
+        for command in ("compare", "hitting-time"):
+            result = invoke(runner, ["--out-dir", str(tmp_path), command,
+                                     "--instance", str(inst), "--epsilons",
+                                     "1e-8"])
+            assert result.exit_code == 0
+        compare = json.loads((tmp_path / "compare.json").read_text())
+        assert list(compare) == [
+            "schema", "s_star", "breakpoints", "excluded_windows",
+            "average_window", "eta", "state_monotone", "loss_monotone",
+            "average_monotone", "rows"]
+        hitting = json.loads((tmp_path / "hitting.json").read_text())
+        assert list(hitting) == ["schema", "s_star", "eta", "rows"]
 
 
 class TestUnreachedRows:
@@ -385,3 +454,111 @@ class TestInputExitCodes:
         result = runner.invoke(main, ["compare", "--config", str(config)])
         assert result.exit_code == 2
         assert not (tmp_path / "compare.json").exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("hitting-time", "grid_points", 5),
+        ("figure1", "eta_fraction", 0.2),
+    ])
+    def test_config_key_the_command_does_not_read(self, runner, tmp_path,
+                                                  command, key, value):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(TRIDIAG_JSON))
+        out = tmp_path / "out"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "instance": str(inst), "epsilons": [1e-8], "out_dir": str(out),
+            key: value,
+        }))
+        result = runner.invoke(main, [command, "--config", str(config)])
+        assert result.exit_code == 2
+        assert f"error: config keys this command does not read: ['{key}']" \
+            in result.output
+        assert not out.exists()
+
+
+def _config(tmp_path, text):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    return ["compare", "--config", str(config)]
+
+
+def _spec_config(tmp_path, spec):
+    return _config(tmp_path, json.dumps({"instance": spec, "epsilons": [1e-8],
+                                         "out_dir": str(tmp_path / "out")}))
+
+
+def _instance(tmp_path, obj):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(obj))
+    return str(inst)
+
+
+# Malformed outside input: each case gives the arguments, given a scratch
+# directory, and the message that must replace a traceback.
+MALFORMED = {
+    "config not JSON": lambda tmp: (
+        _config(tmp, "{not json"), "error: Expecting property name"),
+    "config lacks instance": lambda tmp: (
+        _config(tmp, json.dumps({"epsilons": [1e-8]})),
+        "error: config lacks required keys: ['instance']"),
+    "config lacks epsilons": lambda tmp: (
+        _config(tmp, json.dumps({"instance": "x.json"})),
+        "error: config lacks required keys: ['epsilons']"),
+    "config names a missing instance": lambda tmp: (
+        _config(tmp, json.dumps({"instance": str(tmp / "absent.json"),
+                                 "epsilons": [1e-8]})),
+        "error: [Errno 2] No such file or directory"),
+    "instance without M": lambda tmp: (
+        ["fixed-points", "--instance", _instance(tmp, {"r": [1.0, 1.0]})],
+        "error: M must be 2-dimensional"),
+    "lcp input without q": lambda tmp: (
+        ["lcp-solve", "--input", _instance(tmp, {"M": [[2.0]]})],
+        "error: incompatible shapes q(), M(1, 1)"),
+    "gen --out is a directory": lambda tmp: (
+        ["gen", "--d", "2", "--seed", "1", "--out", str(tmp)],
+        "error: [Errno 21] Is a directory"),
+    "--out-dir is a file": lambda tmp: (
+        ["--out-dir", _instance(tmp, TRIDIAG_JSON), "compare", "--instance",
+         _instance(tmp, TRIDIAG_JSON), "--epsilons", "1e-8"],
+        "error: [Errno 17] File exists"),
+    "spec without generator": lambda tmp: (
+        _spec_config(tmp, {"d": 2, "seed": 1}),
+        "error: generator must be 'direct' or 'rejection', got None"),
+    "spec with unknown generator": lambda tmp: (
+        _spec_config(tmp, {"generator": "gauss", "d": 2, "seed": 1}),
+        "error: generator must be 'direct' or 'rejection', got 'gauss'"),
+    "spec missing a parameter": lambda tmp: (
+        _spec_config(tmp, {"generator": "direct", "d": 2}),
+        "error: direct generator spec: missing a required argument: 'seed'"),
+    "spec with a stray parameter": lambda tmp: (
+        _spec_config(tmp, {"generator": "direct", "d": 2, "seed": 1, "n": 3}),
+        "error: direct generator spec: got an unexpected keyword argument 'n'"),
+    "gen rejection without --n": lambda tmp: (
+        ["gen", "--d", "2", "--seed", "1", "--generator", "rejection",
+         "--out", str(tmp / "inst.json")],
+        "error: rejection generator spec: missing a required argument: 'n'"),
+    "epsilons not numbers": lambda tmp: (
+        ["compare", "--instance", _instance(tmp, TRIDIAG_JSON),
+         "--epsilons", "1e-8,tiny"],
+        "Invalid value for '--epsilons': '1e-8,tiny' is not a comma-separated "
+        "list of numbers"),
+    "C not numbers": lambda tmp: (
+        ["simulate", "--instance", _instance(tmp, TRIDIAG_JSON), "--epsilon",
+         "1e-8", "--C", "1,", "--s-max", "1.0", "--out", str(tmp / "t.csv")],
+        "Invalid value for '--C'"),
+    "k not numbers": lambda tmp: (
+        ["limit-path", "--instance", _instance(tmp, TRIDIAG_JSON), "--k", "a,b",
+         "--out-json", str(tmp / "path.json")],
+        "Invalid value for '--k'"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_input_exits_2(runner, tmp_path, case):
+    args, message = MALFORMED[case](tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert message in result.output
+    assert "Traceback" not in result.output
+    assert sorted(tmp_path.rglob("*")) == before

@@ -55,8 +55,7 @@ class TestRunCompare:
         assert report.state_monotone and report.loss_monotone
 
     def test_windows_follow_breakpoints(self, separable_instance):
-        report = run_compare(separable_instance, ONES2, ONES2, [1e-10],
-                             delta_fraction=0.05)
+        report = run_compare(separable_instance, ONES2, ONES2, [1e-10])
         assert report.breakpoints == (0.5, 1.0)
         np.testing.assert_allclose(
             report.excluded_windows, [(0.45, 0.55), (0.95, 1.05)]
