@@ -13,6 +13,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import dynamics, experiments, fixed_points, lcp, limit_path, problem
 from .errors import DlnFlowError, exit_code
@@ -95,7 +96,7 @@ def gen(n, d, seed, generator, offdiag_scale, max_attempts, out):
 @handles_errors
 def lcp_solve(input_path):
     """Solve the complementarity problem for a (q, M) pair."""
-    obj = json.loads(Path(input_path).read_text())
+    obj = problem.read_json_object(input_path)
     solution = lcp.solve_lcp(obj.get("q"), obj.get("M"))
     click.echo(json.dumps(experiments.lcp_json(solution), indent=2))
 
@@ -130,7 +131,7 @@ def simulate(instance_path, epsilon, C, k, s_max, grid, tol, out):
                                   k=experiments.ones_unless(k, instance.d),
                                   epsilon=epsilon)
     traj = dynamics.simulate(
-        instance, init, s_max, s_grid=np.linspace(0.0, s_max, grid), tol=tol
+        instance, init, s_max, s_grid=experiments.uniform_grid(s_max, grid), tol=tol
     )
     experiments.write_trajectory(out, traj)
     click.echo(
@@ -162,21 +163,26 @@ def limit_path_cmd(instance_path, k, out_json, out_csv, grid):
 def _config_from_options(ctx, unread, config, instance_path, epsilons, C, k,
                          s_max, tol, **fields):
     """``fields`` are the command's own ``ExperimentConfig`` fields;
-    ``unread`` names those it ignores, which a config file may not set."""
+    ``unread`` names those it ignores, which a config file may not set.
+    The fields come from the config file or from the flags, never both."""
     if config is not None:
+        given = [p.opts[0] for p in ctx.command.params if p.name != "config"
+                 and ctx.get_parameter_source(p.name) is not ParameterSource.DEFAULT]
+        if given:
+            raise click.UsageError(f"--config excludes {', '.join(given)}")
         return experiments.ExperimentConfig.from_json(config, unread)
     if instance_path is None or epsilons is None:
         raise click.UsageError("provide --config or both --instance and "
                                "--epsilons")
     return experiments.ExperimentConfig(
         instance=instance_path, epsilons=epsilons, C=C, k=k, s_max=s_max,
-        tol=tol, out_dir=str(ctx.obj["out_dir"]), **fields)
+        tol=tol, **fields)
 
 
 _GRID_OPTION = click.option("--grid", type=int, default=400, show_default=True)
 _common_options = [
     click.option("--config", type=click.Path(exists=True), default=None,
-                 help="JSON experiment config; overrides the other flags."),
+                 help="JSON experiment config, given instead of the other flags."),
     click.option("--instance", "instance_path", type=click.Path(exists=True),
                  default=None),
     click.option("--epsilons", type=FLOATS, default=None),
@@ -211,7 +217,7 @@ def compare(ctx, config, instance_path, epsilons, C, k, s_max, grid, tol):
 
     def flush(partial):
         if partial.rows:
-            out = partial.write_partial(cfg.out_dir)
+            out = partial.write_partial(ctx.obj["out_dir"])
             click.echo(f"flushed partial results to {out}", err=True)
 
     report = experiments.run_compare(
@@ -219,7 +225,7 @@ def compare(ctx, config, instance_path, epsilons, C, k, s_max, grid, tol):
         grid_points=cfg.grid_points, tol=cfg.tol,
         eta_fraction=cfg.eta_fraction, on_failure=flush,
     )
-    for out in report.write(cfg.out_dir):
+    for out in report.write(ctx.obj["out_dir"]):
         click.echo(f"wrote {out}")
     for row in report.rows:
         click.echo(
@@ -244,7 +250,7 @@ def hitting_time_cmd(ctx, config, instance_path, epsilons, C, k, s_max, tol,
         instance, *cfg.vectors(instance.d), cfg.epsilons, cfg.eta_fraction,
         s_cap=cfg.s_max, tol=cfg.tol,
     )
-    written = table.write(cfg.out_dir)
+    written = table.write(ctx.obj["out_dir"])
     click.echo(f"wrote {written[0]} (target s_star={table.s_star:.6g})")
     for out in written[1:]:
         click.echo(f"wrote {out}")
@@ -266,7 +272,7 @@ def figure1(ctx, config, instance_path, epsilons, C, k, s_max, grid, tol):
                                epsilons, C, k, s_max, tol, grid_points=grid)
     instance = cfg.resolve_instance()
     paths = experiments.run_figure1(
-        instance, *cfg.vectors(instance.d), cfg.epsilons, cfg.out_dir,
+        instance, *cfg.vectors(instance.d), cfg.epsilons, ctx.obj["out_dir"],
         s_max=cfg.s_max, grid_points=cfg.grid_points, tol=cfg.tol,
     )
     for name, path in paths.items():

@@ -127,8 +127,17 @@ def simulate(
     if init.C.shape[0] != instance.d:
         raise DomainError(f"initialization has dimension {init.C.shape[0]}, "
                           f"instance has {instance.d}")
-    if s_max <= 0.0:
-        raise OutOfRange("s_max must be positive")
+    if not 0.0 < s_max < np.inf:
+        raise OutOfRange(f"s_max must be positive and finite, got {s_max}")
+    if not 0.0 < tol < np.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
+    if s_grid is None:
+        s_grid = np.linspace(0.0, s_max, DEFAULT_GRID_POINTS)
+    s_grid = np.asarray(s_grid, dtype=float)
+    if s_grid.ndim != 1 or s_grid.size == 0 or not np.all(np.diff(s_grid) > 0):
+        raise OutOfRange("s_grid must be a nonempty strictly increasing vector")
+    if not (s_grid[0] >= 0 and s_grid[-1] <= s_max * (1 + 1e-12)):
+        raise OutOfRange(f"s_grid must lie within [0, {s_max}]")
     log_eps = init.log_epsilon
 
     # Inside the invariant region theta stays componentwise below the
@@ -165,14 +174,6 @@ def simulate(
         max_step=h_stab,
         step_callback=check_monotone,
     )
-    if s_grid is None:
-        s_grid = np.linspace(0.0, s_max, DEFAULT_GRID_POINTS)
-    else:
-        s_grid = np.asarray(s_grid, dtype=float)
-        if s_grid.ndim != 1 or s_grid.size == 0 or np.any(np.diff(s_grid) <= 0):
-            raise OutOfRange("s_grid must be a nonempty strictly increasing vector")
-        if s_grid[0] < 0 or s_grid[-1] > s_max * (1 + 1e-12):
-            raise OutOfRange(f"s_grid must lie within [0, {s_max}]")
     return Trajectory(instance, init, s_grid, result.dense, result.stats, result.s)
 
 

@@ -79,9 +79,10 @@ class ExperimentConfig:
     grid_points: int = 400
     tol: float = dynamics.DEFAULT_TOL
     eta_fraction: float = 0.1
-    out_dir: str = "."
 
     def __post_init__(self):
+        if not isinstance(self.instance, (str, dict)):
+            raise DomainError(f"instance is neither a path nor a spec: {self.instance!r}")
         eps = [float(e) for e in self.epsilons]
         if not eps:
             raise DomainError("epsilons must be nonempty")
@@ -89,15 +90,13 @@ class ExperimentConfig:
             raise DomainError("epsilons must be distinct")
         if any(not (0.0 < e < 1.0) for e in eps):
             raise DomainError("epsilons must lie strictly inside (0, 1)")
-        if self.grid_points < 2:
-            raise DomainError("grid_points must be at least 2")
         self.epsilons = eps
 
     @classmethod
     def from_json(cls, path, unread=()) -> "ExperimentConfig":
         """Read a config file; ``unread`` names the fields the calling
         command ignores, which are rejected like unknown keys."""
-        obj = json.loads(Path(path).read_text())
+        obj = problem.read_json_object(path)
         missing = {"instance", "epsilons"} - set(obj)
         if missing:
             raise DomainError(f"config lacks required keys: {sorted(missing)}")
@@ -116,9 +115,17 @@ class ExperimentConfig:
         return ones_unless(self.C, d), ones_unless(self.k, d)
 
 
-def ones_unless(values, d: int) -> np.ndarray:
-    """``values`` as an array, or all ones of length d when absent."""
-    return np.ones(d) if values is None else np.asarray(values, dtype=float)
+def ones_unless(values, d: int):
+    """``values`` unconverted, or all ones of length d when absent."""
+    return np.ones(d) if values is None else values
+
+
+def uniform_grid(s_max: float, points: int) -> np.ndarray:
+    """``points`` >= 2 uniform samples of a finite span [0, s_max]."""
+    if not (points >= 2 and 0.0 < s_max < np.inf):
+        raise DomainError(f"a grid needs 2 or more points on a finite span, "
+                          f"got {points} on [0, {s_max}]")
+    return np.linspace(0.0, s_max, points)
 
 
 # -- limit evaluation on a grid ----------------------------------------------
@@ -141,6 +148,7 @@ def write_limit_path(instance, path: limit_path.LimitPath, out_json, out_csv,
     """Write the path's breakpoints, active sets and stationary points as
     JSON and, with ``out_csv``, mu(s) and the limit process sampled on
     ``grid_points`` uniform points of [0, 1.5 s*] as CSV."""
+    s_grid = uniform_grid(1.5 * path.s_star, grid_points)
     written = [write_json(out_json, {
         "schema": "dlnflow-limit-path v1",
         "breakpoints": path.breakpoints.tolist(),
@@ -149,7 +157,6 @@ def write_limit_path(instance, path: limit_path.LimitPath, out_json, out_csv,
         "fixed_points": [seg.theta_star.tolist() for seg in path.segments],
     })]
     if out_csv is not None:
-        s_grid = np.linspace(0.0, 1.5 * path.s_star, grid_points)
         theta, _, mu_vals = _limit_on_grid(instance, path, s_grid)
         d = instance.d
         header = (["s"] + [f"mu_{i + 1}" for i in range(d)]
@@ -276,13 +283,11 @@ def run_compare(
     monotonically. If an epsilon's row raises, ``on_failure`` is called
     with the report of the finished rows before the exception propagates.
     """
-    C = np.asarray(C, dtype=float)
-    k = np.asarray(k, dtype=float)
     path = limit_path.compute_path(instance, k)
     s_star = path.s_star
     if s_max is None:
         s_max = 1.5 * s_star
-    grid = np.linspace(0.0, s_max, grid_points)
+    grid = uniform_grid(s_max, grid_points)
 
     delta = WINDOW_FRACTION * s_star
     windows = tuple((float(b - delta), float(b + delta)) for b in path.breakpoints)
@@ -384,8 +389,6 @@ def run_hitting(
     ordered by decreasing epsilon and carry the relative gap to the
     predicted convergence time.
     """
-    C = np.asarray(C, dtype=float)
-    k = np.asarray(k, dtype=float)
     s_star = limit_path.convergence_time_s_star(instance, k)
     if s_cap is None:
         s_cap = 2.0 * s_star
@@ -421,17 +424,20 @@ def run_figure1(
     """Phase-portrait data for two-dimensional instances.
 
     Emits the vector field of the flow on a rectangular grid, all four
-    stationary points, and one trajectory file per epsilon. Rendering is
-    left to external tools.
+    stationary points, and one trajectory file per epsilon, once every
+    trajectory is simulated. Rendering is left to external tools.
     """
     if instance.d != 2:
         raise DimensionMismatch(f"phase portrait requires d = 2, got {instance.d}")
-    C = np.asarray(C, dtype=float)
-    k = np.asarray(k, dtype=float)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if s_max is None:
         s_max = 2.0 * limit_path.convergence_time_s_star(instance, k)
+    s_grid = uniform_grid(s_max, grid_points)
+    trajectories = {
+        f"trajectory_eps_{eps:.0e}.csv": dynamics.simulate(
+            instance, Initialization(C=C, k=k, epsilon=float(eps)), s_max,
+            s_grid=s_grid, tol=tol)
+        for eps in sorted(epsilons, reverse=True)
+    }
 
     points = fixed_points.enumerate_fixed_points(instance)
     hi = 1.25 * max(float(np.max(p.theta)) for p in points)
@@ -441,6 +447,8 @@ def run_figure1(
     th1, th2 = np.meshgrid(axis, axis, indexing="ij")
     theta = np.column_stack([th1.ravel(), th2.ravel()])
     field = theta * (instance.r - theta @ instance.M.T)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
         "field": str(write_csv(out_dir / "field.csv", "figure1-field",
                                ["theta_1", "theta_2", "v_1", "v_2"],
@@ -448,12 +456,6 @@ def run_figure1(
         "fixed_points": str(write_json(out_dir / "fixed_points.json",
                                        fixed_points_json(points))),
     }
-    for eps in sorted(epsilons, reverse=True):
-        init = Initialization(C=C, k=k, epsilon=float(eps))
-        traj = dynamics.simulate(
-            instance, init, s_max, s_grid=np.linspace(0.0, s_max, grid_points),
-            tol=tol,
-        )
-        name = f"trajectory_eps_{eps:.0e}.csv"
+    for name, traj in trajectories.items():
         paths[name] = str(write_trajectory(out_dir / name, traj))
     return paths

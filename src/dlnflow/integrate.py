@@ -133,7 +133,7 @@ def integrate(
     """
     y = np.array(y0, dtype=float)
     n = y.size
-    if s_end <= s0:
+    if not s_end > s0:
         raise ValueError("s_end must exceed s0")
 
     stats = IntegratorStats()
@@ -149,7 +149,7 @@ def integrate(
 
     while s < s_end - 1e-14 * max(1.0, abs(s_end)):
         h = min(h, s_end - s, max_step)
-        if h < 1e-14 * max(1.0, abs(s)):
+        if not h >= 1e-14 * max(1.0, abs(s)):
             raise StepUnderflow(f"step {h:.3e} underflowed at s={s:.6g}")
 
         for i in range(1, 7):

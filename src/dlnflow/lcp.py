@@ -24,6 +24,7 @@ from .errors import (
     DimensionTooLarge,
     MaxIterations,
     MultipleSolutions,
+    NonFinite,
     NoSolution,
     NotKMatrix,
     PivotCycle,
@@ -65,30 +66,42 @@ class LcpSolution:
         }
 
 
-def _prepare(q, M) -> tuple[np.ndarray, np.ndarray]:
-    q = np.asarray(q, dtype=float)
-    M = np.asarray(M, dtype=float)
-    if q.ndim != 1 or M.shape != (q.size, q.size):
-        raise DimensionMismatch(f"incompatible shapes q{q.shape}, M{M.shape}")
-    return q, M
+def _finite_array(a, name: str, shape: tuple) -> np.ndarray:
+    """``a`` as a read-only float array of ``shape``, where ``None`` allows
+    any length. A ragged, non-numeric, empty or misshapen value raises
+    ``DimensionMismatch``, a NaN or infinite entry ``NonFinite``."""
+    try:
+        arr = np.array(a, dtype=float)
+    except (TypeError, ValueError):
+        raise DimensionMismatch(f"{name} must be an array of numbers") from None
+    if arr.ndim != len(shape):
+        raise DimensionMismatch(
+            f"{name} must be {len(shape)}-dimensional, got shape {arr.shape}")
+    if arr.size == 0:
+        raise DimensionMismatch(f"{name} must be nonempty")
+    if any(want not in (None, got) for want, got in zip(shape, arr.shape)):
+        raise DimensionMismatch(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise NonFinite(f"{name} contains non-finite entries")
+    arr.flags.writeable = False
+    return arr
 
 
-def check_k_matrix(M: np.ndarray) -> None:
-    """Certify a raw matrix: symmetric, nonpositive off-diagonals, Cholesky.
+def check_k_matrix(M: np.ndarray) -> tuple:
+    """Certify a square matrix as a K-matrix and return its ``cho_factor``.
 
-    A ``ProblemInstance`` is certified when it is built; this serves the
-    ``(q, M)`` pairs that enter :func:`solve_lcp` directly.
+    Symmetry, nonpositive off-diagonals and a Cholesky factor; every
+    instance and every ``(q, M)`` pair of :func:`solve_lcp` passes here.
     """
     asym = np.max(np.abs(M - M.T))
     if asym > STRICT_TOL * max(1.0, np.max(np.abs(M))):
-        raise NotKMatrix(f"matrix not symmetric (max asymmetry {asym:.3e})")
-    off = M - np.diag(np.diag(M))
-    if np.any(off > 0.0):
-        raise NotKMatrix("positive off-diagonal entry")
+        raise NotKMatrix(f"M is not symmetric (max asymmetry {asym:.3e})")
+    if np.any(M - np.diag(np.diag(M)) > 0.0):
+        raise NotKMatrix("M has a positive off-diagonal entry")
     try:
-        cho_factor(M)
-    except LinAlgError:
-        raise NotKMatrix("matrix is not positive definite") from None
+        return cho_factor(M)
+    except LinAlgError as exc:
+        raise NotKMatrix(f"M is not positive definite ({exc})") from None
 
 
 class ActiveSetCholesky:
@@ -138,7 +151,8 @@ def solve_lcp(q, M) -> LcpSolution:
     are monotone, so no coordinate leaves and at most d additions are
     needed; a primal value below -STRICT_TOL raises ``PositivityViolation``.
     """
-    q, M = _prepare(q, M)
+    q = _finite_array(q, "q", (None,))
+    M = _finite_array(M, "M", (q.size, q.size))
     check_k_matrix(M)
     factor = ActiveSetCholesky(M)
     while True:
@@ -172,7 +186,8 @@ def solve_lcp_bruteforce(q, M) -> LcpSolution:
     infeasible for this matrix class, several mean M is not a K-matrix or
     the data sits on a degenerate boundary.
     """
-    q, M = _prepare(q, M)
+    q = _finite_array(q, "q", (None,))
+    M = _finite_array(M, "M", (q.size, q.size))
     d = q.size
     if d > BRUTEFORCE_MAX_DIM:
         raise DimensionTooLarge(f"brute force limited to d <= {BRUTEFORCE_MAX_DIM}")
@@ -213,7 +228,8 @@ def solve_qp_nonneg(q, M, tol: float = 1e-10, max_iter: int = 500_000) -> np.nda
     until the unit-step projected-gradient residual drops below ``tol``.
     Deliberately independent of the pivoting code path.
     """
-    q, M = _prepare(q, M)
+    q = _finite_array(q, "q", (None,))
+    M = _finite_array(M, "M", (q.size, q.size))
     eigs = np.linalg.eigvalsh(M)
     if eigs[0] <= 0.0:
         raise NotKMatrix(f"matrix not positive definite (lambda_min={eigs[0]:.3e})")

@@ -94,9 +94,7 @@ class LimitPath:
 
 
 def _check_k(instance: ProblemInstance, k) -> np.ndarray:
-    k = np.asarray(k, dtype=float)
-    if k.shape != (instance.d,):
-        raise DomainError(f"k must have shape ({instance.d},)")
+    k = lcp._finite_array(k, "k", (instance.d,))
     if not np.all(k > 0.0):
         raise DomainError("k must be strictly positive")
     return k
@@ -123,7 +121,8 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
     is the smallest root beyond the current one, and every coordinate tied
     at that root activates simultaneously. Coordinates never deactivate,
     so the loop ends after at most d events with the full set; the last
-    breakpoint is the convergence time. Activations append rows to one
+    breakpoint is the convergence time, cross-checked against its closed
+    form max_i (M^{-1} k)_i / (M^{-1} r)_i. Activations append rows to one
     Cholesky factor of M[I, I]; each segment must pass its KKT certificate.
     A segment's stationary point is its slope M_II^{-1} r_I.
     """
@@ -184,10 +183,16 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
         factor.append(joining)
         s_cur = s_next
 
+    closed_form = float(np.max(instance.solve(k) / instance.minimizer()))
+    if abs(s_cur - closed_form) > 1e-9 * max(1.0, abs(closed_form)):
+        raise PathInconsistent(
+            f"path terminal breakpoint {s_cur!r} disagrees with closed form "
+            f"{closed_form!r}"
+        )
     return LimitPath(
         breakpoints=np.array(breakpoints),
         segments=tuple(segments),
-        s_star=breakpoints[-1],
+        s_star=s_cur,
     )
 
 
@@ -223,21 +228,12 @@ def _verify_segment(instance, k, segment: PathSegment) -> None:
 
 
 def convergence_time_s_star(instance: ProblemInstance, k) -> float:
-    """Closed form max_i (M^{-1} k)_i / (M^{-1} r)_i.
+    """The last breakpoint s* of the certified path.
 
     Past this rescaled time the full support is active and the limit sits
-    at the unconstrained minimizer. The value is cross-checked against the
-    last breakpoint of the computed path.
+    at the unconstrained minimizer.
     """
-    k = _check_k(instance, k)
-    last = float(compute_path(instance, k).breakpoints[-1])
-    s_star = float(np.max(instance.solve(k) / instance.minimizer()))
-    if abs(last - s_star) > 1e-9 * max(1.0, abs(s_star)):
-        raise PathInconsistent(
-            f"path terminal breakpoint {last!r} disagrees with closed form "
-            f"{s_star!r}"
-        )
-    return s_star
+    return compute_path(instance, k).s_star
 
 
 def theta_star_of_s(path: LimitPath, s: float) -> np.ndarray:

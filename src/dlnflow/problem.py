@@ -23,33 +23,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from .errors import (
     AssumptionViolated,
     DegenerateScale,
     DimensionMismatch,
     DomainError,
-    NonFinite,
-    NotKMatrix,
     RejectionBudgetExceeded,
-    ValidationError,
 )
+from .lcp import _finite_array, check_k_matrix
 
-SYMMETRY_RTOL = 1e-12
 RECONSTRUCTION_RTOL = 1e-10
-
-
-def _finite_array(a, name: str, ndim: int) -> np.ndarray:
-    arr = np.array(a, dtype=float)
-    if arr.ndim != ndim:
-        raise DimensionMismatch(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        raise DimensionMismatch(f"{name} must be nonempty")
-    if not np.all(np.isfinite(arr)):
-        raise NonFinite(f"{name} contains non-finite entries")
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -60,12 +45,9 @@ class RegressionData:
     y: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "X", _finite_array(self.X, "X", 2))
-        object.__setattr__(self, "y", _finite_array(self.y, "y", 1))
-        if self.y.shape[0] != self.X.shape[0]:
-            raise DimensionMismatch(
-                f"y has length {self.y.shape[0]}, X has {self.X.shape[0]} rows"
-            )
+        X = _finite_array(self.X, "X", (None, None))
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "y", _finite_array(self.y, "y", (X.shape[0],)))
 
     @property
     def n(self) -> int:
@@ -80,10 +62,10 @@ class RegressionData:
 class ProblemInstance:
     """Certified K-matrix pair (M, r); optionally keeps the data it came from.
 
-    Construction checks symmetry, A1 and A2, then Cholesky-factors M once:
-    a singular or indefinite M raises ``NotKMatrix``. The factor serves
-    every solve with M (:meth:`solve`, :meth:`minimizer`), so no later
-    layer re-certifies the instance.
+    Construction checks A1 and A2, then ``lcp.check_k_matrix`` certifies M
+    and Cholesky-factors it once (an asymmetric, singular or indefinite M
+    raises ``NotKMatrix``). The factor serves every solve with M
+    (:meth:`solve`, :meth:`minimizer`), so no later layer re-certifies it.
     """
 
     M: np.ndarray
@@ -94,31 +76,17 @@ class ProblemInstance:
     _minimizer: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        M = _finite_array(self.M, "M", 2)
-        r = _finite_array(self.r, "r", 1)
-        if M.shape[0] != M.shape[1]:
-            raise DimensionMismatch(f"M must be square, got shape {M.shape}")
-        if r.shape[0] != M.shape[0]:
-            raise DimensionMismatch(
-                f"r has length {r.shape[0]}, M is {M.shape[0]}x{M.shape[1]}"
-            )
-        asym = np.max(np.abs(M - M.T))
-        if asym > SYMMETRY_RTOL * max(1.0, np.max(np.abs(M))):
-            raise ValidationError(f"M is not symmetric (max asymmetry {asym:.3e})")
+        r = _finite_array(self.r, "r", (None,))
+        M = _finite_array(self.M, "M", (r.size, r.size))
         bad_r = np.flatnonzero(~(r > 0.0))
         if bad_r.size:
-            raise AssumptionViolated("A1", bad_r)
-        off = M - np.diag(np.diag(M))
-        bad_m = np.argwhere(off > 0.0)
+            raise AssumptionViolated("A1", bad_r.tolist())
+        bad_m = np.argwhere(M - np.diag(np.diag(M)) > 0.0)
         if bad_m.size:
-            raise AssumptionViolated("A2", [tuple(ij) for ij in bad_m])
-        try:
-            factor = cho_factor(M)
-        except LinAlgError as exc:
-            raise NotKMatrix(f"M is not positive definite ({exc})") from None
+            raise AssumptionViolated("A2", map(tuple, bad_m.tolist()))
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "_factor", factor)
+        object.__setattr__(self, "_factor", check_k_matrix(M))
         minimizer = self.solve(r)
         minimizer.flags.writeable = False
         object.__setattr__(self, "_minimizer", minimizer)
@@ -150,10 +118,8 @@ class Initialization:
     epsilon: float
 
     def __post_init__(self):
-        C = _finite_array(self.C, "C", 1)
-        k = _finite_array(self.k, "k", 1)
-        if C.shape != k.shape:
-            raise DimensionMismatch("C and k must have the same length")
+        C = _finite_array(self.C, "C", (None,))
+        k = _finite_array(self.k, "k", C.shape)
         if not np.all(C > 0.0):
             raise DomainError("C must be strictly positive")
         if not np.all(k > 0.0):
@@ -275,6 +241,10 @@ def generate(spec: dict) -> ProblemInstance:
         inspect.signature(generator).bind(**params)
     except TypeError as exc:
         raise DomainError(f"{kind} generator spec: {exc}") from None
+    for key, value in params.items():
+        wanted = (int, float, type(None)) if key == "offdiag_scale" else (int,)
+        if type(value) not in wanted or key == "seed" and value < 0:
+            raise DomainError(f"{kind} generator spec: bad {key} {value!r}")
     if kind == "direct":
         return generate_direct(**params)[0]
     data = generate_rejection(**params)
@@ -327,7 +297,7 @@ def to_json_dict(instance: ProblemInstance) -> dict:
 def from_json_dict(obj: dict) -> ProblemInstance:
     data = None
     if obj.get("X") is not None and obj.get("y") is not None:
-        data = RegressionData(X=np.array(obj["X"]), y=np.array(obj["y"]))
+        data = RegressionData(X=obj["X"], y=obj["y"])
     return ProblemInstance(M=obj.get("M"), r=obj.get("r"), data=data,
                            meta=dict(obj.get("meta", {})))
 
@@ -353,5 +323,13 @@ def save_instance(instance: ProblemInstance, path) -> None:
                                                         indent=2)))
 
 
+def read_json_object(path) -> dict:
+    """The JSON object a file holds; any other JSON value is rejected."""
+    obj = json.loads(Path(path).read_text())
+    if not isinstance(obj, dict):
+        raise DomainError(f"{path} holds a JSON {type(obj).__name__}, not an object")
+    return obj
+
+
 def load_instance(path) -> ProblemInstance:
-    return from_json_dict(json.loads(Path(path).read_text()))
+    return from_json_dict(read_json_object(path))

@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,22 @@ def scalar_logistic(t, theta0, rate=1.0, limit=1.0):
     """Closed form of theta' = theta (rate - (rate/limit) theta)."""
     c = limit / theta0 - 1.0
     return limit / (1.0 + c * np.exp(-rate * t))
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Raise ``TimeoutError`` inside the block once ``seconds`` have passed,
+    so that a loop that never ends fails the test instead of hanging it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_instance(rng: np.random.Generator, d: int) -> ProblemInstance:

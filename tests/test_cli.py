@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dlnflow import ExperimentConfig, dynamics, generate_direct, problem, save_instance
+from conftest import deadline
+from dlnflow import ExperimentConfig, dynamics, generate_direct, lcp, save_instance
 from dlnflow.cli import main
 from dlnflow.errors import StepUnderflow
 
@@ -110,14 +111,14 @@ class TestGen:
     @pytest.mark.parametrize("route", ["gen", "resolve_instance"])
     def test_rejection_spec_factors_once(self, runner, tmp_path, monkeypatch,
                                          route):
-        cho_factor = problem.cho_factor
+        cho_factor = lcp.cho_factor
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args)
             return cho_factor(*args, **kwargs)
 
-        monkeypatch.setattr(problem, "cho_factor", counting)
+        monkeypatch.setattr(lcp, "cho_factor", counting)
         if route == "gen":
             result = invoke(runner, ["gen", "--d", "2", "--n", "3", "--seed", "7",
                                      "--generator", "rejection",
@@ -233,9 +234,9 @@ class TestExperimentsCommands:
             "instance": {"generator": "rejection", "n": 3, "d": 2, "seed": 5},
             "epsilons": [1e-6, 1e-10],
             "grid_points": 120,
-            "out_dir": str(tmp_path),
         }))
-        result = invoke(runner, ["compare", "--config", str(config)])
+        result = invoke(runner, ["--out-dir", str(tmp_path), "compare",
+                                 "--config", str(config)])
         assert result.exit_code == 0
         report = json.loads((tmp_path / "compare.json").read_text())
         assert len(report["rows"]) == 2
@@ -296,9 +297,9 @@ class TestExperimentsCommands:
         config.write_text(json.dumps({
             "instance": {"generator": "direct", "d": 3, "seed": 1},
             "epsilons": [1e-8],
-            "out_dir": str(tmp_path),
         }))
-        result = runner.invoke(main, ["figure1", "--config", str(config)])
+        result = runner.invoke(main, ["--out-dir", str(tmp_path), "figure1",
+                                      "--config", str(config)])
         assert result.exit_code == 2
 
     def test_figure1_outputs(self, runner, tmp_path):
@@ -439,9 +440,10 @@ class TestInputExitCodes:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "instance": str(inst), "epsilons": [1e-8],
-            "eta_fraction": fraction, "out_dir": str(tmp_path),
+            "eta_fraction": fraction,
         }))
-        result = runner.invoke(main, ["compare", "--config", str(config)])
+        result = runner.invoke(main, ["--out-dir", str(tmp_path), "compare",
+                                      "--config", str(config)])
         assert result.exit_code == 2
         assert not (tmp_path / "compare.json").exists()
 
@@ -449,9 +451,10 @@ class TestInputExitCodes:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "instance": {"generator": "direct", "d": 2, "seed": 1},
-            "epsilons": [1e-8], "out_dir": str(tmp_path), "bogus": 1,
+            "epsilons": [1e-8], "bogus": 1,
         }))
-        result = runner.invoke(main, ["compare", "--config", str(config)])
+        result = runner.invoke(main, ["--out-dir", str(tmp_path), "compare",
+                                      "--config", str(config)])
         assert result.exit_code == 2
         assert not (tmp_path / "compare.json").exists()
 
@@ -466,10 +469,10 @@ class TestInputExitCodes:
         out = tmp_path / "out"
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
-            "instance": str(inst), "epsilons": [1e-8], "out_dir": str(out),
-            key: value,
+            "instance": str(inst), "epsilons": [1e-8], key: value,
         }))
-        result = runner.invoke(main, [command, "--config", str(config)])
+        result = runner.invoke(main, ["--out-dir", str(out), command,
+                                      "--config", str(config)])
         assert result.exit_code == 2
         assert f"error: config keys this command does not read: ['{key}']" \
             in result.output
@@ -483,14 +486,36 @@ def _config(tmp_path, text):
 
 
 def _spec_config(tmp_path, spec):
-    return _config(tmp_path, json.dumps({"instance": spec, "epsilons": [1e-8],
-                                         "out_dir": str(tmp_path / "out")}))
+    return ["--out-dir", str(tmp_path / "out")] + _config(
+        tmp_path, json.dumps({"instance": spec, "epsilons": [1e-8]}))
 
 
 def _instance(tmp_path, obj):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(obj))
     return str(inst)
+
+
+def _simulate(tmp_path, *flags):
+    """simulate arguments; a later option replaces an earlier one."""
+    return ["simulate", "--instance", _instance(tmp_path, TRIDIAG_JSON),
+            "--epsilon", "1e-8", "--s-max", "1.0", "--out", str(tmp_path / "t.csv"),
+            *flags]
+
+
+def _experiment(tmp_path, command, *flags):
+    return ["--out-dir", str(tmp_path / "out"), command, "--instance",
+            _instance(tmp_path, TRIDIAG_JSON), "--epsilons", "1e-8", *flags]
+
+
+def _lcp(tmp_path, q, M):
+    return ["lcp-solve", "--input", _instance(tmp_path, {"q": q, "M": M})]
+
+
+_TRIDIAG_M = TRIDIAG_JSON["M"]
+_S_MAX_ERRORS = {"simulate": "error: a grid needs 2 or more points on a finite span",
+                 "compare": "error: a grid needs 2 or more points on a finite span",
+                 "hitting-time": "error: s_max must be positive and finite"}
 
 
 # Malformed outside input: each case gives the arguments, given a scratch
@@ -513,7 +538,7 @@ MALFORMED = {
         "error: M must be 2-dimensional"),
     "lcp input without q": lambda tmp: (
         ["lcp-solve", "--input", _instance(tmp, {"M": [[2.0]]})],
-        "error: incompatible shapes q(), M(1, 1)"),
+        "error: q must be 1-dimensional, got shape ()"),
     "gen --out is a directory": lambda tmp: (
         ["gen", "--d", "2", "--seed", "1", "--out", str(tmp)],
         "error: [Errno 21] Is a directory"),
@@ -550,6 +575,74 @@ MALFORMED = {
         ["limit-path", "--instance", _instance(tmp, TRIDIAG_JSON), "--k", "a,b",
          "--out-json", str(tmp / "path.json")],
         "Invalid value for '--k'"),
+    "lcp q with NaN": lambda tmp: (
+        _lcp(tmp, [-1.0, float("nan")], _TRIDIAG_M),
+        "error: q contains non-finite entries"),
+    "lcp M with NaN": lambda tmp: (
+        _lcp(tmp, [-1.0, -1.0], [[2.0, float("nan")], [-1.0, 2.0]]),
+        "error: M contains non-finite entries"),
+    "lcp ragged M": lambda tmp: (
+        _lcp(tmp, [-1.0, -1.0], [[2.0, -1.0], [-1.0]]),
+        "error: M must be an array of numbers"),
+    "lcp q a string": lambda tmp: (
+        _lcp(tmp, "ab", _TRIDIAG_M), "error: q must be an array of numbers"),
+    "lcp input not an object": lambda tmp: (
+        ["lcp-solve", "--input", _instance(tmp, [1, 2])],
+        "holds a JSON list, not an object"),
+    "instance M with NaN": lambda tmp: (
+        ["fixed-points", "--instance", _instance(
+            tmp, {"M": [[2.0, float("nan")], [-1.0, 2.0]], "r": [1.0, 1.0]})],
+        "error: M contains non-finite entries"),
+    "instance ragged M": lambda tmp: (
+        ["fixed-points", "--instance", _instance(
+            tmp, {"M": [[2.0, -1.0], [-1.0]], "r": [1.0, 1.0]})],
+        "error: M must be an array of numbers"),
+    "instance ragged X": lambda tmp: (
+        ["fixed-points", "--instance", _instance(
+            tmp, {**TRIDIAG_JSON, "X": [[1.0, 0.0], [0.0]], "y": [1.0, 1.0]})],
+        "error: X must be an array of numbers"),
+    "instance r a string": lambda tmp: (
+        ["fixed-points", "--instance", _instance(tmp, {**TRIDIAG_JSON, "r": "ab"})],
+        "error: r must be an array of numbers"),
+    "limit-path k infinite": lambda tmp: (
+        ["limit-path", "--instance", _instance(tmp, TRIDIAG_JSON), "--k", "inf,1",
+         "--out-json", str(tmp / "path.json")],
+        "error: k contains non-finite entries"),
+    "limit-path --grid 0": lambda tmp: (
+        ["limit-path", "--instance", _instance(tmp, TRIDIAG_JSON), "--grid", "0",
+         "--out-json", str(tmp / "path.json"), "--out-csv", str(tmp / "path.csv")],
+        "error: a grid needs 2 or more points on a finite span, got 0"),
+    "simulate --grid 1": lambda tmp: (
+        _simulate(tmp, "--grid", "1"),
+        "error: a grid needs 2 or more points on a finite span, got 1"),
+    **{f"simulate --tol {tol}": lambda tmp, tol=tol: (
+        _simulate(tmp, "--tol", tol), "error: tol must be positive and finite")
+       for tol in ("0", "nan", "inf", "-1")},
+    **{f"{command} --s-max {s_max}": lambda tmp, command=command, s_max=s_max: (
+        _simulate(tmp, "--s-max", s_max) if command == "simulate"
+        else _experiment(tmp, command, "--s-max", s_max), _S_MAX_ERRORS[command])
+       for command in _S_MAX_ERRORS for s_max in ("nan", "inf")},
+    "config with experiment flags": lambda tmp: (
+        ["--out-dir", str(tmp / "out"), "hitting-time", "--config",
+         _config(tmp, json.dumps({"instance": _instance(tmp, TRIDIAG_JSON),
+                                  "epsilons": [1e-8]}))[-1],
+         "--epsilons", "1e-30", "--eta-fraction", "0.5"],
+        "Error: --config excludes --epsilons, --eta-fraction"),
+    "config sets out_dir": lambda tmp: (
+        _config(tmp, json.dumps({"instance": _instance(tmp, TRIDIAG_JSON),
+                                 "epsilons": [1e-8], "out_dir": str(tmp / "out")})),
+        "error: config keys this command does not read: ['out_dir']"),
+    "config a bare number": lambda tmp: (
+        _config(tmp, "5"), "holds a JSON int, not an object"),
+    "config instance a number": lambda tmp: (
+        _config(tmp, json.dumps({"instance": 7, "epsilons": [1e-8]})),
+        "error: instance is neither a path nor a spec: 7"),
+    "spec with a string parameter": lambda tmp: (
+        _spec_config(tmp, {"generator": "direct", "d": "3", "seed": 1}),
+        "error: direct generator spec: bad d '3'"),
+    "gen with a negative seed": lambda tmp: (
+        ["gen", "--d", "2", "--seed", "-1", "--out", str(tmp / "inst.json")],
+        "error: direct generator spec: bad seed -1"),
 }
 
 
@@ -557,7 +650,9 @@ MALFORMED = {
 def test_malformed_input_exits_2(runner, tmp_path, case):
     args, message = MALFORMED[case](tmp_path)
     before = sorted(tmp_path.rglob("*"))
-    result = runner.invoke(main, args)
+    # A zero or NaN --tol once spun forever in the integrator's step loop.
+    with deadline(10):
+        result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert message in result.output
     assert "Traceback" not in result.output

@@ -92,6 +92,18 @@ class TestTrajectoryStructure:
         with pytest.raises(OutOfRange):
             simulate(separable_instance, init, 1.0, s_grid=np.array([0.5, 0.2]))
 
+    @pytest.mark.parametrize("s_max, tol, error", [
+        (np.nan, 1e-9, OutOfRange), (np.inf, 1e-9, OutOfRange),
+        (0.0, 1e-9, OutOfRange), (1.0, 0.0, DomainError),
+        (1.0, np.nan, DomainError), (1.0, np.inf, DomainError),
+        (1.0, -1.0, DomainError),
+    ])
+    def test_span_and_tolerance_checked_first(self, separable_instance,
+                                              s_max, tol, error):
+        init = make_init(2, 1e-8)
+        with pytest.raises(error):
+            simulate(separable_instance, init, s_max, s_grid=[0.0, 0.5], tol=tol)
+
     def test_dimension_mismatch(self, separable_instance):
         with pytest.raises(DomainError):
             simulate(separable_instance, make_init(3, 1e-8), 1.0)

@@ -247,6 +247,17 @@ class TestExperimentConfig:
         with pytest.raises(DomainError):
             ExperimentConfig(instance="x.json", epsilons=eps)
 
+    @pytest.mark.parametrize("instance", [7, None, ["x.json"]])
+    def test_instance_is_a_path_or_a_spec(self, instance):
+        with pytest.raises(DomainError, match="neither a path nor a spec"):
+            ExperimentConfig(instance=instance, epsilons=[1e-8])
+
+    def test_config_is_an_object(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[5]")
+        with pytest.raises(DomainError, match="holds a JSON list, not an object"):
+            ExperimentConfig.from_json(path)
+
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"instance": "x", "epsilons": [0.1],

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import deadline
 from dlnflow.errors import StepUnderflow
 from dlnflow.integrate import integrate
 
@@ -70,6 +71,13 @@ def test_step_underflow_near_blowup():
     with pytest.raises(StepUnderflow):
         integrate(lambda s, y: y ** 2, 0.0, np.array([1.0]), 2.0,
                   rtol=1e-8, atol=1e-8)
+
+
+def test_nan_step_underflows():
+    # Zero tolerances make the first step NaN, which no comparison with a
+    # threshold catches; the underflow test must stop the loop anyway.
+    with deadline(10), np.errstate(all="ignore"), pytest.raises(StepUnderflow):
+        integrate(lambda s, y: -y, 0.0, np.array([1.0]), 1.0, rtol=0.0, atol=0.0)
 
 
 def test_callback_abort_propagates():

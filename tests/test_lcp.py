@@ -4,12 +4,16 @@ import pytest
 from conftest import random_k_matrix
 from dlnflow import solve_lcp, solve_lcp_bruteforce, solve_qp_nonneg
 from dlnflow.errors import (
+    DimensionMismatch,
     DimensionTooLarge,
     MaxIterations,
     MultipleSolutions,
     NoSolution,
+    NonFinite,
     NotKMatrix,
+    SingularSubmatrix,
 )
+from dlnflow.lcp import ActiveSetCholesky
 
 TRIDIAG = np.array([[2.0, -1.0], [-1.0, 2.0]])
 
@@ -64,12 +68,40 @@ class TestSolveLcp:
         with pytest.raises(NotKMatrix):
             solve_lcp([1.0, 1.0], M)
 
+    @pytest.mark.parametrize("q, M, error", [
+        ([-1.0, np.nan], TRIDIAG, NonFinite),
+        ([-1.0, -1.0], [[2.0, np.nan], [-1.0, 2.0]], NonFinite),
+        ([-1.0, -1.0], [[2.0, -1.0], [-1.0]], DimensionMismatch),
+        ("ab", TRIDIAG, DimensionMismatch),
+        ([-1.0], TRIDIAG, DimensionMismatch),
+    ])
+    def test_malformed_input_rejected(self, q, M, error):
+        for solve in (solve_lcp, solve_lcp_bruteforce, solve_qp_nonneg):
+            with pytest.raises(error):
+                solve(q, M)
+
     def test_solutions_satisfy_invariants(self, rng):
         for _ in range(50):
             d = int(rng.integers(1, 9))
             M = random_k_matrix(rng, d)
             q = rng.normal(size=d) * 2.0
             assert_valid_solution(solve_lcp(q, M), q, M)
+
+
+class TestActiveSetCholesky:
+    def test_nonpositive_pivot_rejected(self):
+        # Each 1x1 block is positive definite, but the second pivot is
+        # 1 - (-2)^2 = -3: the 2x2 matrix is indefinite.
+        factor = ActiveSetCholesky(np.array([[1.0, -2.0], [-2.0, 1.0]]))
+        factor.append([0])
+        with pytest.raises(SingularSubmatrix, match="pivot -3.000e"):
+            factor.append([1])
+
+    def test_solves_on_the_active_set(self):
+        factor = ActiveSetCholesky(TRIDIAG)
+        factor.append([1, 0])
+        np.testing.assert_allclose(factor.solve(np.array([1.0, 1.0])), [1.0, 1.0],
+                                   atol=1e-15)
 
 
 class TestBruteforce:

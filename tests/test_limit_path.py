@@ -22,6 +22,7 @@ from dlnflow.errors import (
     NotKMatrix,
     OutOfRange,
     PathInconsistent,
+    ValidationError,
 )
 from dlnflow.limit_path import _verify_segment
 from dlnflow.problem import loss
@@ -231,6 +232,22 @@ class TestConvergenceTime:
             s_star = convergence_time_s_star(inst, k)
             last = compute_path(inst, k).breakpoints[-1]
             assert abs(last - s_star) <= 1e-9 * max(1.0, s_star)
+
+    def test_path_certifies_s_star(self, tridiag_instance, monkeypatch):
+        # The path's s* is what every caller reads, so compute_path itself
+        # cross-checks it against the closed form; a 1% error must fail.
+        assert convergence_time_s_star(tridiag_instance, ONES) == \
+            compute_path(tridiag_instance, ONES).s_star
+        solve = ProblemInstance.solve
+        monkeypatch.setattr(ProblemInstance, "solve",
+                            lambda self, b: 1.01 * solve(self, b))
+        with pytest.raises(PathInconsistent, match="closed form"):
+            compute_path(tridiag_instance, ONES)
+
+    @pytest.mark.parametrize("k", [[np.inf, 1.0], [1.0, np.nan], [1.0], "ab"])
+    def test_malformed_k_rejected(self, tridiag_instance, k):
+        with pytest.raises(ValidationError):
+            compute_path(tridiag_instance, k)
 
 
 class TestThetaStarOfS:

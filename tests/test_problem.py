@@ -16,7 +16,7 @@ from dlnflow import (
     loss_gradient,
     save_instance,
 )
-from dlnflow.problem import from_json_dict, to_json_dict
+from dlnflow.problem import from_json_dict, generate, to_json_dict
 from dlnflow.errors import (
     AssumptionViolated,
     DegenerateScale,
@@ -69,6 +69,15 @@ class TestFromData:
         with pytest.raises(NonFinite):
             RegressionData(X=[[1.0, 2.0]], y=[np.inf])
 
+    @pytest.mark.parametrize("X, y, message", [
+        ([[1.0, 0.0], [0.0]], [1.0, 1.0], "X must be an array of numbers"),
+        ([[1.0, "a"]], [1.0], "X must be an array of numbers"),
+        ([[1.0, 0.0]], [1.0, 1.0], r"y must have shape \(1,\), got \(2,\)"),
+    ])
+    def test_ragged_or_non_numeric_rejected(self, X, y, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            RegressionData(X=X, y=y)
+
 
 class TestInstanceValidation:
     def test_asymmetric_rejected(self):
@@ -78,6 +87,24 @@ class TestInstanceValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             ProblemInstance(M=[[1.0, 0.0], [0.0, 1.0]], r=[1.0])
+
+    @pytest.mark.parametrize("M, r, error", [
+        ([[1.0, np.nan], [-1.0, 1.0]], [1.0, 1.0], NonFinite),
+        ([[1.0, -0.5], [-0.5]], [1.0, 1.0], DimensionMismatch),
+        (np.eye(2), "ab", DimensionMismatch),
+        (None, [1.0, 1.0], DimensionMismatch),
+    ])
+    def test_malformed_arrays_rejected(self, M, r, error):
+        with pytest.raises(error):
+            ProblemInstance(M=M, r=r)
+
+    def test_violations_name_plain_indices(self):
+        with pytest.raises(AssumptionViolated) as info:
+            ProblemInstance(M=[[1.0, 0.5], [0.5, 1.0]], r=[1.0, 1.0])
+        assert str(info.value) == "A2 violated at indices [(0, 1), (1, 0)]"
+        with pytest.raises(AssumptionViolated) as info:
+            ProblemInstance(M=np.eye(2), r=[-1.0, 1.0])
+        assert str(info.value) == "A1 violated at indices [0]"
 
     def test_instances_are_immutable(self, tridiag_instance):
         with pytest.raises(ValueError):
@@ -300,3 +327,22 @@ class TestSerialization:
         path.write_text(json.dumps({"M": [[1.0, 0.5], [0.5, 1.0]], "r": [1, 1]}))
         with pytest.raises(AssumptionViolated):
             load_instance(path)
+
+
+class TestGenerateSpec:
+    @pytest.mark.parametrize("spec", [
+        {"generator": "direct", "d": "3", "seed": 1},
+        {"generator": "direct", "d": 3.0, "seed": 1},
+        {"generator": "direct", "d": 3, "seed": True},
+        {"generator": "direct", "d": 3, "seed": -1},
+        {"generator": "direct", "d": 3, "seed": 1, "offdiag_scale": "0.1"},
+        {"generator": "rejection", "n": 3, "d": 2, "seed": 1, "max_attempts": None},
+    ])
+    def test_wrong_types_rejected(self, spec):
+        with pytest.raises(DomainError, match="generator spec: bad "):
+            generate(spec)
+
+    @pytest.mark.parametrize("scale", [None, 0, 0.1])
+    def test_offdiag_scale_may_be_any_number_or_absent(self, scale):
+        spec = {"generator": "direct", "d": 3, "seed": 1, "offdiag_scale": scale}
+        assert generate(spec).d == 3
