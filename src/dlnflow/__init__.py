@@ -12,7 +12,6 @@ from .dynamics import (
 )
 from .experiments import (
     ComparisonReport,
-    ExperimentConfig,
     HittingTable,
     run_compare,
     run_figure1,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComparisonReport",
-    "ExperimentConfig",
     "FixedPoint",
     "HittingTable",
     "Initialization",

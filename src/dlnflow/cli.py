@@ -16,7 +16,7 @@ import numpy as np
 from click.core import ParameterSource
 
 from . import dynamics, experiments, fixed_points, lcp, limit_path, problem
-from .errors import DlnFlowError, exit_code
+from .errors import DlnFlowError, DomainError, exit_code
 
 
 class FloatList(click.ParamType):
@@ -25,8 +25,6 @@ class FloatList(click.ParamType):
     name = "float,..."
 
     def convert(self, value, param, ctx):
-        if isinstance(value, list):
-            return value
         try:
             return [float(x) for x in value.split(",")]
         except ValueError:
@@ -35,10 +33,16 @@ class FloatList(click.ParamType):
 
 
 FLOATS = FloatList()
+_GRID = click.option("--grid", "grid_points", type=int,
+                     default=dynamics.DEFAULT_GRID_POINTS, show_default=True)
+_TOL = click.option("--tol", type=float, default=dynamics.DEFAULT_TOL,
+                    show_default=True)
+_ETA_FRACTION = click.option("--eta-fraction", type=float, show_default=True,
+                             default=experiments.DEFAULT_ETA_FRACTION)
 
 
 def handles_errors(fn):
-    """Report package errors, unreadable or malformed input files and
+    """Report package errors, input files that cannot be read or parsed and
     unwritable paths as an ``error:`` line with the documented exit code."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -119,20 +123,18 @@ def fixed_points_cmd(instance_path):
 @click.option("--C", "C", type=FLOATS, default=None, help="Default all 1.")
 @click.option("--k", type=FLOATS, default=None, help="Default all 1.")
 @click.option("--s-max", type=float, required=True)
-@click.option("--grid", type=int, default=dynamics.DEFAULT_GRID_POINTS,
-              show_default=True)
-@click.option("--tol", type=float, default=dynamics.DEFAULT_TOL, show_default=True)
+@_GRID
+@_TOL
 @click.option("--out", type=click.Path(), required=True, help="Trajectory CSV path.")
 @handles_errors
-def simulate(instance_path, epsilon, C, k, s_max, grid, tol, out):
+def simulate(instance_path, epsilon, C, k, s_max, grid_points, tol, out):
     """Integrate the flow and write the sampled trajectory as CSV."""
     instance = problem.load_instance(instance_path)
     init = problem.Initialization(C=experiments.ones_unless(C, instance.d),
                                   k=experiments.ones_unless(k, instance.d),
                                   epsilon=epsilon)
-    traj = dynamics.simulate(
-        instance, init, s_max, s_grid=experiments.uniform_grid(s_max, grid), tol=tol
-    )
+    traj = dynamics.simulate(instance, init, s_max, tol=tol,
+                             s_grid=experiments.uniform_grid(s_max, grid_points))
     experiments.write_trajectory(out, traj)
     click.echo(
         f"wrote {out} ({len(traj)} samples, {traj.stats.steps} steps, "
@@ -160,122 +162,113 @@ def limit_path_cmd(instance_path, k, out_json, out_csv, grid):
         click.echo(f"wrote {out}")
 
 
-def _config_from_options(ctx, unread, config, instance_path, epsilons, C, k,
-                         s_max, tol, **fields):
-    """``fields`` are the command's own ``ExperimentConfig`` fields;
-    ``unread`` names those it ignores, which a config file may not set.
-    The fields come from the config file or from the flags, never both."""
+def _sweep_options(fn):
+    """The options every epsilon sweep takes; each command adds its own."""
+    for option in reversed([
+        click.option("--config", type=click.Path(exists=True), default=None,
+                     help="JSON experiment config, given instead of the other "
+                          "flags."),
+        click.option("--instance", type=click.Path(exists=True), default=None),
+        click.option("--epsilons", type=FLOATS, default=None),
+        click.option("--C", "C", type=FLOATS, default=None, help="Default all 1."),
+        click.option("--k", type=FLOATS, default=None, help="Default all 1."),
+        click.option("--s-max", type=float, default=None),
+    ]):
+        fn = option(fn)
+    return fn
+
+
+def _sweep_inputs(ctx, config, options):
+    """The instance and the runner keywords, from the flags or from a
+    config file keyed by option name. A config value is converted as the
+    text its flag would carry: a list joined with commas, ``null`` as an
+    absent key, anything else by ``str``."""
     if config is not None:
         given = [p.opts[0] for p in ctx.command.params if p.name != "config"
                  and ctx.get_parameter_source(p.name) is not ParameterSource.DEFAULT]
         if given:
             raise click.UsageError(f"--config excludes {', '.join(given)}")
-        return experiments.ExperimentConfig.from_json(config, unread)
-    if instance_path is None or epsilons is None:
+        obj = problem.read_json_object(config)
+        values = {key: value for key, value in obj.items() if value is not None}
+        missing = {"instance", "epsilons"} - set(values)
+        if missing:
+            raise DomainError(f"config lacks required keys: {sorted(missing)}")
+        params = {p.name: p for p in ctx.command.params if p.name in options}
+        unknown = set(obj) - set(params)
+        if unknown:
+            raise DomainError(f"config keys this command does not read: "
+                              f"{sorted(unknown)}")
+        for key, value in values.items():
+            text = (",".join(map(str, value)) if isinstance(value, list)
+                    else str(value))
+            options[key] = (value if key == "instance"
+                            else params[key].type_cast_value(ctx, text))
+    elif options["instance"] is None or options["epsilons"] is None:
         raise click.UsageError("provide --config or both --instance and "
                                "--epsilons")
-    return experiments.ExperimentConfig(
-        instance=instance_path, epsilons=epsilons, C=C, k=k, s_max=s_max,
-        tol=tol, **fields)
-
-
-_GRID_OPTION = click.option("--grid", type=int, default=400, show_default=True)
-_common_options = [
-    click.option("--config", type=click.Path(exists=True), default=None,
-                 help="JSON experiment config, given instead of the other flags."),
-    click.option("--instance", "instance_path", type=click.Path(exists=True),
-                 default=None),
-    click.option("--epsilons", type=FLOATS, default=None),
-    click.option("--C", "C", type=FLOATS, default=None, help="Default all 1."),
-    click.option("--k", type=FLOATS, default=None, help="Default all 1."),
-    click.option("--s-max", type=float, default=None),
-    _GRID_OPTION,
-    click.option("--tol", type=float, default=dynamics.DEFAULT_TOL,
-                 show_default=True),
-]
-
-
-def common_options(grid: bool):
-    """The experiment options; ``--grid`` only for commands that sample."""
-    def decorate(fn):
-        for option in reversed(_common_options):
-            if grid or option is not _GRID_OPTION:
-                fn = option(fn)
-        return fn
-    return decorate
+    instance = problem.resolve_instance(options.pop("instance"))
+    for name in ("C", "k"):
+        options[name] = experiments.ones_unless(options[name], instance.d)
+    return instance, options
 
 
 @main.command()
-@common_options(grid=True)
+@_sweep_options
+@_GRID
+@_TOL
+@_ETA_FRACTION
 @click.pass_context
 @handles_errors
-def compare(ctx, config, instance_path, epsilons, C, k, s_max, grid, tol):
+def compare(ctx, config, **options):
     """Compare simulations against the limit process and its average."""
-    cfg = _config_from_options(ctx, (), config, instance_path, epsilons, C, k,
-                               s_max, tol, grid_points=grid)
-    instance = cfg.resolve_instance()
+    instance, options = _sweep_inputs(ctx, config, options)
 
     def flush(partial):
         if partial.rows:
             out = partial.write_partial(ctx.obj["out_dir"])
             click.echo(f"flushed partial results to {out}", err=True)
 
-    report = experiments.run_compare(
-        instance, *cfg.vectors(instance.d), cfg.epsilons, s_max=cfg.s_max,
-        grid_points=cfg.grid_points, tol=cfg.tol,
-        eta_fraction=cfg.eta_fraction, on_failure=flush,
-    )
+    report = experiments.run_compare(instance, **options, on_failure=flush)
     for out in report.write(ctx.obj["out_dir"]):
         click.echo(f"wrote {out}")
     for row in report.rows:
-        click.echo(
-            f"epsilon={row.epsilon:.0e}  state={row.state_error:.3e}  "
-            f"loss={row.loss_error:.3e}  average={row.average_error:.3e}"
-        )
+        click.echo(f"epsilon={experiments.epsilon_label(row.epsilon)}  "
+                   f"state={row.state_error:.3e}  loss={row.loss_error:.3e}  "
+                   f"average={row.average_error:.3e}")
 
 
 @main.command("hitting-time")
-@common_options(grid=False)
-@click.option("--eta-fraction", type=float, default=0.1, show_default=True)
+@_sweep_options
+@_TOL
+@_ETA_FRACTION
 @click.pass_context
 @handles_errors
-def hitting_time_cmd(ctx, config, instance_path, epsilons, C, k, s_max, tol,
-                     eta_fraction):
+def hitting_time_cmd(ctx, config, **options):
     """Measure hitting times of the minimizer ball across epsilons."""
-    cfg = _config_from_options(ctx, ("grid_points",), config, instance_path,
-                               epsilons, C, k, s_max, tol,
-                               eta_fraction=eta_fraction)
-    instance = cfg.resolve_instance()
-    table = experiments.run_hitting(
-        instance, *cfg.vectors(instance.d), cfg.epsilons, cfg.eta_fraction,
-        s_cap=cfg.s_max, tol=cfg.tol,
-    )
+    instance, options = _sweep_inputs(ctx, config, options)
+    table = experiments.run_hitting(instance, **options)
     written = table.write(ctx.obj["out_dir"])
     click.echo(f"wrote {written[0]} (target s_star={table.s_star:.6g})")
     for out in written[1:]:
         click.echo(f"wrote {out}")
     for row in table.rows:
-        if row.reached:
-            click.echo(f"epsilon={row.epsilon:.0e}  ratio={row.ratio:.6g}  "
-                       f"rel_error={row.relative_error:.3%}")
-        else:
-            click.echo(f"epsilon={row.epsilon:.0e}  NOT REACHED")
+        click.echo(f"epsilon={experiments.epsilon_label(row.epsilon)}  " + (
+            f"ratio={row.ratio:.6g}  rel_error={row.relative_error:.3%}"
+            if row.reached else "NOT REACHED"))
 
 
 @main.command()
-@common_options(grid=True)
+@_sweep_options
+@_GRID
+@_TOL
 @click.pass_context
 @handles_errors
-def figure1(ctx, config, instance_path, epsilons, C, k, s_max, grid, tol):
+def figure1(ctx, config, **options):
     """Emit phase-portrait data (d = 2): field, fixed points, trajectories."""
-    cfg = _config_from_options(ctx, ("eta_fraction",), config, instance_path,
-                               epsilons, C, k, s_max, tol, grid_points=grid)
-    instance = cfg.resolve_instance()
-    paths = experiments.run_figure1(
-        instance, *cfg.vectors(instance.d), cfg.epsilons, ctx.obj["out_dir"],
-        s_max=cfg.s_max, grid_points=cfg.grid_points, tol=cfg.tol,
-    )
-    for name, path in paths.items():
+    instance, options = _sweep_inputs(ctx, config, options)
+    paths = experiments.run_figure1(instance, **options,
+                                    out_dir=ctx.obj["out_dir"])
+    for path in paths.values():
         click.echo(f"wrote {path}")
 
 

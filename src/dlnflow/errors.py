@@ -139,8 +139,8 @@ class RejectionBudgetExceeded(BudgetExceeded):
 
 
 def exit_code(exc: BaseException) -> int:
-    """Map an exception to the documented CLI exit code; unreadable,
-    malformed or unwritable files count as rejected input."""
+    """Map an exception to the documented CLI exit code; files that cannot
+    be read, parsed or written count as rejected input."""
     if isinstance(exc, (ValidationError, OSError, json.JSONDecodeError)):
         return 2
     if isinstance(exc, BudgetExceeded):

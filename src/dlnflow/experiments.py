@@ -15,12 +15,15 @@ import numpy as np
 
 from . import dynamics, fixed_points, limit_path, problem
 from .errors import DimensionMismatch, DomainError, NotReached
+from .lcp import _finite_array
 from .problem import Initialization, ProblemInstance, _write_atomic
 
 CSV_SCHEMA = "dlnflow-csv v1"
 # Half-width of the windows around activation times that the compare
 # state and loss gaps exclude, as a fraction of s*.
 WINDOW_FRACTION = 0.05
+# Default hitting radius as a fraction of the smallest minimizer coordinate.
+DEFAULT_ETA_FRACTION = 0.1
 # repr() of the floats that write_csv rejects.
 _NON_FINITE = frozenset({"nan", "inf", "-inf"})
 
@@ -60,59 +63,22 @@ def _write_report(out_dir, stem: str, document: dict, *table) -> list[Path]:
     return written
 
 
-# -- configuration -----------------------------------------------------------
+# -- inputs -------------------------------------------------------------------
 
-@dataclass
-class ExperimentConfig:
-    """Declarative description of one experiment run.
+def sweep(epsilons) -> list[float]:
+    """The epsilons of a sweep, nonempty, distinct and inside (0, 1),
+    ordered by decreasing epsilon."""
+    eps = _finite_array(epsilons, "epsilons", (None,)).tolist()
+    if len(set(eps)) != len(eps):
+        raise DomainError("epsilons must be distinct")
+    if not all(0.0 < e < 1.0 for e in eps):
+        raise DomainError("epsilons must lie strictly inside (0, 1)")
+    return sorted(eps, reverse=True)
 
-    ``instance`` is either a path to an instance JSON or a generator spec
-    like {"generator": "direct", "d": 4, "seed": 7} /
-    {"generator": "rejection", "n": 5, "d": 4, "seed": 7}.
-    """
 
-    instance: str | dict
-    epsilons: list[float]
-    C: list[float] | None = None
-    k: list[float] | None = None
-    s_max: float | None = None
-    grid_points: int = 400
-    tol: float = dynamics.DEFAULT_TOL
-    eta_fraction: float = 0.1
-
-    def __post_init__(self):
-        if not isinstance(self.instance, (str, dict)):
-            raise DomainError(f"instance is neither a path nor a spec: {self.instance!r}")
-        eps = [float(e) for e in self.epsilons]
-        if not eps:
-            raise DomainError("epsilons must be nonempty")
-        if len(set(eps)) != len(eps):
-            raise DomainError("epsilons must be distinct")
-        if any(not (0.0 < e < 1.0) for e in eps):
-            raise DomainError("epsilons must lie strictly inside (0, 1)")
-        self.epsilons = eps
-
-    @classmethod
-    def from_json(cls, path, unread=()) -> "ExperimentConfig":
-        """Read a config file; ``unread`` names the fields the calling
-        command ignores, which are rejected like unknown keys."""
-        obj = problem.read_json_object(path)
-        missing = {"instance", "epsilons"} - set(obj)
-        if missing:
-            raise DomainError(f"config lacks required keys: {sorted(missing)}")
-        unknown = set(obj) - set(cls.__dataclass_fields__).difference(unread)
-        if unknown:
-            raise DomainError(f"config keys this command does not read: "
-                              f"{sorted(unknown)}")
-        return cls(**obj)
-
-    def resolve_instance(self) -> ProblemInstance:
-        if isinstance(self.instance, str):
-            return problem.load_instance(self.instance)
-        return problem.generate(self.instance)
-
-    def vectors(self, d: int) -> tuple[np.ndarray, np.ndarray]:
-        return ones_unless(self.C, d), ones_unless(self.k, d)
+def epsilon_label(eps: float) -> str:
+    """Shortest scientific text of eps: ``1e-08``, ``1.2e-08``."""
+    return np.format_float_scientific(eps, trim="-")
 
 
 def ones_unless(values, d: int):
@@ -268,9 +234,9 @@ def run_compare(
     epsilons,
     *,
     s_max: float | None = None,
-    grid_points: int = 400,
+    grid_points: int = dynamics.DEFAULT_GRID_POINTS,
     tol: float = dynamics.DEFAULT_TOL,
-    eta_fraction: float = 0.1,
+    eta_fraction: float = DEFAULT_ETA_FRACTION,
     on_failure=None,
 ) -> ComparisonReport:
     """Per-epsilon sup-norm gaps to the limiting process and its average.
@@ -283,6 +249,7 @@ def run_compare(
     monotonically. If an epsilon's row raises, ``on_failure`` is called
     with the report of the finished rows before the exception propagates.
     """
+    epsilons = sweep(epsilons)
     path = limit_path.compute_path(instance, k)
     s_star = path.s_star
     if s_max is None:
@@ -320,8 +287,8 @@ def run_compare(
 
     rows = []
     try:
-        for eps in sorted(epsilons, reverse=True):
-            init = Initialization(C=C, k=k, epsilon=float(eps))
+        for eps in epsilons:
+            init = Initialization(C=C, k=k, epsilon=eps)
             traj = dynamics.simulate(instance, init, s_max, s_grid=grid, tol=tol)
             try:
                 ratio = dynamics.hitting_time_on(traj, eta) / (-init.log_epsilon)
@@ -329,7 +296,7 @@ def run_compare(
             except NotReached:
                 ratio, reached = None, False
             rows.append(ComparisonRow(
-                epsilon=float(eps),
+                epsilon=eps,
                 state_error=_sup_gap(traj.theta, limit_theta, state_mask),
                 loss_error=_sup_gap(traj.loss_values(), limit_loss, state_mask),
                 average_error=_sup_gap(traj.averages, limit_mu, avg_mask),
@@ -378,9 +345,9 @@ def run_hitting(
     C,
     k,
     epsilons,
-    eta_fraction: float,
+    eta_fraction: float = DEFAULT_ETA_FRACTION,
     *,
-    s_cap: float | None = None,
+    s_max: float | None = None,
     tol: float = dynamics.DEFAULT_TOL,
 ) -> HittingTable:
     """Rescaled hitting times of the eta-ball around the minimizer.
@@ -389,21 +356,22 @@ def run_hitting(
     ordered by decreasing epsilon and carry the relative gap to the
     predicted convergence time.
     """
+    epsilons = sweep(epsilons)
     s_star = limit_path.convergence_time_s_star(instance, k)
-    if s_cap is None:
-        s_cap = 2.0 * s_star
+    if s_max is None:
+        s_max = 2.0 * s_star
     eta = _hitting_radius(instance, eta_fraction)
 
     rows = []
-    for eps in sorted(epsilons, reverse=True):
-        init = Initialization(C=C, k=k, epsilon=float(eps))
+    for eps in epsilons:
+        init = Initialization(C=C, k=k, epsilon=eps)
         try:
-            tau = dynamics.hitting_time(instance, init, eta, s_cap, tol=tol)
+            tau = dynamics.hitting_time(instance, init, eta, s_max, tol=tol)
             ratio = tau / (-init.log_epsilon)
             rel = abs(ratio - s_star) / s_star
-            rows.append(HittingRow(float(eps), ratio, rel, True))
+            rows.append(HittingRow(eps, ratio, rel, True))
         except NotReached:
-            rows.append(HittingRow(float(eps), None, None, False))
+            rows.append(HittingRow(eps, None, None, False))
     return HittingTable(s_star=float(s_star), eta=float(eta), rows=tuple(rows))
 
 
@@ -418,7 +386,7 @@ def run_figure1(
     *,
     field_points: int = 25,
     s_max: float | None = None,
-    grid_points: int = 400,
+    grid_points: int = dynamics.DEFAULT_GRID_POINTS,
     tol: float = dynamics.DEFAULT_TOL,
 ) -> dict[str, str]:
     """Phase-portrait data for two-dimensional instances.
@@ -427,16 +395,17 @@ def run_figure1(
     stationary points, and one trajectory file per epsilon, once every
     trajectory is simulated. Rendering is left to external tools.
     """
+    epsilons = sweep(epsilons)
     if instance.d != 2:
         raise DimensionMismatch(f"phase portrait requires d = 2, got {instance.d}")
     if s_max is None:
         s_max = 2.0 * limit_path.convergence_time_s_star(instance, k)
     s_grid = uniform_grid(s_max, grid_points)
     trajectories = {
-        f"trajectory_eps_{eps:.0e}.csv": dynamics.simulate(
-            instance, Initialization(C=C, k=k, epsilon=float(eps)), s_max,
+        f"trajectory_eps_{epsilon_label(eps)}.csv": dynamics.simulate(
+            instance, Initialization(C=C, k=k, epsilon=eps), s_max,
             s_grid=s_grid, tol=tol)
-        for eps in sorted(epsilons, reverse=True)
+        for eps in epsilons
     }
 
     points = fixed_points.enumerate_fixed_points(instance)

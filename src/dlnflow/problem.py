@@ -298,8 +298,11 @@ def from_json_dict(obj: dict) -> ProblemInstance:
     data = None
     if obj.get("X") is not None and obj.get("y") is not None:
         data = RegressionData(X=obj["X"], y=obj["y"])
+    meta = obj.get("meta", {})
+    if not isinstance(meta, dict):
+        raise DomainError(f"meta must be a JSON object, got {meta!r}")
     return ProblemInstance(M=obj.get("M"), r=obj.get("r"), data=data,
-                           meta=dict(obj.get("meta", {})))
+                           meta=dict(meta))
 
 
 def _write_atomic(path, write) -> Path:
@@ -333,3 +336,13 @@ def read_json_object(path) -> dict:
 
 def load_instance(path) -> ProblemInstance:
     return from_json_dict(read_json_object(path))
+
+
+def resolve_instance(source) -> ProblemInstance:
+    """The instance at a path, or the one a generator spec builds (see
+    :func:`generate`)."""
+    if isinstance(source, str):
+        return load_instance(source)
+    if isinstance(source, dict):
+        return generate(source)
+    raise DomainError(f"instance is neither a path nor a spec: {source!r}")

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import deadline
-from dlnflow import ExperimentConfig, dynamics, generate_direct, lcp, save_instance
+from dlnflow import dynamics, generate_direct, lcp, problem, save_instance
 from dlnflow.cli import main
 from dlnflow.errors import StepUnderflow
 
@@ -126,7 +126,7 @@ class TestGen:
             assert result.exit_code == 0
         else:
             spec = {"generator": "rejection", "n": 3, "d": 2, "seed": 7}
-            ExperimentConfig(instance=spec, epsilons=[1e-8]).resolve_instance()
+            problem.resolve_instance(spec)
         assert len(calls) == 1
 
 
@@ -314,6 +314,19 @@ class TestExperimentsCommands:
         assert (tmp_path / "fixed_points.json").exists()
         assert (tmp_path / "trajectory_eps_1e-08.csv").exists()
 
+    def test_figure1_names_every_epsilon_apart(self, runner, tmp_path):
+        # 1e-8 and 1.2e-8 agree to one significant digit.
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(TRIDIAG_JSON))
+        out = tmp_path / "out"
+        result = invoke(runner, [
+            "--out-dir", str(out), "figure1", "--instance", str(inst),
+            "--epsilons", "1e-8,1.2e-8", "--grid", "20",
+        ])
+        assert result.exit_code == 0
+        names = sorted(p.name for p in out.glob("trajectory_eps_*.csv"))
+        assert names == ["trajectory_eps_1.2e-08.csv", "trajectory_eps_1e-08.csv"]
+        assert result.output.count("wrote") == 4
 
     def test_partial_results_flushed_on_hitting_failure(self, runner, tmp_path,
                                                         monkeypatch):
@@ -479,6 +492,47 @@ class TestInputExitCodes:
         assert not out.exists()
 
 
+# Each experiment command with every option it reads, as flag text and as
+# the config value that must behave the same; None is a flag left out.
+EVERY_OPTION = {
+    "compare": {"epsilons": ("1e-6,1e-10", [1e-6, 1e-10]),
+                "C": ("1,2", [1, 2.0]), "k": ("1,1.5", [1, 1.5]),
+                "s_max": ("2.0", 2), "grid_points": ("60", "60"),
+                "tol": ("1e-10", 1e-10), "eta_fraction": ("0.2", 0.2)},
+    "hitting-time": {"epsilons": ("1e-8", 1e-8),
+                     "C": ("2,1", [2, 1]), "k": ("1.5,1", [1.5, 1]),
+                     "s_max": ("3", 3.0), "tol": ("1e-10", "1e-10"),
+                     "eta_fraction": ("0.3", 0.3)},
+    "figure1": {"epsilons": ("1e-8,1e-20", [1e-8, 1e-20]),
+                "C": (None, None), "k": ("2,1", [2, 1]), "s_max": ("1.5", 1.5),
+                "grid_points": ("30", [30]), "tol": ("1e-10", 1e-10)},
+}
+
+
+@pytest.mark.parametrize("command", EVERY_OPTION)
+def test_config_sets_what_the_flags_set(runner, tmp_path, command):
+    # A config value is read as the text its flag would carry; null is an
+    # absent key, and a default equals the flag left out.
+    flag = {p.name: p.opts[0] for p in main.commands[command].params}
+    options = EVERY_OPTION[command]
+    assert set(flag) == {"config", "instance", *options}
+    inst = _instance(tmp_path, TRIDIAG_JSON)
+    flags = [text for name, (flag_text, _) in options.items()
+             if flag_text is not None for text in (flag[name], flag_text)]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"instance": inst, **{
+        name: value for name, (_, value) in options.items()}}))
+    outputs = []
+    for out, args in (("flags", ["--instance", inst, *flags]),
+                      ("config", ["--config", str(config)])):
+        result = invoke(runner, ["--out-dir", str(tmp_path / out), command, *args])
+        assert result.exit_code == 0
+        files = sorted((tmp_path / out).iterdir())
+        outputs.append((result.output.replace(str(tmp_path / out), "<out>"),
+                        [(p.name, p.read_bytes()) for p in files]))
+    assert outputs[0] == outputs[1]
+
+
 def _config(tmp_path, text):
     config = tmp_path / "config.json"
     config.write_text(text)
@@ -488,6 +542,13 @@ def _config(tmp_path, text):
 def _spec_config(tmp_path, spec):
     return ["--out-dir", str(tmp_path / "out")] + _config(
         tmp_path, json.dumps({"instance": spec, "epsilons": [1e-8]}))
+
+
+def _value_config(tmp_path, **values):
+    """compare from a config whose other keys are valid."""
+    return ["--out-dir", str(tmp_path / "out")] + _config(tmp_path, json.dumps({
+        "instance": _instance(tmp_path, TRIDIAG_JSON), "epsilons": [1e-8],
+        **values}))
 
 
 def _instance(tmp_path, obj):
@@ -640,6 +701,29 @@ MALFORMED = {
     "spec with a string parameter": lambda tmp: (
         _spec_config(tmp, {"generator": "direct", "d": "3", "seed": 1}),
         "error: direct generator spec: bad d '3'"),
+    "instance meta not an object": lambda tmp: (
+        ["fixed-points", "--instance", _instance(tmp, {**TRIDIAG_JSON, "meta": 5})],
+        "error: meta must be a JSON object, got 5"),
+    "config epsilons not numbers": lambda tmp: (
+        _value_config(tmp, epsilons=["a"]),
+        "Invalid value for '--epsilons': 'a' is not a comma-separated list"),
+    "config tol a word": lambda tmp: (
+        _value_config(tmp, tol="x"), "Invalid value for '--tol': 'x'"),
+    "config grid_points a fraction": lambda tmp: (
+        _value_config(tmp, grid_points=5.7),
+        "Invalid value for '--grid': '5.7' is not a valid integer"),
+    "config grid_points a list of two": lambda tmp: (
+        _value_config(tmp, grid_points=[5, 6]), "Invalid value for '--grid': '5,6'"),
+    "config epsilons nested": lambda tmp: (
+        _value_config(tmp, epsilons=[[1e-8]]),
+        "Invalid value for '--epsilons': '[1e-08]'"),
+    "config epsilons empty": lambda tmp: (
+        _value_config(tmp, epsilons=[]), "Invalid value for '--epsilons': ''"),
+    "config epsilons repeated": lambda tmp: (
+        _value_config(tmp, epsilons=[1e-8, 1e-8]), "error: epsilons must be distinct"),
+    "config instance null": lambda tmp: (
+        _value_config(tmp, instance=None),
+        "error: config lacks required keys: ['instance']"),
     "gen with a negative seed": lambda tmp: (
         ["gen", "--d", "2", "--seed", "-1", "--out", str(tmp / "inst.json")],
         "error: direct generator spec: bad seed -1"),

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import scalar_logistic
 from dlnflow import (
-    ExperimentConfig,
     ProblemInstance,
     compute_path,
     from_data,
@@ -19,7 +18,8 @@ from dlnflow import (
     run_hitting,
     theta_star_of_s,
 )
-from dlnflow.errors import DimensionMismatch, DomainError
+from dlnflow import dynamics, limit_path
+from dlnflow.errors import DimensionMismatch, DomainError, NonFinite
 from dlnflow.experiments import write_csv
 
 ONES2 = np.ones(2)
@@ -136,7 +136,7 @@ class TestRunHitting:
 
     def test_not_reached_flagged(self, scalar_instance):
         table = run_hitting(scalar_instance, [1.0], [1.0], [1e-8],
-                            eta_fraction=0.1, s_cap=0.5)
+                            eta_fraction=0.1, s_max=0.5)
         assert not table.rows[0].reached
         assert table.rows[0].ratio is None
 
@@ -149,6 +149,51 @@ class TestRunHitting:
             with pytest.raises(DomainError):
                 run_compare(scalar_instance, [1.0], [1.0], [1e-8],
                             eta_fraction=fraction)
+
+
+class TestSweep:
+    """The three harnesses validate their epsilons once, before any work."""
+
+    RUNNERS = {
+        "compare": lambda inst, eps, tmp: run_compare(inst, ONES2, ONES2, eps),
+        "hitting": lambda inst, eps, tmp: run_hitting(inst, ONES2, ONES2, eps),
+        "figure1": lambda inst, eps, tmp: run_figure1(inst, ONES2, ONES2, eps, tmp),
+    }
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    @pytest.mark.parametrize("eps, error", [
+        ([], DimensionMismatch), ([0.5, 0.5], DomainError), ([1.5], DomainError),
+        ([0.0], DomainError), ([1e-8, np.nan], NonFinite), ("x", DimensionMismatch),
+    ])
+    def test_invalid_epsilons(self, separable_instance, tmp_path, monkeypatch,
+                              runner, eps, error):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work began before the epsilons were checked")
+
+        for name in ("compute_path", "convergence_time_s_star"):
+            monkeypatch.setattr(limit_path, name, no_work)
+        monkeypatch.setattr(dynamics, "simulate", no_work)
+        with pytest.raises(error):
+            self.RUNNERS[runner](separable_instance, eps, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_compare_flushes_nothing_for_a_bad_epsilon(self, scalar_instance):
+        partials = []
+        with pytest.raises(NonFinite):
+            run_compare(scalar_instance, [1.0], [1.0], [1e-8, np.nan],
+                        on_failure=partials.append)
+        assert partials == []
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_rows_by_decreasing_epsilon(self, separable_instance, tmp_path, runner):
+        result = self.RUNNERS[runner](separable_instance, [1e-12, 1e-6, 1e-9],
+                                      tmp_path)
+        if runner == "figure1":
+            assert [name for name in result if name.startswith("trajectory")] == [
+                "trajectory_eps_1e-06.csv", "trajectory_eps_1e-09.csv",
+                "trajectory_eps_1e-12.csv"]
+        else:
+            assert [row.epsilon for row in result.rows] == [1e-6, 1e-9, 1e-12]
 
 
 class TestRunFigure1:
@@ -213,66 +258,6 @@ class TestRunFigure1:
         inst = ProblemInstance(M=np.eye(3), r=[1.0, 1.0, 1.0])
         with pytest.raises(DimensionMismatch):
             run_figure1(inst, np.ones(3), np.ones(3), [1e-8], tmp_path)
-
-
-class TestExperimentConfig:
-    def test_roundtrip_from_json(self, tmp_path):
-        cfg = dict(
-            instance={"generator": "direct", "d": 3, "seed": 2},
-            epsilons=[1e-8, 1e-12],
-            grid_points=100,
-        )
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(cfg))
-        config = ExperimentConfig.from_json(path)
-        inst = config.resolve_instance()
-        assert inst.d == 3
-        C, k = config.vectors(3)
-        np.testing.assert_array_equal(C, np.ones(3))
-
-    def test_instance_from_file(self, tmp_path):
-        from dlnflow import save_instance
-
-        inst, _ = generate_direct(d=2, seed=4)
-        p = tmp_path / "inst.json"
-        save_instance(inst, p)
-        config = ExperimentConfig(instance=str(p), epsilons=[1e-8])
-        loaded = config.resolve_instance()
-        np.testing.assert_allclose(loaded.M, inst.M)
-
-    @pytest.mark.parametrize(
-        "eps", [[], [0.5, 0.5], [1.5], [0.0]],
-    )
-    def test_invalid_epsilons(self, eps):
-        with pytest.raises(DomainError):
-            ExperimentConfig(instance="x.json", epsilons=eps)
-
-    @pytest.mark.parametrize("instance", [7, None, ["x.json"]])
-    def test_instance_is_a_path_or_a_spec(self, instance):
-        with pytest.raises(DomainError, match="neither a path nor a spec"):
-            ExperimentConfig(instance=instance, epsilons=[1e-8])
-
-    def test_config_is_an_object(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text("[5]")
-        with pytest.raises(DomainError, match="holds a JSON list, not an object"):
-            ExperimentConfig.from_json(path)
-
-    def test_unknown_keys_rejected(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"instance": "x", "epsilons": [0.1],
-                                    "bogus": 1}))
-        with pytest.raises(DomainError):
-            ExperimentConfig.from_json(path)
-
-    def test_rejection_generator_spec(self):
-        config = ExperimentConfig(
-            instance={"generator": "rejection", "n": 4, "d": 2, "seed": 3},
-            epsilons=[1e-8],
-        )
-        inst = config.resolve_instance()
-        assert inst.meta["generator"] == "rejection"
-        assert inst.data is not None
 
 
 class TestWriters:

@@ -16,7 +16,7 @@ from dlnflow import (
     loss_gradient,
     save_instance,
 )
-from dlnflow.problem import from_json_dict, generate, to_json_dict
+from dlnflow.problem import from_json_dict, generate, resolve_instance, to_json_dict
 from dlnflow.errors import (
     AssumptionViolated,
     DegenerateScale,
@@ -346,3 +346,28 @@ class TestGenerateSpec:
     def test_offdiag_scale_may_be_any_number_or_absent(self, scale):
         spec = {"generator": "direct", "d": 3, "seed": 1, "offdiag_scale": scale}
         assert generate(spec).d == 3
+
+
+class TestResolveInstance:
+    """An experiment's instance is a path or a generator spec."""
+
+    def test_path(self, tmp_path):
+        inst, _ = generate_direct(d=2, seed=4)
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        np.testing.assert_allclose(resolve_instance(str(path)).M, inst.M)
+
+    @pytest.mark.parametrize("spec", [
+        {"generator": "direct", "d": 3, "seed": 2},
+        {"generator": "rejection", "n": 4, "d": 2, "seed": 3},
+    ])
+    def test_spec(self, spec):
+        inst = resolve_instance(spec)
+        assert inst.d == spec["d"]
+        assert inst.meta["generator"] == spec["generator"]
+        assert inst.data is not None
+
+    @pytest.mark.parametrize("source", [7, None, ["x.json"]])
+    def test_neither_path_nor_spec(self, source):
+        with pytest.raises(DomainError, match="neither a path nor a spec"):
+            resolve_instance(source)
