@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from conftest import scalar_logistic
 from dlnflow import (
@@ -19,6 +20,7 @@ from dlnflow import (
     theta_star_of_s,
 )
 from dlnflow import dynamics, limit_path
+from dlnflow.cli import main
 from dlnflow.errors import DimensionMismatch, DomainError, NonFinite
 from dlnflow.experiments import write_csv
 
@@ -258,6 +260,32 @@ class TestRunFigure1:
         inst = ProblemInstance(M=np.eye(3), r=[1.0, 1.0, 1.0])
         with pytest.raises(DimensionMismatch):
             run_figure1(inst, np.ones(3), np.ones(3), [1e-8], tmp_path)
+
+
+class TestExperimentConfig:
+    """A sweep's ``--config`` file: one JSON object keyed by option name."""
+
+    def test_config_is_an_object(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[5]")
+        result = CliRunner().invoke(main, ["--out-dir", str(tmp_path),
+                                           "compare", "--config", str(path)])
+        assert result.exit_code == 2
+        assert "holds a JSON list, not an object" in result.output
+
+    def test_unknown_keys_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "instance": {"generator": "direct", "d": 2, "seed": 1},
+            "epsilons": [0.1], "bogus": 1,
+        }))
+        for command in ("compare", "hitting-time", "figure1"):
+            result = CliRunner().invoke(main, ["--out-dir", str(tmp_path),
+                                               command, "--config", str(path)])
+            assert result.exit_code == 2
+            assert ("config keys this command does not read: ['bogus']"
+                    in result.output)
+        assert sorted(tmp_path.iterdir()) == [path]
 
 
 class TestWriters:
