@@ -6,8 +6,6 @@ from .dynamics import (
     Trajectory,
     hitting_time,
     hitting_time_on,
-    in_invariant_region,
-    lyapunov,
     simulate,
 )
 from .experiments import (
@@ -17,15 +15,13 @@ from .experiments import (
     run_figure1,
     run_hitting,
 )
-from .fixed_points import FixedPoint, enumerate_fixed_points, fixed_point, is_fixed_point
-from .lcp import LcpSolution, solve_lcp, solve_lcp_bruteforce, solve_qp_nonneg
+from .fixed_points import FixedPoint, enumerate_fixed_points, fixed_point
+from .lcp import LcpSolution, solve_lcp, solve_qp_nonneg
 from .limit_path import (
     LimitPath,
     PathSegment,
     compute_path,
     convergence_time_s_star,
-    mu,
-    solve_limit_lcp,
     theta_star_of_s,
 )
 from .problem import (
@@ -37,7 +33,6 @@ from .problem import (
     generate_rejection,
     load_instance,
     loss,
-    loss_gradient,
     save_instance,
 )
 
@@ -64,21 +59,14 @@ __all__ = [
     "generate_rejection",
     "hitting_time",
     "hitting_time_on",
-    "in_invariant_region",
-    "is_fixed_point",
     "load_instance",
     "loss",
-    "loss_gradient",
-    "lyapunov",
-    "mu",
     "run_compare",
     "run_figure1",
     "run_hitting",
     "save_instance",
     "simulate",
     "solve_lcp",
-    "solve_lcp_bruteforce",
     "solve_qp_nonneg",
-    "solve_limit_lcp",
     "theta_star_of_s",
 ]

@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, MonotonicityViolated, NotReached, OutOfRange
-from .fixed_points import FixedPoint
 from .integrate import IntegratorStats, integrate
 from .problem import Initialization, ProblemInstance, loss
 
@@ -225,32 +224,3 @@ def hitting_time(
         )
     trajectory = simulate(instance, init, s_cap, s_grid=np.array([0.0, s_cap]), tol=tol)
     return hitting_time_on(trajectory, eta)
-
-
-def lyapunov(theta, fp: FixedPoint) -> float:
-    """Energy sum_{i in support} (theta_i - theta*_i log theta_i).
-
-    Along the flow this decreases up to vanishing corrections while the
-    trajectory travels the plateau of the given stationary point; exposed
-    as a diagnostic.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if not fp.support:
-        return 0.0
-    idx = np.array(fp.support, dtype=int)
-    vals = theta[idx]
-    if np.any(vals <= 0.0):
-        raise DomainError("theta must be strictly positive on the support")
-    return float(np.sum(vals - fp.theta[idx] * np.log(vals)))
-
-
-def in_invariant_region(
-    instance: ProblemInstance, theta, slack: float = 1e-10
-) -> bool:
-    """Membership in {theta >= 0 : r - M theta >= 0}, up to slack on the
-    residual side; this region is forward-invariant and forces monotone
-    trajectories."""
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta < 0.0):
-        return False
-    return bool(np.all(instance.r - instance.M @ theta >= -slack))

@@ -75,14 +75,6 @@ class PivotCycle(NumericalFailure):
     """Active-set pivoting exceeded its safety bound without converging."""
 
 
-class NoSolution(NumericalFailure):
-    """Exhaustive support enumeration found no complementary pair."""
-
-
-class MultipleSolutions(NumericalFailure):
-    """Exhaustive support enumeration found more than one complementary pair."""
-
-
 class MaxIterations(NumericalFailure):
     """Iterative solver hit its iteration cap; carries the final residual."""
 

@@ -244,7 +244,8 @@ def run_compare(
     The state and loss gaps are taken over the grid minus windows of radius
     ``WINDOW_FRACTION * s*`` around each activation time, where uniform
     convergence provably fails; the windows are recorded in the report. The
-    average gap is taken over [0.1 s*, s_max]. With several epsilons
+    average gap is taken over [0.1 s*, s_max]; a grid with no point for
+    either gap raises ``DomainError``. With several epsilons
     (ordered decreasing) the report flags whether each gap decreases
     monotonically. If an epsilon's row raises, ``on_failure`` is called
     with the report of the finished rows before the exception propagates.
@@ -263,6 +264,9 @@ def run_compare(
         state_mask &= ~((grid >= lo) & (grid <= hi))
     avg_lo = 0.1 * s_star
     avg_mask = (grid >= avg_lo) & (grid <= s_max)
+    if not (state_mask.any() and avg_mask.any()):
+        raise DomainError(f"no grid point to compare: the state gap needs one off "
+                          f"{windows}, the average gap one in [{avg_lo}, {s_max}]")
 
     limit_theta, limit_loss, limit_mu = _limit_on_grid(instance, path, grid)
     eta = _hitting_radius(instance, eta_fraction)

@@ -74,12 +74,3 @@ def enumerate_fixed_points(instance: ProblemInstance) -> list[FixedPoint]:
         support = [i for i in range(d) if (mask >> i) & 1]
         points.append(fixed_point(instance, support))
     return points
-
-
-def is_fixed_point(instance: ProblemInstance, theta, tol: float) -> bool:
-    """True when the flow's vector field vanishes at theta within tol."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (instance.d,):
-        raise DimensionMismatch(f"theta must have shape ({instance.d},)")
-    field = theta * (instance.r - instance.M @ theta)
-    return bool(np.max(np.abs(field)) <= tol)

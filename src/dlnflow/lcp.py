@@ -8,8 +8,9 @@ K-matrices make the solution unique and monotone in q, which the pivoting
 solver exploits: inverses of principal submatrices have nonnegative entries,
 so growing the active set never pushes a primal coordinate negative; one
 Cholesky factor, extended a row per activation, serves every solve. A
-brute-force enumerator and a projected-gradient bound-constrained QP solver
-provide two independent cross-checks.
+projected-gradient bound-constrained QP solver is an independent
+cross-check; the test suite keeps a brute-force support enumerator as a
+second one (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -21,11 +22,8 @@ from scipy.linalg import LinAlgError, cho_factor, solve_triangular
 
 from .errors import (
     DimensionMismatch,
-    DimensionTooLarge,
     MaxIterations,
-    MultipleSolutions,
     NonFinite,
-    NoSolution,
     NotKMatrix,
     PivotCycle,
     PositivityViolation,
@@ -34,8 +32,6 @@ from .errors import (
 
 # Strict-inequality threshold; scale-relative on non-unit-scale data.
 STRICT_TOL = 1e-12
-
-BRUTEFORCE_MAX_DIM = 20
 
 
 @dataclass(frozen=True)
@@ -175,50 +171,6 @@ def solve_lcp(q, M) -> LcpSolution:
     support = tuple(np.flatnonzero(z > STRICT_TOL).tolist())
     w = np.maximum(w, 0.0)
     return LcpSolution(w=w, z=z, support=support)
-
-
-def solve_lcp_bruteforce(q, M) -> LcpSolution:
-    """Solve by enumerating all 2^d supports; oracle for the pivoting path.
-
-    A support I passes when z_I = -(M_II)^{-1} q_I is strictly positive and
-    the induced dual vector is nonnegative. Uniqueness of the passing
-    support is part of the contract: zero passes mean the problem is
-    infeasible for this matrix class, several mean M is not a K-matrix or
-    the data sits on a degenerate boundary.
-    """
-    q = _finite_array(q, "q", (None,))
-    M = _finite_array(M, "M", (q.size, q.size))
-    d = q.size
-    if d > BRUTEFORCE_MAX_DIM:
-        raise DimensionTooLarge(f"brute force limited to d <= {BRUTEFORCE_MAX_DIM}")
-
-    winners: list[LcpSolution] = []
-    for mask in range(2 ** d):
-        idx = np.flatnonzero([(mask >> i) & 1 for i in range(d)])
-        z = np.zeros(d)
-        if idx.size:
-            try:
-                z_active = np.linalg.solve(M[np.ix_(idx, idx)], -q[idx])
-            except np.linalg.LinAlgError:
-                continue
-            if np.any(z_active <= STRICT_TOL):
-                continue
-            z[idx] = z_active
-        w = q + M @ z
-        w[idx] = 0.0
-        if np.any(w < -STRICT_TOL):
-            continue
-        winners.append(
-            LcpSolution(w=np.maximum(w, 0.0), z=z, support=tuple(idx.tolist()))
-        )
-
-    if not winners:
-        raise NoSolution("no support passes the sign checks")
-    if len(winners) > 1:
-        raise MultipleSolutions(
-            f"{len(winners)} supports pass: {[s.support for s in winners]}"
-        )
-    return winners[0]
 
 
 def solve_qp_nonneg(q, M, tol: float = 1e-10, max_iter: int = 500_000) -> np.ndarray:

@@ -100,26 +100,14 @@ def _check_k(instance: ProblemInstance, k) -> np.ndarray:
     return k
 
 
-def solve_limit_lcp(instance: ProblemInstance, k, s: float) -> lcp.LcpSolution:
-    """Pointwise solve of the parametric problem at rescaled time s."""
-    k = _check_k(instance, k)
-    if s <= 0.0:
-        raise OutOfRange("s must be positive")
-    return lcp.solve_lcp(k - s * instance.r, instance.M)
-
-
-def mu(instance: ProblemInstance, k, s: float) -> np.ndarray:
-    """Minimizer of f + <k, theta>/s over theta >= 0, via z(s) = s mu(s)."""
-    return solve_limit_lcp(instance, k, s).z / s
-
-
 def compute_path(instance: ProblemInstance, k) -> LimitPath:
     """Exact homotopy in s.
 
     The empty active set is valid on (0, min_i k_i / r_i). With active set
     I, the inactive dual coordinates are affine in s; the next breakpoint
     is the smallest root beyond the current one, and every coordinate tied
-    at that root activates simultaneously. Coordinates never deactivate,
+    at that root activates simultaneously; a root within tolerance of the
+    current breakpoint joins that breakpoint. Coordinates never deactivate,
     so the loop ends after at most d events with the full set; the last
     breakpoint is the convergence time, cross-checked against its closed
     form max_i (M^{-1} k)_i / (M^{-1} r)_i. Activations append rows to one
@@ -152,7 +140,12 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
             roots = np.full(d, np.inf)
             cand = inactive[w_slp[inactive] < 0.0]
             roots[cand] = -w_int[cand] / w_slp[cand]
-            roots[roots <= s_cur + BREAKPOINT_TOL * max(1.0, s_cur)] = np.inf
+            # A root within tolerance of s_cur joins at s_cur: joins only
+            # pull the other roots earlier, so a skipped one never returns.
+            late = np.flatnonzero(roots <= s_cur + BREAKPOINT_TOL * max(1.0, s_cur))
+            if late.size:
+                factor.append(late)
+                continue
             s_next = float(np.min(roots))
             if not np.isfinite(s_next):
                 raise PathInconsistent(

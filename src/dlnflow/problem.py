@@ -270,16 +270,6 @@ def loss(instance: ProblemInstance, theta) -> float | np.ndarray:
     return float(value) if theta.ndim == 1 else value
 
 
-def loss_gradient(instance: ProblemInstance, theta) -> np.ndarray:
-    """Gradient M theta - r of the quadratic loss."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (instance.d,):
-        raise DimensionMismatch(f"theta must have shape ({instance.d},)")
-    return instance.M @ theta - instance.r
-
-
-# -- serialization ----------------------------------------------------------
-
 def to_json_dict(instance: ProblemInstance) -> dict:
     obj = {
         "M": instance.M.tolist(),

@@ -29,12 +29,11 @@ from dlnflow import (
     run_compare,
     simulate,
     solve_lcp,
-    solve_lcp_bruteforce,
-    solve_limit_lcp,
     solve_qp_nonneg,
     theta_star_of_s,
 )
 from dlnflow.problem import loss
+from oracles import solve_lcp_bruteforce, solve_limit_lcp
 
 SIM_TOL = 1e-11
 INVARIANT_SLACK = 1e-10

@@ -724,6 +724,12 @@ MALFORMED = {
     "config instance null": lambda tmp: (
         _value_config(tmp, instance=None),
         "error: config lacks required keys: ['instance']"),
+    "compare state window empty": lambda tmp: (
+        _experiment(tmp, "compare", "--s-max", "1.0", "--grid", "2"),
+        "error: no grid point to compare"),
+    "compare average window empty": lambda tmp: (
+        _experiment(tmp, "compare", "--s-max", "0.05"),
+        "error: no grid point to compare"),
     "gen with a negative seed": lambda tmp: (
         ["gen", "--d", "2", "--seed", "-1", "--out", str(tmp / "inst.json")],
         "error: direct generator spec: bad seed -1"),

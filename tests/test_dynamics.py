@@ -8,9 +8,7 @@ from dlnflow import (
     fixed_point,
     hitting_time,
     hitting_time_on,
-    in_invariant_region,
     loss,
-    lyapunov,
     simulate,
 )
 from dlnflow.errors import (
@@ -19,6 +17,7 @@ from dlnflow.errors import (
     NotReached,
     OutOfRange,
 )
+from oracles import in_invariant_region, lyapunov
 
 TIGHT_TOL = 1e-11
 

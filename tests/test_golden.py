@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -129,8 +130,6 @@ def test_golden(name, tmp_path):
 
 
 if __name__ == "__main__":
-    import tempfile
-
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in CASES:
         with tempfile.TemporaryDirectory() as tmp:

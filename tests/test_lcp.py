@@ -2,18 +2,17 @@ import numpy as np
 import pytest
 
 from conftest import random_k_matrix
-from dlnflow import solve_lcp, solve_lcp_bruteforce, solve_qp_nonneg
+from dlnflow import solve_lcp, solve_qp_nonneg
 from dlnflow.errors import (
     DimensionMismatch,
     DimensionTooLarge,
     MaxIterations,
-    MultipleSolutions,
-    NoSolution,
     NonFinite,
     NotKMatrix,
     SingularSubmatrix,
 )
 from dlnflow.lcp import ActiveSetCholesky
+from oracles import MultipleSolutions, NoSolution, solve_lcp_bruteforce
 
 TRIDIAG = np.array([[2.0, -1.0], [-1.0, 2.0]])
 

@@ -10,8 +10,6 @@ from dlnflow import (
     convergence_time_s_star,
     from_data,
     generate_rejection,
-    mu,
-    solve_limit_lcp,
     solve_qp_nonneg,
     theta_star_of_s,
 )
@@ -26,6 +24,7 @@ from dlnflow.errors import (
 )
 from dlnflow.limit_path import _verify_segment
 from dlnflow.problem import loss
+from oracles import mu, solve_limit_lcp
 
 ONES = np.ones(2)
 
@@ -101,6 +100,18 @@ class TestComputePath:
         path = compute_path(inst, ONES)
         np.testing.assert_allclose(path.breakpoints, [1.0])
         assert [seg.active for seg in path.segments] == [(), (0, 1)]
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-14, 1e-12, 1e-11, 1e-9])
+    def test_near_tied_activations_all_join(self, delta):
+        # An exchangeable block whose roots all lie within about delta of
+        # each other: after each event, later roots can fall within the
+        # breakpoint tolerance of it, and must join at that event.
+        d = 64
+        M = 1.5 * np.eye(d) - (0.5 / d) * np.ones((d, d))
+        for seed in range(5):
+            r = 1.0 + delta * np.random.default_rng(seed).normal(size=d)
+            path = compute_path(ProblemInstance(M=M, r=r), np.ones(d))
+            assert path.segments[-1].active == tuple(range(d))
 
     def test_nestedness_and_segment_count(self, rng):
         for _ in range(15):

@@ -16,11 +16,11 @@ from dlnflow import (
     generate_direct,
     simulate,
     solve_lcp,
-    solve_lcp_bruteforce,
     solve_qp_nonneg,
 )
 from dlnflow.dynamics import DEFAULT_TOL, MONOTONE_RUNTIME_TOL, hitting_time_on
 from dlnflow.errors import NotReached
+from oracles import solve_lcp_bruteforce
 
 AGREE_TOL = 1e-8
 
