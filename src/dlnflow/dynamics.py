@@ -112,6 +112,7 @@ def simulate(
     s_max: float,
     s_grid=None,
     tol: float = DEFAULT_TOL,
+    stop=None,
 ) -> Trajectory:
     """Integrate the flow up to rescaled time s_max.
 
@@ -122,6 +123,11 @@ def simulate(
     enough to start inside the invariant region, so a decrease means
     epsilon is too large for the asymptotic regime (or the integration
     broke down).
+
+    If ``stop(w)`` is true at the log coordinates w of an accepted step's
+    endpoint, integration ends there, after that step's monotonicity check.
+    The trajectory's ``s_max`` is then that endpoint, and it is sampled only
+    on the grid points up to it.
     """
     if init.C.shape[0] != instance.d:
         raise DomainError(f"initialization has dimension {init.C.shape[0]}, "
@@ -172,11 +178,15 @@ def simulate(
         atol=tol,
         max_step=h_stab,
         step_callback=check_monotone,
+        stop=stop,
     )
+    if stop is not None:
+        s_grid = s_grid[s_grid <= result.s]
     return Trajectory(instance, init, s_grid, result.dense, result.stats, result.s)
 
 
-def hitting_time_on(trajectory: Trajectory, eta: float) -> float:
+def hitting_time_on(trajectory: Trajectory, eta: float, *,
+                    s_cap: float | None = None) -> float:
     """First physical time t with ||theta(t) - M^{-1} r||_2 <= eta.
 
     An instance's M is a certified K-matrix, so M^{-1} >= 0 entrywise. A
@@ -185,17 +195,24 @@ def hitting_time_on(trajectory: Trajectory, eta: float) -> float:
     region {r - M theta >= 0}, that is theta <= M^{-1} r componentwise.
     Every coordinate of M^{-1} r - theta(s) is therefore nonnegative and,
     up to the integration tolerance, nonincreasing, and so is the l2 gap:
-    the ball is entered once, and a bisection on [0, s_max] finds that time
+    the ball is entered once, and a bisection on [0, s_cap] finds that time
     to relative accuracy 1e-6.
+
+    ``s_cap`` (default: the trajectory's end ``s_max``) may lie past that
+    end, where the gap is read at the end: by monotonicity it stays <= 0
+    once the end lies inside the ball, as in a trajectory ``hitting_time``
+    stopped there, and the midpoints are those of a run to ``s_cap``.
     """
     target = trajectory.instance.minimizer()
+    s_end = trajectory.s_max
 
     def gap(s):
-        return float(np.linalg.norm(trajectory.theta_at(s) - target)) - eta
+        theta = trajectory.theta_at(min(s, s_end))
+        return float(np.linalg.norm(theta - target)) - eta
 
     if gap(0.0) <= 0.0:
         return 0.0
-    lo, hi = 0.0, trajectory.s_max
+    lo, hi = 0.0, s_end if s_cap is None else s_cap
     if gap(hi) > 0.0:
         raise NotReached(hi)
     while hi - lo > HITTING_REL_ACCURACY * max(hi, 1e-300):
@@ -215,12 +232,24 @@ def hitting_time(
     tol: float = DEFAULT_TOL,
 ) -> float:
     """Simulate and return the physical hitting time of the eta-ball
-    around the unconstrained minimizer."""
+    around the unconstrained minimizer.
+
+    Integration stops at the first accepted step that ends inside the
+    closed ball; ``NotReached(s_cap)`` is raised if none does. The bisection
+    still spans [0, s_cap]. Monotonicity is certified up to the stop only:
+    a drop after the hit no longer raises ``MonotonicityViolated``.
+    """
     target = instance.minimizer()
     if not eta < float(np.min(target)):
         raise DomainError(
             f"eta={eta:g} must be smaller than every minimizer coordinate "
             f"(min {float(np.min(target)):g})"
         )
-    trajectory = simulate(instance, init, s_cap, s_grid=np.array([0.0, s_cap]), tol=tol)
-    return hitting_time_on(trajectory, eta)
+    log_eps = init.log_epsilon
+
+    def inside(w):
+        return np.linalg.norm(np.exp(w * log_eps) - target) <= eta
+
+    trajectory = simulate(instance, init, s_cap, s_grid=np.array([0.0, s_cap]),
+                          tol=tol, stop=inside)
+    return hitting_time_on(trajectory, eta, s_cap=s_cap)

@@ -123,13 +123,15 @@ def integrate(
     atol: float,
     max_step: float = np.inf,
     step_callback: Callable[[float, np.ndarray, float, np.ndarray], None] | None = None,
+    stop: Callable[[np.ndarray], bool] | None = None,
 ) -> IntegrationResult:
     """Integrate y' = f(s, y) from s0 to s_end.
 
     Error control is mixed (atol + rtol * |y|) and RMS-normed over every
     component. After each accepted step
     ``step_callback(s_old, y_old, s_new, y_new)`` may raise to abort with a
-    domain-specific diagnosis.
+    domain-specific diagnosis. Then, if ``stop(y_new)`` is true, integration
+    ends there: the result's ``s`` and ``y`` are that step's endpoint.
     """
     y = np.array(y0, dtype=float)
     n = y.size
@@ -188,6 +190,8 @@ def integrate(
         s += h
         y = y_new
         k[0] = k[6]  # FSAL
+        if stop is not None and stop(y):
+            break
 
         if err_norm == 0.0:
             factor = _MAX_FACTOR

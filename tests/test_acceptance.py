@@ -13,7 +13,6 @@ the invariant criterion.
 from dataclasses import dataclass
 
 import numpy as np
-import pytest
 
 from conftest import random_k_matrix, random_instance, scalar_logistic
 from dlnflow import (
@@ -32,7 +31,6 @@ from dlnflow import (
     solve_qp_nonneg,
     theta_star_of_s,
 )
-from dlnflow.problem import loss
 from oracles import solve_lcp_bruteforce, solve_limit_lcp
 
 SIM_TOL = 1e-11

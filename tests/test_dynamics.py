@@ -8,7 +8,6 @@ from dlnflow import (
     fixed_point,
     hitting_time,
     hitting_time_on,
-    loss,
     simulate,
 )
 from dlnflow.errors import (
@@ -227,7 +226,33 @@ class TestHittingTime:
         tau_scan = hitting_time_on(traj, 0.05)
         tau_full = hitting_time(separable_instance, init, 0.05, s_cap=3.0,
                                 tol=TIGHT_TOL)
-        assert tau_scan == pytest.approx(tau_full, rel=1e-6)
+        # hitting_time stops at the hit but bisects the same bracket.
+        assert tau_scan == tau_full
+
+    def test_stop_ends_the_run_at_the_hit(self, separable_instance):
+        init = make_init(2, 1e-12)
+        target = separable_instance.minimizer()
+
+        def inside(w):
+            return np.linalg.norm(np.exp(w * init.log_epsilon) - target) <= 0.05
+
+        full = simulate(separable_instance, init, 3.0)
+        stopped = simulate(separable_instance, init, 3.0, stop=inside)
+        assert stopped.s_max < 3.0
+        assert stopped.stats.steps < full.stats.steps
+        assert inside(stopped.w_at(stopped.s_max))
+        # The grid is sampled up to the stop, as in the full run.
+        assert 0 < len(stopped) < len(full)
+        assert stopped.s[-1] <= stopped.s_max
+        np.testing.assert_array_equal(stopped.theta, full.theta[:len(stopped)])
+
+    def test_drop_before_the_hit_raises(self, tridiag_instance):
+        # theta(0) = (5, 5) lies outside the invariant region and the ball,
+        # so the first steps decrease theta before any can end inside.
+        init = make_init(2, 0.5, C=[10.0, 10.0])
+        eta = 0.1 * float(np.min(tridiag_instance.minimizer()))
+        with pytest.raises(MonotonicityViolated):
+            hitting_time(tridiag_instance, init, eta, s_cap=1.0)
 
 
 class TestLyapunov:

@@ -11,7 +11,6 @@ from dlnflow import (
     ProblemInstance,
     compute_path,
     from_data,
-    generate_direct,
     generate_rejection,
     loss,
     run_compare,

@@ -18,7 +18,12 @@ from dlnflow import (
     solve_lcp,
     solve_qp_nonneg,
 )
-from dlnflow.dynamics import DEFAULT_TOL, MONOTONE_RUNTIME_TOL, hitting_time_on
+from dlnflow.dynamics import (
+    DEFAULT_TOL,
+    MONOTONE_RUNTIME_TOL,
+    hitting_time,
+    hitting_time_on,
+)
 from dlnflow.errors import NotReached
 from oracles import solve_lcp_bruteforce
 
@@ -162,10 +167,15 @@ def test_trajectory_invariants_and_hitting_time(traj):
     if below.size == 0:
         with pytest.raises(NotReached):
             hitting_time_on(traj, eta)
+        with pytest.raises(NotReached):
+            hitting_time(traj.instance, traj.init, eta, traj.s_max)
         return
     j = below[0]
     assert j > 0
     first = brentq(lambda x: np.linalg.norm(traj.theta_at(x) - target) - eta,
                    s[j - 1], s[j], xtol=1e-15, rtol=1e-15)
-    ratio = hitting_time_on(traj, eta) / -traj.init.log_epsilon
+    tau = hitting_time_on(traj, eta)
+    # Stopped at the first step inside the ball, on the same bracket.
+    assert hitting_time(traj.instance, traj.init, eta, traj.s_max) == tau
+    ratio = tau / -traj.init.log_epsilon
     assert abs(ratio - first) <= 2e-6 * first
