@@ -124,8 +124,8 @@ def simulate(
     epsilon is too large for the asymptotic regime (or the integration
     broke down).
 
-    If ``stop(w)`` is true at the log coordinates w of an accepted step's
-    endpoint, integration ends there, after that step's monotonicity check.
+    If ``stop(theta)`` is true at an accepted step's endpoint, integration
+    ends there, after that step's monotonicity check.
     The trajectory's ``s_max`` is then that endpoint, and it is sampled only
     on the grid points up to it.
     """
@@ -156,18 +156,25 @@ def simulate(
         float(np.max(instance.minimizer())),
         float(np.max(init.C * np.exp(init.k * log_eps))),
     )
-    lam_max = float(np.linalg.eigvalsh(instance.M)[-1])
-    h_stab = 2.8 / (abs(log_eps) * lam_max * max(theta_cap, 1e-12))
+    h_stab = 2.8 / (abs(log_eps) * instance.lambda_max * max(theta_cap, 1e-12))
 
-    def check_monotone(s_old, w_old, s_new, w_new):
-        drop = np.exp(w_old * log_eps) - np.exp(w_new * log_eps)
-        worst = float(np.max(drop))
+    theta_old = np.exp(init.w0 * log_eps)
+
+    def step(s_old, w_old, s_new, w_new):
+        # integrate calls this once per accepted step, in order, so w_old is
+        # the previous call's w_new and theta_old its theta.
+        nonlocal theta_old
+        theta_new = np.exp(w_new * log_eps)
+        drop = theta_old - theta_new
+        worst = drop.max()
         if worst > MONOTONE_RUNTIME_TOL:
-            i = int(np.argmax(drop))
+            i = int(drop.argmax())
             raise MonotonicityViolated(
                 f"theta_{i} decreased by {worst:.3e} over [{s_old:.6g}, {s_new:.6g}]; "
                 f"epsilon={init.epsilon:g} is too large for monotone dynamics"
             )
+        theta_old = theta_new
+        return stop is not None and stop(theta_new)
 
     result = integrate(
         _flow(instance, log_eps),
@@ -177,8 +184,7 @@ def simulate(
         rtol=tol,
         atol=tol,
         max_step=h_stab,
-        step_callback=check_monotone,
-        stop=stop,
+        step_callback=step,
     )
     if stop is not None:
         s_grid = s_grid[s_grid <= result.s]
@@ -245,10 +251,10 @@ def hitting_time(
             f"eta={eta:g} must be smaller than every minimizer coordinate "
             f"(min {float(np.min(target)):g})"
         )
-    log_eps = init.log_epsilon
 
-    def inside(w):
-        return np.linalg.norm(np.exp(w * log_eps) - target) <= eta
+    def inside(theta):
+        gap = theta - target
+        return np.sqrt(gap.dot(gap)) <= eta  # as np.linalg.norm computes it
 
     trajectory = simulate(instance, init, s_cap, s_grid=np.array([0.0, s_cap]),
                           tol=tol, stop=inside)

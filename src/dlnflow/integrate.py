@@ -8,6 +8,7 @@ seven stages, evaluated in Horner form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,7 +18,7 @@ from .errors import StepUnderflow
 
 # Dormand & Prince (1980) tableau; the first weight row propagates (order 5),
 # E is the difference against the embedded order-4 row.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -99,6 +100,13 @@ class IntegrationResult:
     stats: IntegratorStats
 
 
+def _doubled(a: np.ndarray) -> np.ndarray:
+    """``a`` followed by as many unwritten rows."""
+    out = np.empty((2 * len(a),) + a.shape[1:])
+    out[: len(a)] = a
+    return out
+
+
 def _initial_step(f, s0, y0, f0, s_end, scale):
     """Hairer-style starting step guess, clipped to the span."""
     d0 = np.sqrt(np.mean((y0 / scale) ** 2))
@@ -122,75 +130,71 @@ def integrate(
     rtol: float,
     atol: float,
     max_step: float = np.inf,
-    step_callback: Callable[[float, np.ndarray, float, np.ndarray], None] | None = None,
-    stop: Callable[[np.ndarray], bool] | None = None,
+    step_callback: Callable[[float, np.ndarray, float, np.ndarray], bool] | None = None,
 ) -> IntegrationResult:
     """Integrate y' = f(s, y) from s0 to s_end.
 
     Error control is mixed (atol + rtol * |y|) and RMS-normed over every
     component. After each accepted step
     ``step_callback(s_old, y_old, s_new, y_new)`` may raise to abort with a
-    domain-specific diagnosis. Then, if ``stop(y_new)`` is true, integration
-    ends there: the result's ``s`` and ``y`` are that step's endpoint.
+    domain-specific diagnosis, or return true to end the integration there:
+    the result's ``s`` and ``y`` are then that step's endpoint.
     """
     y = np.array(y0, dtype=float)
     n = y.size
     if not s_end > s0:
         raise ValueError("s_end must exceed s0")
 
-    stats = IntegratorStats()
     k = np.empty((7, n))
     k[0] = f(s0, y)
-    stats.rhs_evaluations += 2  # includes the probe in _initial_step
-
     scale0 = atol + rtol * np.abs(y)
     h = min(_initial_step(f, s0, y, k[0], s_end, scale0), max_step)
 
+    # Accepted steps write their dense rows in place, doubling full buffers.
+    # Starting at the rows a run at the step cap fills avoids most doublings.
+    cap = max(64, int(min((s_end - s0) / max_step, 2**16))) if max_step > 0 else 64
+    lefts, widths, cont = np.empty(cap), np.empty(cap), np.empty((cap, 5, n))
+    steps, rejected, max_h = 0, 0, 0.0
     s = s0
-    lefts, widths, conts = [], [], []
-
     while s < s_end - 1e-14 * max(1.0, abs(s_end)):
         h = min(h, s_end - s, max_step)
         if not h >= 1e-14 * max(1.0, abs(s)):
             raise StepUnderflow(f"step {h:.3e} underflowed at s={s:.6g}")
 
         for i in range(1, 7):
-            k[i] = f(s + _C[i] * h, y + h * (_A[i] @ k[:i]))
-        stats.rhs_evaluations += 6
-        y_new = y + h * (_B @ k)
+            k[i] = f(s + _C[i] * h, y + h * _A[i].dot(k[:i]))
+        y_new = y + h * _B.dot(k)
 
-        err_vec = h * (_E @ k)
+        err_vec = h * _E.dot(k)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         with np.errstate(over="ignore", invalid="ignore"):
-            err_norm = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+            q = err_vec / scale
+            # The RMS norm; np.mean sums and divides the same way.
+            err_norm = math.sqrt(np.add.reduce(q * q) / n)
 
-        if not np.isfinite(err_norm):
-            stats.rejected += 1
+        if not math.isfinite(err_norm):
+            rejected += 1
             h *= _MIN_FACTOR
             continue
         if err_norm > 1.0:
-            stats.rejected += 1
+            rejected += 1
             h *= max(_MIN_FACTOR, _SAFETY * err_norm ** _ORDER_EXP)
             continue
 
+        if steps == len(lefts):
+            lefts, widths, cont = map(_doubled, (lefts, widths, cont))
         ydiff = y_new - y
         bspl = h * k[0] - ydiff
-        cont = np.stack(
-            [y, ydiff, bspl, ydiff - h * k[6] - bspl, h * (_D @ k)]
-        )
-        lefts.append(s)
-        widths.append(h)
-        conts.append(cont)
-
-        if step_callback is not None:
-            step_callback(s, y, s + h, y_new)
-
-        stats.steps += 1
-        stats.max_step = max(stats.max_step, h)
+        cont[steps] = (y, ydiff, bspl, ydiff - h * k[6] - bspl, h * _D.dot(k))
+        lefts[steps] = s
+        widths[steps] = h
+        steps += 1
+        max_h = max(max_h, h)
+        done = step_callback is not None and step_callback(s, y, s + h, y_new)
         s += h
         y = y_new
         k[0] = k[6]  # FSAL
-        if stop is not None and stop(y):
+        if done:
             break
 
         if err_norm == 0.0:
@@ -199,5 +203,7 @@ def integrate(
             factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm ** _ORDER_EXP))
         h *= factor
 
-    dense = DenseOutput(np.array(lefts), np.array(widths), np.array(conts))
+    # Six evaluations per attempted step, two before the first one.
+    stats = IntegratorStats(steps, rejected, max_h, 2 + 6 * (steps + rejected))
+    dense = DenseOutput(lefts[:steps], widths[:steps], cont[:steps])
     return IntegrationResult(s=s, y=y, dense=dense, stats=stats)

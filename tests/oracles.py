@@ -4,16 +4,41 @@ code they check.
 ``solve_lcp_bruteforce`` enumerates every support instead of pivoting on
 the incremental Cholesky kernel; ``solve_limit_lcp`` and ``mu`` solve the
 parametric problem pointwise instead of following the path homotopy;
-``lyapunov`` and ``in_invariant_region`` are diagnostics of trajectories.
+``lyapunov`` and ``in_invariant_region`` are diagnostics of trajectories;
+``integrate_reference`` is the list-based Dormand-Prince loop that
+``integrate.integrate`` must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from dlnflow import lcp
-from dlnflow.errors import DimensionTooLarge, DomainError, NumericalFailure, OutOfRange
+from dlnflow.errors import (
+    DimensionTooLarge,
+    DomainError,
+    NumericalFailure,
+    OutOfRange,
+    StepUnderflow,
+)
 from dlnflow.fixed_points import FixedPoint
+from dlnflow.integrate import (
+    _A,
+    _B,
+    _C,
+    _D,
+    _E,
+    _MAX_FACTOR,
+    _MIN_FACTOR,
+    _ORDER_EXP,
+    _SAFETY,
+    DenseOutput,
+    IntegrationResult,
+    IntegratorStats,
+    _initial_step,
+)
 from dlnflow.lcp import STRICT_TOL, LcpSolution, _finite_array
 from dlnflow.limit_path import _check_k
 from dlnflow.problem import ProblemInstance
@@ -112,3 +137,92 @@ def in_invariant_region(
     if np.any(theta < 0.0):
         return False
     return bool(np.all(instance.r - instance.M @ theta >= -slack))
+
+
+def integrate_reference(
+    f: Callable[[float, np.ndarray], np.ndarray],
+    s0: float,
+    y0,
+    s_end: float,
+    rtol: float,
+    atol: float,
+    max_step: float = np.inf,
+    step_callback: Callable[[float, np.ndarray, float, np.ndarray], None] | None = None,
+    stop: Callable[[np.ndarray], bool] | None = None,
+) -> IntegrationResult:
+    """Integrate y' = f(s, y) from s0 to s_end.
+
+    Error control is mixed (atol + rtol * |y|) and RMS-normed over every
+    component. After each accepted step
+    ``step_callback(s_old, y_old, s_new, y_new)`` may raise to abort with a
+    domain-specific diagnosis. Then, if ``stop(y_new)`` is true, integration
+    ends there: the result's ``s`` and ``y`` are that step's endpoint.
+    """
+    y = np.array(y0, dtype=float)
+    n = y.size
+    if not s_end > s0:
+        raise ValueError("s_end must exceed s0")
+
+    stats = IntegratorStats()
+    k = np.empty((7, n))
+    k[0] = f(s0, y)
+    stats.rhs_evaluations += 2  # includes the probe in _initial_step
+
+    scale0 = atol + rtol * np.abs(y)
+    h = min(_initial_step(f, s0, y, k[0], s_end, scale0), max_step)
+
+    s = s0
+    lefts, widths, conts = [], [], []
+
+    while s < s_end - 1e-14 * max(1.0, abs(s_end)):
+        h = min(h, s_end - s, max_step)
+        if not h >= 1e-14 * max(1.0, abs(s)):
+            raise StepUnderflow(f"step {h:.3e} underflowed at s={s:.6g}")
+
+        for i in range(1, 7):
+            k[i] = f(s + _C[i] * h, y + h * (_A[i] @ k[:i]))
+        stats.rhs_evaluations += 6
+        y_new = y + h * (_B @ k)
+
+        err_vec = h * (_E @ k)
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        with np.errstate(over="ignore", invalid="ignore"):
+            err_norm = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+
+        if not np.isfinite(err_norm):
+            stats.rejected += 1
+            h *= _MIN_FACTOR
+            continue
+        if err_norm > 1.0:
+            stats.rejected += 1
+            h *= max(_MIN_FACTOR, _SAFETY * err_norm ** _ORDER_EXP)
+            continue
+
+        ydiff = y_new - y
+        bspl = h * k[0] - ydiff
+        cont = np.stack(
+            [y, ydiff, bspl, ydiff - h * k[6] - bspl, h * (_D @ k)]
+        )
+        lefts.append(s)
+        widths.append(h)
+        conts.append(cont)
+
+        if step_callback is not None:
+            step_callback(s, y, s + h, y_new)
+
+        stats.steps += 1
+        stats.max_step = max(stats.max_step, h)
+        s += h
+        y = y_new
+        k[0] = k[6]  # FSAL
+        if stop is not None and stop(y):
+            break
+
+        if err_norm == 0.0:
+            factor = _MAX_FACTOR
+        else:
+            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm ** _ORDER_EXP))
+        h *= factor
+
+    dense = DenseOutput(np.array(lefts), np.array(widths), np.array(conts))
+    return IntegrationResult(s=s, y=y, dense=dense, stats=stats)

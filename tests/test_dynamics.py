@@ -233,14 +233,14 @@ class TestHittingTime:
         init = make_init(2, 1e-12)
         target = separable_instance.minimizer()
 
-        def inside(w):
-            return np.linalg.norm(np.exp(w * init.log_epsilon) - target) <= 0.05
+        def inside(theta):
+            return np.linalg.norm(theta - target) <= 0.05
 
         full = simulate(separable_instance, init, 3.0)
         stopped = simulate(separable_instance, init, 3.0, stop=inside)
         assert stopped.s_max < 3.0
         assert stopped.stats.steps < full.stats.steps
-        assert inside(stopped.w_at(stopped.s_max))
+        assert inside(stopped.theta_at(stopped.s_max))
         # The grid is sampled up to the stop, as in the full run.
         assert 0 < len(stopped) < len(full)
         assert stopped.s[-1] <= stopped.s_max

@@ -63,10 +63,7 @@ def test_path_matches_pointwise_oracles(case, fractions):
         np.testing.assert_allclose(w, q + inst.M @ theta, atol=AGREE_TOL)
 
 
-@properties
-@given(instances_and_k())
-def test_active_sets_nested_and_s_star_closed_form(case):
-    inst, k = case
+def assert_nested_path_with_closed_form_s_star(inst, k):
     path = compute_path(inst, k)
     actives = [set(seg.active) for seg in path.segments]
     assert actives[0] == set()
@@ -75,6 +72,35 @@ def test_active_sets_nested_and_s_star_closed_form(case):
     assert np.all(np.diff(path.breakpoints) > 0)
     s_star = closed_form_s_star(inst, k)
     assert abs(path.breakpoints[-1] - s_star) <= 1e-9 * max(1.0, s_star)
+
+
+@properties
+@given(instances_and_k())
+def test_active_sets_nested_and_s_star_closed_form(case):
+    assert_nested_path_with_closed_form_s_star(*case)
+
+
+@st.composite
+def exchangeable_blocks(draw):
+    """K-matrices (1 + a) I - (a / c) 1 1^T with d <= 64, a in [0, 2] and
+    c in [d, 4 d], with r and k equal to 1 perturbed by delta N(0, 1) for
+    delta in {0, 1e-15, ..., 1e-6}: every activation root lies within about
+    delta of the others, so coordinates activate in near-ties."""
+    d = draw(st.integers(1, 64))
+    a = draw(st.floats(0.0, 2.0))
+    c = d * draw(st.floats(1.0, 4.0))
+    delta = draw(st.sampled_from([0.0] + [10.0 ** -e for e in range(15, 5, -1)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r, k = 1.0 + delta * rng.normal(size=(2, d))
+    M = (1.0 + a) * np.eye(d) - (a / c) * np.ones((d, d))
+    return ProblemInstance(M=M, r=r), k
+
+
+@properties
+@given(exchangeable_blocks())
+def test_near_ties_give_a_consistent_path(case):
+    # compute_path raises PathInconsistent where near-tied roots fail to join.
+    assert_nested_path_with_closed_form_s_star(*case)
 
 
 @properties
