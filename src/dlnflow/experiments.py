@@ -24,6 +24,8 @@ CSV_SCHEMA = "dlnflow-csv v1"
 WINDOW_FRACTION = 0.05
 # Default hitting radius as a fraction of the smallest minimizer coordinate.
 DEFAULT_ETA_FRACTION = 0.1
+# Points per axis of the phase portrait's vector-field grid.
+FIELD_POINTS = 25
 # repr() of the floats that write_csv rejects.
 _NON_FINITE = frozenset({"nan", "inf", "-inf"})
 
@@ -388,7 +390,6 @@ def run_figure1(
     epsilons,
     out_dir,
     *,
-    field_points: int = 25,
     s_max: float | None = None,
     grid_points: int = dynamics.DEFAULT_GRID_POINTS,
     tol: float = dynamics.DEFAULT_TOL,
@@ -416,7 +417,7 @@ def run_figure1(
     hi = 1.25 * max(float(np.max(p.theta)) for p in points)
     hi = max(hi, 1e-3)
 
-    axis = np.linspace(0.0, hi, field_points)
+    axis = np.linspace(0.0, hi, FIELD_POINTS)
     th1, th2 = np.meshgrid(axis, axis, indexing="ij")
     theta = np.column_stack([th1.ravel(), th2.ravel()])
     field = theta * (instance.r - theta @ instance.M.T)

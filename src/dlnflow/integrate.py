@@ -14,11 +14,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import StepUnderflow
+from .errors import OutOfRange, StepUnderflow
 
 # Dormand & Prince (1980) tableau; the first weight row propagates (order 5),
 # E is the difference against the embedded order-4 row.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -62,34 +61,32 @@ class IntegratorStats:
 
 
 class DenseOutput:
-    """Piecewise-quartic interpolant over the accepted steps."""
+    """Piecewise-quartic interpolant over the accepted steps from s = 0.
+
+    The one query-range rule of a trajectory: [0, s_max], and a relative
+    1e-12 past s_max, which reads the value at s_max.
+    """
 
     def __init__(self, lefts: np.ndarray, widths: np.ndarray, cont: np.ndarray):
         self._lefts = lefts          # (nseg,)
         self._widths = widths        # (nseg,)
         self._cont = cont            # (nseg, 5, n)
-        self.s_min = float(lefts[0])
         self.s_max = float(lefts[-1] + widths[-1])
 
     def __call__(self, s):
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        lo, hi = self.s_min, self.s_max
-        if np.any(s_arr < lo - 1e-12) or np.any(s_arr > hi + 1e-12):
-            raise ValueError(f"dense output queried outside [{lo}, {hi}]")
-        seg = np.clip(
-            np.searchsorted(self._lefts, s_arr, side="right") - 1,
-            0,
-            len(self._lefts) - 1,
-        )
+        if not (np.all(s_arr >= 0.0)
+                and np.all(s_arr <= self.s_max * (1 + 1e-12) + 1e-15)):
+            raise OutOfRange(f"s must lie in [0, {self.s_max}]")
+        # The first left end is 0, so every query lies right of one.
+        seg = np.searchsorted(self._lefts, s_arr, side="right") - 1
         tau = (s_arr - self._lefts[seg]) / self._widths[seg]
         tau = np.clip(tau, 0.0, 1.0)
         c = self._cont[seg]          # (m, 5, n)
         tau = tau[:, None]
         omt = 1.0 - tau
         out = c[:, 0] + tau * (c[:, 1] + omt * (c[:, 2] + tau * (c[:, 3] + omt * c[:, 4])))
-        if np.isscalar(s) or np.asarray(s).ndim == 0:
-            return out[0]
-        return out
+        return out[0] if np.ndim(s) == 0 else out
 
 
 @dataclass
@@ -107,66 +104,66 @@ def _doubled(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _initial_step(f, s0, y0, f0, s_end, scale):
+def _initial_step(f, y0, f0, s_end, scale):
     """Hairer-style starting step guess, clipped to the span."""
     d0 = np.sqrt(np.mean((y0 / scale) ** 2))
     d1 = np.sqrt(np.mean((f0 / scale) ** 2))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, s_end - s0)
-    f1 = f(s0 + h0, y0 + h0 * f0)
+    h0 = min(h0, s_end)
+    f1 = f(y0 + h0 * f0)
     d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, s_end - s0)
+    return min(100 * h0, h1, s_end)
 
 
 def integrate(
-    f: Callable[[float, np.ndarray], np.ndarray],
-    s0: float,
+    f: Callable[[np.ndarray], np.ndarray],
     y0,
     s_end: float,
-    rtol: float,
-    atol: float,
-    max_step: float = np.inf,
-    step_callback: Callable[[float, np.ndarray, float, np.ndarray], bool] | None = None,
+    tol: float,
+    max_step: float,
+    step_callback: Callable[[float, np.ndarray, float, np.ndarray], bool],
 ) -> IntegrationResult:
-    """Integrate y' = f(s, y) from s0 to s_end.
+    """Integrate the autonomous y' = f(y) from s = 0 to s_end.
 
-    Error control is mixed (atol + rtol * |y|) and RMS-normed over every
-    component. After each accepted step
+    Error control is mixed (tol + tol * |y|) and RMS-normed over every
+    component; no step exceeds ``max_step``. After each accepted step
     ``step_callback(s_old, y_old, s_new, y_new)`` may raise to abort with a
     domain-specific diagnosis, or return true to end the integration there:
-    the result's ``s`` and ``y`` are then that step's endpoint.
+    the result's ``s`` and ``y`` are then that step's endpoint. A span too
+    short for one step is ``OutOfRange``.
     """
+    # The loop's end test, applied at s = 0.
+    s_stop = s_end - 1e-14 * max(1.0, s_end)
+    if not s_stop > 0.0:
+        raise OutOfRange(f"span [0, {s_end:g}] is too short for one integration step")
     y = np.array(y0, dtype=float)
     n = y.size
-    if not s_end > s0:
-        raise ValueError("s_end must exceed s0")
 
     k = np.empty((7, n))
-    k[0] = f(s0, y)
-    scale0 = atol + rtol * np.abs(y)
-    h = min(_initial_step(f, s0, y, k[0], s_end, scale0), max_step)
+    k[0] = f(y)
+    h = min(_initial_step(f, y, k[0], s_end, tol + tol * np.abs(y)), max_step)
 
     # Accepted steps write their dense rows in place, doubling full buffers.
     # Starting at the rows a run at the step cap fills avoids most doublings.
-    cap = max(64, int(min((s_end - s0) / max_step, 2**16))) if max_step > 0 else 64
+    cap = max(64, int(min(s_end / max_step, 2**16)))
     lefts, widths, cont = np.empty(cap), np.empty(cap), np.empty((cap, 5, n))
     steps, rejected, max_h = 0, 0, 0.0
-    s = s0
-    while s < s_end - 1e-14 * max(1.0, abs(s_end)):
+    s = 0.0
+    while s < s_stop:
         h = min(h, s_end - s, max_step)
-        if not h >= 1e-14 * max(1.0, abs(s)):
+        if not h >= 1e-14 * max(1.0, s):
             raise StepUnderflow(f"step {h:.3e} underflowed at s={s:.6g}")
 
         for i in range(1, 7):
-            k[i] = f(s + _C[i] * h, y + h * _A[i].dot(k[:i]))
+            k[i] = f(y + h * _A[i].dot(k[:i]))
         y_new = y + h * _B.dot(k)
 
         err_vec = h * _E.dot(k)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
         with np.errstate(over="ignore", invalid="ignore"):
             q = err_vec / scale
             # The RMS norm; np.mean sums and divides the same way.
@@ -190,7 +187,7 @@ def integrate(
         widths[steps] = h
         steps += 1
         max_h = max(max_h, h)
-        done = step_callback is not None and step_callback(s, y, s + h, y_new)
+        done = step_callback(s, y, s + h, y_new)
         s += h
         y = y_new
         k[0] = k[6]  # FSAL

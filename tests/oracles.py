@@ -27,7 +27,6 @@ from dlnflow.fixed_points import FixedPoint
 from dlnflow.integrate import (
     _A,
     _B,
-    _C,
     _D,
     _E,
     _MAX_FACTOR,
@@ -37,7 +36,6 @@ from dlnflow.integrate import (
     DenseOutput,
     IntegrationResult,
     IntegratorStats,
-    _initial_step,
 )
 from dlnflow.lcp import STRICT_TOL, LcpSolution, _finite_array
 from dlnflow.limit_path import _check_k
@@ -137,6 +135,26 @@ def in_invariant_region(
     if np.any(theta < 0.0):
         return False
     return bool(np.all(instance.r - instance.M @ theta >= -slack))
+
+
+# Stage abscissae of the Dormand-Prince tableau, for the non-autonomous
+# y' = f(s, y) the reference loop integrates.
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+
+
+def _initial_step(f, s0, y0, f0, s_end, scale):
+    """Hairer-style starting step guess, clipped to the span."""
+    d0 = np.sqrt(np.mean((y0 / scale) ** 2))
+    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, s_end - s0)
+    f1 = f(s0 + h0, y0 + h0 * f0)
+    d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100 * h0, h1, s_end - s0)
 
 
 def integrate_reference(

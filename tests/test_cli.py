@@ -557,6 +557,13 @@ def _instance(tmp_path, obj):
     return str(inst)
 
 
+def _generated(tmp_path):
+    """The instance ``gen --d 4 --seed 7`` writes."""
+    inst = tmp_path / "inst.json"
+    save_instance(generate_direct(4, 7)[0], inst)
+    return str(inst)
+
+
 def _simulate(tmp_path, *flags):
     """simulate arguments; a later option replaces an earlier one."""
     return ["simulate", "--instance", _instance(tmp_path, TRIDIAG_JSON),
@@ -574,6 +581,7 @@ def _lcp(tmp_path, q, M):
 
 
 _TRIDIAG_M = TRIDIAG_JSON["M"]
+_SHORT_SPAN = "error: span [0, 1e-15] is too short for one integration step"
 _S_MAX_ERRORS = {"simulate": "error: a grid needs 2 or more points on a finite span",
                  "compare": "error: a grid needs 2 or more points on a finite span",
                  "hitting-time": "error: s_max must be positive and finite"}
@@ -683,6 +691,14 @@ MALFORMED = {
         _simulate(tmp, "--s-max", s_max) if command == "simulate"
         else _experiment(tmp, command, "--s-max", s_max), _S_MAX_ERRORS[command])
        for command in _S_MAX_ERRORS for s_max in ("nan", "inf")},
+    "simulate --s-max too short for one step": lambda tmp: (
+        ["simulate", "--instance", _generated(tmp), "--epsilon", "1e-12",
+         "--s-max", "1e-15", "--out", str(tmp / "t.csv")], _SHORT_SPAN),
+    "hitting-time --s-max too short for one step": lambda tmp: (
+        ["--out-dir", str(tmp / "out"), "hitting-time", "--instance", _generated(tmp),
+         "--epsilons", "1e-12", "--s-max", "1e-15"], _SHORT_SPAN),
+    "figure1 --s-max too short for one step": lambda tmp: (
+        _experiment(tmp, "figure1", "--s-max", "1e-15"), _SHORT_SPAN),
     "config with experiment flags": lambda tmp: (
         ["--out-dir", str(tmp / "out"), "hitting-time", "--config",
          _config(tmp, json.dumps({"instance": _instance(tmp, TRIDIAG_JSON),
@@ -746,4 +762,5 @@ def test_malformed_input_exits_2(runner, tmp_path, case):
     assert result.exit_code == 2
     assert message in result.output
     assert "Traceback" not in result.output
+    assert result.output.count("error:") <= 1
     assert sorted(tmp_path.rglob("*")) == before

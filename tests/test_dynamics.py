@@ -83,6 +83,16 @@ class TestTrajectoryStructure:
         np.testing.assert_array_equal(traj.s, grid)
         assert len(traj) == 4
 
+    def test_grid_sampled_under_the_dense_output_rule(self, separable_instance):
+        # The grid may end a relative 1e-12 past s_max, where the dense
+        # output reads the value at s_max.
+        traj = simulate(separable_instance, make_init(2, 1e-8), 10.0,
+                        s_grid=[0.0, 5.0, 10.0 * (1 + 1e-12)])
+        assert len(traj) == 3 and traj.s_max == 10.0
+        np.testing.assert_allclose(traj.w[-1], traj.w_at(10.0), rtol=0, atol=1e-15)
+        with pytest.raises(OutOfRange):
+            traj.w_at(10.0 * (1 + 1e-11))
+
     def test_bad_grid_rejected(self, separable_instance):
         init = make_init(2, 1e-8)
         with pytest.raises(OutOfRange):

@@ -40,8 +40,7 @@ def scalar_instance():
 def portrait(tmp_path_factory):
     instance = from_data(generate_rejection(n=3, d=2, seed=5))
     out = tmp_path_factory.mktemp("fig1")
-    paths = run_figure1(instance, ONES2, ONES2, [1e-8, 1e-20], out,
-                        field_points=10, tol=1e-11)
+    paths = run_figure1(instance, ONES2, ONES2, [1e-8, 1e-20], out, tol=1e-11)
     return instance, out, paths
 
 
@@ -209,7 +208,7 @@ class TestRunFigure1:
     def test_field_matches_flow(self, portrait):
         instance, out, _ = portrait
         rows = np.loadtxt(out / "field.csv", delimiter=",", skiprows=2)
-        assert rows.shape == (100, 4)
+        assert rows.shape == (625, 4)
         theta = rows[37, :2]
         expected = theta * (instance.r - instance.M @ theta)
         np.testing.assert_allclose(rows[37, 2:], expected, atol=1e-12)

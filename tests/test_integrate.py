@@ -3,7 +3,7 @@ import pytest
 
 from conftest import deadline
 from dlnflow import Initialization, compute_path, dynamics, generate_direct
-from dlnflow.errors import StepUnderflow
+from dlnflow.errors import OutOfRange, StepUnderflow
 from dlnflow.integrate import integrate
 from oracles import integrate_reference
 
@@ -12,18 +12,22 @@ def logistic(s, theta0):
     return theta0 * np.exp(s) / (1.0 + theta0 * (np.exp(s) - 1.0))
 
 
+def go_on(s0, y0, s1, y1):
+    """A step callback that never ends the run."""
+    return False
+
+
 def test_exponential_decay():
-    res = integrate(lambda s, y: -y, 0.0, np.array([1.0]), 5.0,
-                    rtol=1e-10, atol=1e-10)
+    res = integrate(lambda y: -y, np.array([1.0]), 5.0, 1e-10, np.inf, go_on)
     assert res.y[0] == pytest.approx(np.exp(-5.0), rel=1e-8)
 
 
 def test_logistic_accuracy_improves_with_tolerance():
     theta0 = 1e-6
-    f = lambda s, y: y * (1.0 - y)
+    f = lambda y: y * (1.0 - y)
     errors = []
     for tol in [1e-5, 1e-7, 1e-9, 1e-11]:
-        res = integrate(f, 0.0, np.array([theta0]), 20.0, rtol=tol, atol=tol)
+        res = integrate(f, np.array([theta0]), 20.0, tol, np.inf, go_on)
         grid = np.linspace(0.0, 20.0, 257)
         err = np.max(np.abs(res.dense(grid)[:, 0] - logistic(grid, theta0)))
         errors.append(err)
@@ -33,12 +37,12 @@ def test_logistic_accuracy_improves_with_tolerance():
 
 def test_dense_output_order():
     # Fixed step caps isolate the interpolant: halving the step must shrink
-    # the dense-output error by roughly the method order.
-    f = lambda s, y: np.array([np.cos(s)])
+    # the dense-output error by roughly the method order. The oscillator's
+    # first component is sin s.
+    f = lambda y: np.array([y[1], -y[0]])
     prev = None
     for h in [0.4, 0.2, 0.1]:
-        res = integrate(f, 0.0, np.array([0.0]), 6.0, rtol=1e-2, atol=1e-2,
-                        max_step=h)
+        res = integrate(f, np.array([0.0, 1.0]), 6.0, 1e-2, h, go_on)
         grid = np.linspace(0.0, 6.0, 1001)
         err = np.max(np.abs(res.dense(grid)[:, 0] - np.sin(grid)))
         if prev is not None:
@@ -47,23 +51,22 @@ def test_dense_output_order():
 
 
 def test_dense_output_matches_endpoints():
-    f = lambda s, y: y * (1.0 - y)
-    res = integrate(f, 0.0, np.array([0.01]), 10.0, rtol=1e-9, atol=1e-9)
+    f = lambda y: y * (1.0 - y)
+    res = integrate(f, np.array([0.01]), 10.0, 1e-9, np.inf, go_on)
     np.testing.assert_allclose(res.dense(res.s), res.y, atol=1e-14)
     np.testing.assert_allclose(res.dense(0.0), [0.01], atol=1e-15)
 
 
 def test_stats_populated():
-    f = lambda s, y: y * (1.0 - y)
-    res = integrate(f, 0.0, np.array([1e-8]), 25.0, rtol=1e-9, atol=1e-9)
+    f = lambda y: y * (1.0 - y)
+    res = integrate(f, np.array([1e-8]), 25.0, 1e-9, np.inf, go_on)
     assert res.stats.steps > 10
     assert res.stats.max_step > 0
     assert res.stats.rhs_evaluations >= 6 * res.stats.steps
 
 
 def test_max_step_respected():
-    res = integrate(lambda s, y: -y, 0.0, np.array([1.0]), 2.0,
-                    rtol=1e-6, atol=1e-6, max_step=0.05)
+    res = integrate(lambda y: -y, np.array([1.0]), 2.0, 1e-6, 0.05, go_on)
     assert res.stats.max_step <= 0.05 + 1e-15
 
 
@@ -71,15 +74,14 @@ def test_step_underflow_near_blowup():
     # y' = y^2 from y(0)=1 blows up at s=1; the controller must not march
     # through it.
     with pytest.raises(StepUnderflow):
-        integrate(lambda s, y: y ** 2, 0.0, np.array([1.0]), 2.0,
-                  rtol=1e-8, atol=1e-8)
+        integrate(lambda y: y ** 2, np.array([1.0]), 2.0, 1e-8, np.inf, go_on)
 
 
 def test_nan_step_underflows():
-    # Zero tolerances make the first step NaN, which no comparison with a
+    # A zero tolerance makes the first step NaN, which no comparison with a
     # threshold catches; the underflow test must stop the loop anyway.
     with deadline(10), np.errstate(all="ignore"), pytest.raises(StepUnderflow):
-        integrate(lambda s, y: -y, 0.0, np.array([1.0]), 1.0, rtol=0.0, atol=0.0)
+        integrate(lambda y: -y, np.array([1.0]), 1.0, 0.0, np.inf, go_on)
 
 
 def test_callback_abort_propagates():
@@ -91,15 +93,31 @@ def test_callback_abort_propagates():
             raise Abort
 
     with pytest.raises(Abort):
-        integrate(lambda s, y: -y, 0.0, np.array([1.0]), 5.0,
-                  rtol=1e-8, atol=1e-8, step_callback=cb)
+        integrate(lambda y: -y, np.array([1.0]), 5.0, 1e-8, np.inf, cb)
 
 
 def test_dense_output_out_of_range():
-    res = integrate(lambda s, y: -y, 0.0, np.array([1.0]), 1.0,
-                    rtol=1e-8, atol=1e-8)
-    with pytest.raises(ValueError):
-        res.dense(1.5)
+    res = integrate(lambda y: -y, np.array([1.0]), 1.0, 1e-8, np.inf, go_on)
+    # A relative 1e-12 past the end reads the value at the end.
+    np.testing.assert_allclose(res.dense(res.s * (1 + 1e-12) + 1e-15), res.y,
+                               rtol=0, atol=1e-15)
+    for s in (1.5, res.s * (1 + 1e-11), -1e-300, np.nan):
+        with pytest.raises(OutOfRange):
+            res.dense(s)
+
+
+@pytest.mark.parametrize("s_end", [1e-14, 1e-15, 0.0, -1.0, np.nan])
+def test_span_too_short_for_one_step_is_out_of_range(s_end):
+    def f(y):
+        raise AssertionError("no step may be tried")
+
+    with pytest.raises(OutOfRange):
+        integrate(f, np.array([1.0]), s_end, 1e-8, np.inf, go_on)
+
+
+def test_shortest_span_takes_one_step():
+    res = integrate(lambda y: -y, np.array([1.0]), 2e-14, 1e-8, np.inf, go_on)
+    assert res.stats.steps == 1 and res.s == res.dense.s_max == 2e-14
 
 
 def test_callback_returning_true_ends_the_run_at_that_step():
@@ -109,16 +127,15 @@ def test_callback_returning_true_ends_the_run_at_that_step():
         seen.append((s1, y1))
         return y1[0] > 0.5
 
-    res = integrate(lambda s, y: y * (1.0 - y), 0.0, np.array([1e-3]), 20.0,
-                    rtol=1e-9, atol=1e-9, step_callback=cb)
+    res = integrate(lambda y: y * (1.0 - y), np.array([1e-3]), 20.0, 1e-9, np.inf, cb)
     assert [y[0] > 0.5 for _, y in seen] == [False] * (len(seen) - 1) + [True]
     assert res.stats.steps == len(seen)
     assert res.s == seen[-1][0] < 20.0
     np.testing.assert_array_equal(res.y, seen[-1][1])
-    # The dense output covers [s0, s] and no further.
-    assert (res.dense.s_min, res.dense.s_max) == (0.0, res.s)
+    # The dense output covers [0, s] and no further.
+    assert res.dense.s_max == res.s
     np.testing.assert_allclose(res.dense(res.s), res.y, atol=1e-14)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         res.dense(res.s + 1e-6)
 
 
@@ -130,10 +147,9 @@ def _extreme_flow(monkeypatch):
     s_star = compute_path(inst, init.k).s_star
     args = {}
 
-    def capture(f, s0, y0, s_end, **kwargs):
-        args.update(f=f, s0=s0, y0=y0, s_end=s_end, rtol=kwargs["rtol"],
-                    atol=kwargs["atol"], max_step=kwargs["max_step"])
-        return integrate(f, s0, y0, s_end, **kwargs)
+    def capture(f, y0, s_end, tol, max_step, step_callback):
+        args.update(f=f, y0=y0, s_end=s_end, tol=tol, max_step=max_step)
+        return integrate(f, y0, s_end, tol, max_step, step_callback)
 
     with monkeypatch.context() as m:
         m.setattr(dynamics, "integrate", capture)
@@ -142,15 +158,15 @@ def _extreme_flow(monkeypatch):
 
 
 BITWISE_CASES = {
-    "logistic": dict(f=lambda s, y: y * (1.0 - y), s0=0.0, y0=np.array([1e-6]),
-                     s_end=20.0, rtol=1e-9, atol=1e-9),
-    "decay-max-step": dict(f=lambda s, y: -y, s0=0.0, y0=np.array([1.0]),
-                           s_end=2.0, rtol=1e-6, atol=1e-6, max_step=0.05),
-    "rejections": dict(f=lambda s, y: np.array([y[1], 5 * (1 - y[0] ** 2) * y[1] - y[0]]),
-                       s0=0.0, y0=np.array([2.0, 0.0]), s_end=10.0,
-                       rtol=1e-6, atol=1e-6),
-    "callback-stop": dict(f=lambda s, y: y * (1.0 - y), s0=0.0, y0=np.array([1e-6]),
-                          s_end=20.0, rtol=1e-9, atol=1e-9),
+    "logistic": dict(f=lambda y: y * (1.0 - y), y0=np.array([1e-6]), s_end=20.0,
+                     tol=1e-9, max_step=np.inf),
+    "decay-max-step": dict(f=lambda y: -y, y0=np.array([1.0]), s_end=2.0,
+                           tol=1e-6, max_step=0.05),
+    "rejections": dict(f=lambda y: np.array([y[1], 5 * (1 - y[0] ** 2) * y[1] - y[0]]),
+                       y0=np.array([2.0, 0.0]), s_end=10.0, tol=1e-6,
+                       max_step=np.inf),
+    "callback-stop": dict(f=lambda y: y * (1.0 - y), y0=np.array([1e-6]), s_end=20.0,
+                          tol=1e-9, max_step=np.inf),
     "extreme-d32": _extreme_flow,
 }
 
@@ -167,7 +183,11 @@ def test_loop_matches_the_reference_bit_for_bit(case, monkeypatch):
         return stop is not None and stop(step[3])
 
     res = integrate(**args, step_callback=callback)
-    ref = integrate_reference(**args, step_callback=lambda *step: reference_calls.append(step),
+    # The reference integrates the non-autonomous y' = f(s, y) from any s0.
+    f, tol = args["f"], args["tol"]
+    ref = integrate_reference(lambda s, y: f(y), 0.0, args["y0"], args["s_end"],
+                              rtol=tol, atol=tol, max_step=args["max_step"],
+                              step_callback=lambda *step: reference_calls.append(step),
                               stop=stop)
     assert res.stats == ref.stats
     if case == "rejections":
