@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, MonotonicityViolated, NotReached, OutOfRange
-from .integrate import IntegratorStats, integrate
+from .integrate import DenseOutput, integrate
 from .problem import Initialization, ProblemInstance, loss
 
 MONOTONE_RUNTIME_TOL = 1e-8
@@ -38,10 +38,10 @@ class Trajectory:
     ``averages`` holds the running averages on the grid, 0 at s = 0.
     """
 
-    def __init__(self, instance, init, s_grid, dense, stats):
+    def __init__(self, instance, init, s_grid, dense: DenseOutput):
         self.instance = instance
         self.init = init
-        self.stats: IntegratorStats = stats
+        self.stats = dense.stats
         self._dense = dense
         self._log_eps = init.log_epsilon
 
@@ -170,10 +170,10 @@ def simulate(
         theta_old = theta_new
         return stop is not None and stop(theta_new)
 
-    result = integrate(_flow(instance, log_eps), init.w0, s_max, tol, h_stab, step)
+    dense = integrate(_flow(instance, log_eps), init.w0, s_max, tol, h_stab, step)
     if stop is not None:
-        s_grid = s_grid[s_grid <= result.s]
-    return Trajectory(instance, init, s_grid, result.dense, result.stats)
+        s_grid = s_grid[s_grid <= dense.s_max]
+    return Trajectory(instance, init, s_grid, dense)
 
 
 def hitting_time_on(trajectory: Trajectory, eta: float, *,

@@ -71,10 +71,6 @@ class AtBreakpoint(ValidationError):
 
 # -- numerical failures ----------------------------------------------------
 
-class PivotCycle(NumericalFailure):
-    """Active-set pivoting exceeded its safety bound without converging."""
-
-
 class MaxIterations(NumericalFailure):
     """Iterative solver hit its iteration cap; carries the final residual."""
 

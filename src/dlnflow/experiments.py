@@ -96,20 +96,7 @@ def uniform_grid(s_max: float, points: int) -> np.ndarray:
     return np.linspace(0.0, s_max, points)
 
 
-# -- limit evaluation on a grid ----------------------------------------------
-
-def _limit_on_grid(instance, path: limit_path.LimitPath, grid: np.ndarray):
-    """theta*(I(s)), f(theta*(I(s))) and mu(s) for every positive grid point."""
-    seg_idx = np.searchsorted(path.breakpoints, grid, side="right")
-    # A segment's stationary point theta* is the slope of z(s) on it.
-    theta = np.array([seg.theta_star for seg in path.segments])[seg_idx]
-    intercepts = np.array([seg.z_intercept for seg in path.segments])[seg_idx]
-    mu_vals = intercepts + grid[:, None] * theta
-    positive = grid > 0
-    mu_vals[positive] /= grid[positive, None]
-    mu_vals[~positive] = 0.0
-    return theta, problem.loss(instance, theta), mu_vals
-
+# -- documents ------------------------------------------------------------------
 
 def write_limit_path(instance, path: limit_path.LimitPath, out_json, out_csv,
                      grid_points: int) -> list[Path]:
@@ -125,7 +112,7 @@ def write_limit_path(instance, path: limit_path.LimitPath, out_json, out_csv,
         "fixed_points": [seg.theta_star.tolist() for seg in path.segments],
     })]
     if out_csv is not None:
-        theta, _, mu_vals = _limit_on_grid(instance, path, s_grid)
+        theta, mu_vals = path.sample(s_grid)
         d = instance.d
         header = (["s"] + [f"mu_{i + 1}" for i in range(d)]
                   + [f"theta_star_{i + 1}" for i in range(d)])
@@ -270,7 +257,8 @@ def run_compare(
         raise DomainError(f"no grid point to compare: the state gap needs one off "
                           f"{windows}, the average gap one in [{avg_lo}, {s_max}]")
 
-    limit_theta, limit_loss, limit_mu = _limit_on_grid(instance, path, grid)
+    limit_theta, limit_mu = path.sample(grid)
+    limit_loss = problem.loss(instance, limit_theta)
     eta = _hitting_radius(instance, eta_fraction)
 
     def report(rows, complete: bool):

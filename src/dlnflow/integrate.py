@@ -61,17 +61,20 @@ class IntegratorStats:
 
 
 class DenseOutput:
-    """Piecewise-quartic interpolant over the accepted steps from s = 0.
+    """Piecewise-quartic interpolant over the accepted steps from s = 0, and
+    the counters of the run that made them.
 
     The one query-range rule of a trajectory: [0, s_max], and a relative
     1e-12 past s_max, which reads the value at s_max.
     """
 
-    def __init__(self, lefts: np.ndarray, widths: np.ndarray, cont: np.ndarray):
+    def __init__(self, lefts: np.ndarray, widths: np.ndarray, cont: np.ndarray,
+                 stats: IntegratorStats):
         self._lefts = lefts          # (nseg,)
         self._widths = widths        # (nseg,)
         self._cont = cont            # (nseg, 5, n)
         self.s_max = float(lefts[-1] + widths[-1])
+        self.stats = stats
 
     def __call__(self, s):
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
@@ -87,14 +90,6 @@ class DenseOutput:
         omt = 1.0 - tau
         out = c[:, 0] + tau * (c[:, 1] + omt * (c[:, 2] + tau * (c[:, 3] + omt * c[:, 4])))
         return out[0] if np.ndim(s) == 0 else out
-
-
-@dataclass
-class IntegrationResult:
-    s: float
-    y: np.ndarray
-    dense: DenseOutput
-    stats: IntegratorStats
 
 
 def _doubled(a: np.ndarray) -> np.ndarray:
@@ -126,14 +121,15 @@ def integrate(
     tol: float,
     max_step: float,
     step_callback: Callable[[float, np.ndarray, float, np.ndarray], bool],
-) -> IntegrationResult:
-    """Integrate the autonomous y' = f(y) from s = 0 to s_end.
+) -> DenseOutput:
+    """Integrate the autonomous y' = f(y) from s = 0 to s_end and return the
+    dense output, which carries the run's ``stats``.
 
     Error control is mixed (tol + tol * |y|) and RMS-normed over every
     component; no step exceeds ``max_step``. After each accepted step
     ``step_callback(s_old, y_old, s_new, y_new)`` may raise to abort with a
     domain-specific diagnosis, or return true to end the integration there:
-    the result's ``s`` and ``y`` are then that step's endpoint. A span too
+    the dense output's ``s_max`` is then that step's endpoint. A span too
     short for one step is ``OutOfRange``.
     """
     # The loop's end test, applied at s = 0.
@@ -164,16 +160,12 @@ def integrate(
 
         err_vec = h * _E.dot(k)
         scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        with np.errstate(over="ignore", invalid="ignore"):
-            q = err_vec / scale
-            # The RMS norm; np.mean sums and divides the same way.
-            err_norm = math.sqrt(np.add.reduce(q * q) / n)
+        q = err_vec / scale
+        # The RMS norm; np.mean sums and divides the same way.
+        err_norm = math.sqrt(np.add.reduce(q * q) / n)
 
-        if not math.isfinite(err_norm):
-            rejected += 1
-            h *= _MIN_FACTOR
-            continue
-        if err_norm > 1.0:
+        # inf and NaN fail too, and max() makes their factor _MIN_FACTOR.
+        if not err_norm <= 1.0:
             rejected += 1
             h *= max(_MIN_FACTOR, _SAFETY * err_norm ** _ORDER_EXP)
             continue
@@ -202,5 +194,4 @@ def integrate(
 
     # Six evaluations per attempted step, two before the first one.
     stats = IntegratorStats(steps, rejected, max_h, 2 + 6 * (steps + rejected))
-    dense = DenseOutput(lefts[:steps], widths[:steps], cont[:steps])
-    return IntegrationResult(s=s, y=y, dense=dense, stats=stats)
+    return DenseOutput(lefts[:steps], widths[:steps], cont[:steps], stats)

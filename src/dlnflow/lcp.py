@@ -25,7 +25,6 @@ from .errors import (
     MaxIterations,
     NonFinite,
     NotKMatrix,
-    PivotCycle,
     PositivityViolation,
     SingularSubmatrix,
 )
@@ -164,8 +163,6 @@ def solve_lcp(q, M) -> LcpSolution:
         violated = np.flatnonzero(w < -STRICT_TOL)
         if violated.size == 0:
             break
-        if len(factor.order) == q.size:
-            raise PivotCycle(f"exceeded {q.size} pivots")
         factor.append([violated[np.argmin(w[violated])]])
 
     support = tuple(np.flatnonzero(z > STRICT_TOL).tolist())

@@ -84,13 +84,18 @@ class LimitPath:
             raise OutOfRange("the limit path is defined for s > 0")
         return self.segments[int(np.searchsorted(self.breakpoints, s, side="right"))]
 
-    def z_at(self, s: float) -> np.ndarray:
-        return self.segment_at(s).z_at(s)
-
-    def mu_at(self, s: float) -> np.ndarray:
-        if s <= 0.0:
-            raise OutOfRange("mu is defined for s > 0")
-        return self.z_at(s) / s
+    def sample(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """theta*(I(s)) and mu(s) = z(s) / s, one row per s of a vector s >= 0;
+        mu(0) = 0, and a breakpoint belongs to the segment it starts."""
+        s = np.asarray(s, dtype=float)
+        if not (s.ndim == 1 and np.all(s >= 0.0)):
+            raise OutOfRange("the limit path is sampled on a vector of s >= 0")
+        seg = np.searchsorted(self.breakpoints, s, side="right")
+        theta = np.array([segment.theta_star for segment in self.segments])[seg]
+        z = np.array([segment.z_intercept for segment in self.segments])[seg]
+        z += s[:, None] * theta
+        mu = np.divide(z, s[:, None], out=np.zeros_like(z), where=s[:, None] > 0.0)
+        return theta, mu
 
 
 def _check_k(instance: ProblemInstance, k) -> np.ndarray:

@@ -126,7 +126,9 @@ class Initialization:
 
     def __post_init__(self):
         C = _finite_array(self.C, "C", (None,))
-        k = _finite_array(self.k, "k", C.shape)
+        k = _finite_array(self.k, "k", (None,))
+        if C.size != k.size:
+            raise DimensionMismatch(f"C has {C.size} entries and k has {k.size}")
         if not np.all(C > 0.0):
             raise DomainError("C must be strictly positive")
         if not np.all(k > 0.0):

@@ -11,6 +11,7 @@ parametric problem pointwise instead of following the path homotopy;
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,7 +35,6 @@ from dlnflow.integrate import (
     _ORDER_EXP,
     _SAFETY,
     DenseOutput,
-    IntegrationResult,
     IntegratorStats,
 )
 from dlnflow.lcp import STRICT_TOL, LcpSolution, _finite_array
@@ -137,6 +137,17 @@ def in_invariant_region(
     return bool(np.all(instance.r - instance.M @ theta >= -slack))
 
 
+@dataclass
+class ReferenceRun:
+    """What ``integrate_reference`` returns: the end of the run and its
+    dense output."""
+
+    s: float
+    y: np.ndarray
+    dense: DenseOutput
+    stats: IntegratorStats
+
+
 # Stage abscissae of the Dormand-Prince tableau, for the non-autonomous
 # y' = f(s, y) the reference loop integrates.
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -167,7 +178,7 @@ def integrate_reference(
     max_step: float = np.inf,
     step_callback: Callable[[float, np.ndarray, float, np.ndarray], None] | None = None,
     stop: Callable[[np.ndarray], bool] | None = None,
-) -> IntegrationResult:
+) -> ReferenceRun:
     """Integrate y' = f(s, y) from s0 to s_end.
 
     Error control is mixed (atol + rtol * |y|) and RMS-normed over every
@@ -242,5 +253,5 @@ def integrate_reference(
             factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm ** _ORDER_EXP))
         h *= factor
 
-    dense = DenseOutput(np.array(lefts), np.array(widths), np.array(conts))
-    return IntegrationResult(s=s, y=y, dense=dense, stats=stats)
+    dense = DenseOutput(np.array(lefts), np.array(widths), np.array(conts), stats)
+    return ReferenceRun(s=s, y=y, dense=dense, stats=stats)

@@ -158,7 +158,7 @@ def test_criterion_02_average_tracks_regularization_path():
         path = compute_path(inst, ones)
         s_max = 1.5 * path.s_star
         grid = np.linspace(0.1 * path.s_star, s_max, 200)
-        mu_vals = np.array([path.mu_at(s) for s in grid])
+        _, mu_vals = path.sample(grid)
         errs = []
         for eps in EPS_SWEEP:
             traj = checked_simulate(label, inst, Initialization(ones, ones, eps),

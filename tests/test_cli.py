@@ -582,6 +582,7 @@ def _lcp(tmp_path, q, M):
 
 _TRIDIAG_M = TRIDIAG_JSON["M"]
 _SHORT_SPAN = "error: span [0, 1e-15] is too short for one integration step"
+_C_ERROR = "error: C has 3 entries and k has 4"
 _S_MAX_ERRORS = {"simulate": "error: a grid needs 2 or more points on a finite span",
                  "compare": "error: a grid needs 2 or more points on a finite span",
                  "hitting-time": "error: s_max must be positive and finite"}
@@ -699,6 +700,13 @@ MALFORMED = {
          "--epsilons", "1e-12", "--s-max", "1e-15"], _SHORT_SPAN),
     "figure1 --s-max too short for one step": lambda tmp: (
         _experiment(tmp, "figure1", "--s-max", "1e-15"), _SHORT_SPAN),
+    "simulate --C shorter than k": lambda tmp: (
+        ["simulate", "--instance", _generated(tmp), "--epsilon", "1e-8",
+         "--C", "1,1,1", "--s-max", "1.0", "--out", str(tmp / "t.csv")], _C_ERROR),
+    **{f"{command} --C shorter than k": lambda tmp, command=command: (
+        ["--out-dir", str(tmp / "out"), command, "--instance", _generated(tmp),
+         "--epsilons", "1e-8", "--C", "1,1,1"], _C_ERROR)
+       for command in ("compare", "hitting-time")},
     "config with experiment flags": lambda tmp: (
         ["--out-dir", str(tmp / "out"), "hitting-time", "--config",
          _config(tmp, json.dumps({"instance": _instance(tmp, TRIDIAG_JSON),

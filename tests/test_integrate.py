@@ -17,9 +17,18 @@ def go_on(s0, y0, s1, y1):
     return False
 
 
+class LastStep:
+    """A step callback that never ends the run and keeps the endpoint
+    ``s``, ``y`` of the last accepted step."""
+
+    def __call__(self, s0, y0, s1, y1):
+        self.s, self.y = s1, y1
+        return False
+
+
 def test_exponential_decay():
     res = integrate(lambda y: -y, np.array([1.0]), 5.0, 1e-10, np.inf, go_on)
-    assert res.y[0] == pytest.approx(np.exp(-5.0), rel=1e-8)
+    assert res(res.s_max)[0] == pytest.approx(np.exp(-5.0), rel=1e-8)
 
 
 def test_logistic_accuracy_improves_with_tolerance():
@@ -29,7 +38,7 @@ def test_logistic_accuracy_improves_with_tolerance():
     for tol in [1e-5, 1e-7, 1e-9, 1e-11]:
         res = integrate(f, np.array([theta0]), 20.0, tol, np.inf, go_on)
         grid = np.linspace(0.0, 20.0, 257)
-        err = np.max(np.abs(res.dense(grid)[:, 0] - logistic(grid, theta0)))
+        err = np.max(np.abs(res(grid)[:, 0] - logistic(grid, theta0)))
         errors.append(err)
     assert all(b < a for a, b in zip(errors, errors[1:]))
     assert errors[-1] < errors[0] * 1e-3
@@ -44,7 +53,7 @@ def test_dense_output_order():
     for h in [0.4, 0.2, 0.1]:
         res = integrate(f, np.array([0.0, 1.0]), 6.0, 1e-2, h, go_on)
         grid = np.linspace(0.0, 6.0, 1001)
-        err = np.max(np.abs(res.dense(grid)[:, 0] - np.sin(grid)))
+        err = np.max(np.abs(res(grid)[:, 0] - np.sin(grid)))
         if prev is not None:
             assert err < prev / 10.0
         prev = err
@@ -52,9 +61,11 @@ def test_dense_output_order():
 
 def test_dense_output_matches_endpoints():
     f = lambda y: y * (1.0 - y)
-    res = integrate(f, np.array([0.01]), 10.0, 1e-9, np.inf, go_on)
-    np.testing.assert_allclose(res.dense(res.s), res.y, atol=1e-14)
-    np.testing.assert_allclose(res.dense(0.0), [0.01], atol=1e-15)
+    last = LastStep()
+    res = integrate(f, np.array([0.01]), 10.0, 1e-9, np.inf, last)
+    assert res.s_max == last.s
+    np.testing.assert_allclose(res(res.s_max), last.y, atol=1e-14)
+    np.testing.assert_allclose(res(0.0), [0.01], atol=1e-15)
 
 
 def test_stats_populated():
@@ -97,13 +108,14 @@ def test_callback_abort_propagates():
 
 
 def test_dense_output_out_of_range():
-    res = integrate(lambda y: -y, np.array([1.0]), 1.0, 1e-8, np.inf, go_on)
+    last = LastStep()
+    res = integrate(lambda y: -y, np.array([1.0]), 1.0, 1e-8, np.inf, last)
     # A relative 1e-12 past the end reads the value at the end.
-    np.testing.assert_allclose(res.dense(res.s * (1 + 1e-12) + 1e-15), res.y,
+    np.testing.assert_allclose(res(res.s_max * (1 + 1e-12) + 1e-15), last.y,
                                rtol=0, atol=1e-15)
-    for s in (1.5, res.s * (1 + 1e-11), -1e-300, np.nan):
+    for s in (1.5, res.s_max * (1 + 1e-11), -1e-300, np.nan):
         with pytest.raises(OutOfRange):
-            res.dense(s)
+            res(s)
 
 
 @pytest.mark.parametrize("s_end", [1e-14, 1e-15, 0.0, -1.0, np.nan])
@@ -117,7 +129,7 @@ def test_span_too_short_for_one_step_is_out_of_range(s_end):
 
 def test_shortest_span_takes_one_step():
     res = integrate(lambda y: -y, np.array([1.0]), 2e-14, 1e-8, np.inf, go_on)
-    assert res.stats.steps == 1 and res.s == res.dense.s_max == 2e-14
+    assert res.stats.steps == 1 and res.s_max == 2e-14
 
 
 def test_callback_returning_true_ends_the_run_at_that_step():
@@ -130,13 +142,11 @@ def test_callback_returning_true_ends_the_run_at_that_step():
     res = integrate(lambda y: y * (1.0 - y), np.array([1e-3]), 20.0, 1e-9, np.inf, cb)
     assert [y[0] > 0.5 for _, y in seen] == [False] * (len(seen) - 1) + [True]
     assert res.stats.steps == len(seen)
-    assert res.s == seen[-1][0] < 20.0
-    np.testing.assert_array_equal(res.y, seen[-1][1])
-    # The dense output covers [0, s] and no further.
-    assert res.dense.s_max == res.s
-    np.testing.assert_allclose(res.dense(res.s), res.y, atol=1e-14)
+    # The dense output covers [0, s] for that step's endpoint s and no further.
+    assert res.s_max == seen[-1][0] < 20.0
+    np.testing.assert_allclose(res(res.s_max), seen[-1][1], atol=1e-14)
     with pytest.raises(OutOfRange):
-        res.dense(res.s + 1e-6)
+        res(res.s_max + 1e-6)
 
 
 def _extreme_flow(monkeypatch):
@@ -197,9 +207,9 @@ def test_loop_matches_the_reference_bit_for_bit(case, monkeypatch):
         # buffer, so the buffer grew; the longest steps are at the cap.
         assert res.stats.steps > args["s_end"] / args["max_step"] > 64
         assert res.stats.max_step == args["max_step"]
-    assert res.s == ref.s
-    np.testing.assert_array_equal(res.y, ref.y)
-    for mine, theirs in zip((res.dense._lefts, res.dense._widths, res.dense._cont),
+    assert res.s_max == ref.s
+    np.testing.assert_array_equal(calls[-1][3], ref.y)
+    for mine, theirs in zip((res._lefts, res._widths, res._cont),
                             (ref.dense._lefts, ref.dense._widths, ref.dense._cont)):
         assert mine.shape == theirs.shape and np.array_equal(mine, theirs)
     # The hook saw the same steps.

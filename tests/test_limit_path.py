@@ -148,15 +148,29 @@ class TestComputePath:
         k = rng.uniform(0.5, 2.0, size=4)
         path = compute_path(inst, k)
         grid = np.linspace(1e-4, 1.5 * path.s_star, 400)
-        values = np.array([path.mu_at(s) for s in grid])
+        _, values = path.sample(grid)
         assert np.min(np.diff(values, axis=0)) >= -1e-10
 
-    def test_identification_z_equals_s_mu(self, tridiag_instance):
-        path = compute_path(tridiag_instance, ONES)
-        for s in (0.4, 0.9, 1.7):
-            np.testing.assert_allclose(
-                path.z_at(s), s * path.mu_at(s), atol=1e-14
-            )
+    def test_identification_z_equals_s_mu(self, separable_instance):
+        # Breakpoints 0.5 and 1.0; each belongs to the segment it starts.
+        path = compute_path(separable_instance, ONES)
+        grid = np.concatenate([[0.0], path.breakpoints, [0.4, 0.9, 1.7]])
+        theta, mu_vals = path.sample(grid)
+        np.testing.assert_array_equal(mu_vals[0], [0.0, 0.0])
+        for s, mu_s in zip(grid[1:], mu_vals[1:]):
+            np.testing.assert_allclose(mu_s, mu(separable_instance, ONES, s),
+                                       atol=1e-14)
+            np.testing.assert_allclose(path.segment_at(s).z_at(s), s * mu_s,
+                                       atol=1e-14)
+        for j, segment in enumerate(path.segments[1:]):
+            np.testing.assert_array_equal(theta[1 + j], segment.theta_star)
+        np.testing.assert_array_equal(theta[-3:], [[0.0, 0.0], [2.0, 0.0],
+                                                   [2.0, 1.0]])
+
+    @pytest.mark.parametrize("grid", [[-1e-300, 1.0], [np.nan], [[0.5]], 0.5])
+    def test_sample_needs_a_vector_of_nonnegative_s(self, tridiag_instance, grid):
+        with pytest.raises(OutOfRange):
+            compute_path(tridiag_instance, ONES).sample(grid)
 
     def test_positive_k_required(self, tridiag_instance):
         with pytest.raises(DomainError):

@@ -134,7 +134,7 @@ def test_large_d_mu_matches_qp():
     path = compute_path(inst, k)
     for seg in (path.segments[1], path.segments[64], path.segments[-2]):
         s = 0.5 * (seg.s_lo + seg.s_hi)
-        np.testing.assert_allclose(path.mu_at(s),
+        np.testing.assert_allclose(path.sample([s])[1][0],
                                    solve_qp_nonneg(k / s - inst.r, inst.M),
                                    atol=AGREE_TOL)
 
