@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 assumption/input violation, 3 numerical failure,
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from pathlib import Path
@@ -16,7 +15,7 @@ import numpy as np
 from click.core import ParameterSource
 
 from . import dynamics, experiments, fixed_points, lcp, limit_path, problem
-from .errors import DlnFlowError, DomainError, exit_code
+from .errors import DomainError, exit_code
 
 
 class FloatList(click.ParamType):
@@ -41,21 +40,21 @@ _ETA_FRACTION = click.option("--eta-fraction", type=float, show_default=True,
                              default=experiments.DEFAULT_ETA_FRACTION)
 
 
-def handles_errors(fn):
-    """Report package errors, input files that cannot be read or parsed and
-    unwritable paths as an ``error:`` line with the documented exit code."""
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class ReportingGroup(click.Group):
+    """Reports a failure that ``exit_code`` maps to 2, 3 or 4 as one
+    ``error:`` line and exits with that code; others propagate."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
-        except (DlnFlowError, OSError, json.JSONDecodeError) as exc:
+            return super().invoke(ctx)
+        except Exception as exc:
+            if (code := exit_code(exc)) == 1:
+                raise
             click.echo(f"error: {exc}", err=True)
-            sys.exit(exit_code(exc))
-
-    return wrapper
+            sys.exit(code)
 
 
-@click.group()
+@click.group(cls=ReportingGroup)
 @click.option("--out-dir", default=".", show_default=True,
               help="Directory for emitted files.")
 @click.pass_context
@@ -78,7 +77,6 @@ def main(ctx, out_dir):
 @click.option("--max-attempts", type=int, default=10_000, show_default=True,
               help="Rejection budget.")
 @click.option("--out", type=click.Path(), required=True, help="Instance JSON path.")
-@handles_errors
 def gen(n, d, seed, generator, offdiag_scale, max_attempts, out):
     """Generate a valid instance and write it as JSON."""
     spec = {"generator": generator, "d": d, "seed": seed}
@@ -97,7 +95,6 @@ def gen(n, d, seed, generator, offdiag_scale, max_attempts, out):
 @main.command("lcp-solve")
 @click.option("--input", "input_path", type=click.Path(exists=True), required=True,
               help='JSON file {"q": [...], "M": [[...]]}.')
-@handles_errors
 def lcp_solve(input_path):
     """Solve the complementarity problem for a (q, M) pair."""
     obj = problem.read_json_object(input_path)
@@ -108,7 +105,6 @@ def lcp_solve(input_path):
 @main.command("fixed-points")
 @click.option("--instance", "instance_path", type=click.Path(exists=True),
               required=True)
-@handles_errors
 def fixed_points_cmd(instance_path):
     """Print all 2^d stationary points of an instance as JSON."""
     instance = problem.load_instance(instance_path)
@@ -126,7 +122,6 @@ def fixed_points_cmd(instance_path):
 @_GRID
 @_TOL
 @click.option("--out", type=click.Path(), required=True, help="Trajectory CSV path.")
-@handles_errors
 def simulate(instance_path, epsilon, C, k, s_max, grid_points, tol, out):
     """Integrate the flow and write the sampled trajectory as CSV."""
     instance = problem.load_instance(instance_path)
@@ -150,7 +145,6 @@ def simulate(instance_path, epsilon, C, k, s_max, grid_points, tol, out):
 @click.option("--out-csv", type=click.Path(), default=None,
               help="Optional grid sampling of mu(s) and the limit process.")
 @click.option("--grid", type=int, default=200, show_default=True)
-@handles_errors
 def limit_path_cmd(instance_path, k, out_json, out_csv, grid):
     """Compute breakpoints, active sets and affine pieces of the limit."""
     instance = problem.load_instance(instance_path)
@@ -218,7 +212,6 @@ def _sweep_inputs(ctx, config, options):
 @_TOL
 @_ETA_FRACTION
 @click.pass_context
-@handles_errors
 def compare(ctx, config, **options):
     """Compare simulations against the limit process and its average."""
     instance, options = _sweep_inputs(ctx, config, options)
@@ -242,7 +235,6 @@ def compare(ctx, config, **options):
 @_TOL
 @_ETA_FRACTION
 @click.pass_context
-@handles_errors
 def hitting_time_cmd(ctx, config, **options):
     """Measure hitting times of the minimizer ball across epsilons."""
     instance, options = _sweep_inputs(ctx, config, options)
@@ -262,7 +254,6 @@ def hitting_time_cmd(ctx, config, **options):
 @_GRID
 @_TOL
 @click.pass_context
-@handles_errors
 def figure1(ctx, config, **options):
     """Emit phase-portrait data (d = 2): field, fixed points, trajectories."""
     instance, options = _sweep_inputs(ctx, config, options)

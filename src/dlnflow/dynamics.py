@@ -130,8 +130,9 @@ def simulate(
                           f"instance has {instance.d}")
     if not 0.0 < s_max < np.inf:
         raise OutOfRange(f"s_max must be positive and finite, got {s_max}")
-    if not 0.0 < tol < np.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+    if not np.finfo(float).eps <= tol < np.inf:
+        raise DomainError(f"tol must be positive and finite, and no smaller "
+                          f"than machine epsilon, got {tol}")
     if s_grid is None:
         s_grid = np.linspace(0.0, s_max, DEFAULT_GRID_POINTS)
     s_grid = np.asarray(s_grid, dtype=float)
@@ -176,6 +177,12 @@ def simulate(
     return Trajectory(instance, init, s_grid, dense)
 
 
+def _ball_gap(theta: np.ndarray, target: np.ndarray, eta: float) -> float:
+    """||theta - target||_2 - eta, <= 0 exactly inside the closed ball."""
+    diff = theta - target
+    return float(np.sqrt(diff.dot(diff))) - eta
+
+
 def hitting_time_on(trajectory: Trajectory, eta: float, *,
                     s_cap: float | None = None) -> float:
     """First physical time t with ||theta(t) - M^{-1} r||_2 <= eta.
@@ -198,8 +205,7 @@ def hitting_time_on(trajectory: Trajectory, eta: float, *,
     s_end = trajectory.s_max
 
     def gap(s):
-        theta = trajectory.theta_at(min(s, s_end))
-        return float(np.linalg.norm(theta - target)) - eta
+        return _ball_gap(trajectory.theta_at(min(s, s_end)), target, eta)
 
     if gap(0.0) <= 0.0:
         return 0.0
@@ -236,11 +242,7 @@ def hitting_time(
             f"eta={eta:g} must be smaller than every minimizer coordinate "
             f"(min {float(np.min(target)):g})"
         )
-
-    def inside(theta):
-        gap = theta - target
-        return np.sqrt(gap.dot(gap)) <= eta  # as np.linalg.norm computes it
-
     trajectory = simulate(instance, init, s_cap, s_grid=np.array([0.0, s_cap]),
-                          tol=tol, stop=inside)
+                          tol=tol,
+                          stop=lambda theta: _ball_gap(theta, target, eta) <= 0.0)
     return hitting_time_on(trajectory, eta, s_cap=s_cap)

@@ -127,8 +127,9 @@ class RejectionBudgetExceeded(BudgetExceeded):
 
 
 def exit_code(exc: BaseException) -> int:
-    """Map an exception to the documented CLI exit code; files that cannot
-    be read, parsed or written count as rejected input."""
+    """The documented CLI exit code of ``exc``; files that cannot be read,
+    parsed or written count as rejected input. The CLI reports codes 2 to 4
+    as one ``error:`` line; an exception mapped to 1 keeps its traceback."""
     if isinstance(exc, (ValidationError, OSError, json.JSONDecodeError)):
         return 2
     if isinstance(exc, BudgetExceeded):

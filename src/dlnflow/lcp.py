@@ -29,7 +29,7 @@ from .errors import (
     SingularSubmatrix,
 )
 
-# Strict-inequality threshold; scale-relative on non-unit-scale data.
+# Strict-inequality threshold, relative to the scale of what it bounds.
 STRICT_TOL = 1e-12
 
 
@@ -144,7 +144,9 @@ def solve_lcp(q, M) -> LcpSolution:
     joins the active set, its row is appended to the Cholesky factor and
     the principal system is re-solved. For K-matrices the primal iterates
     are monotone, so no coordinate leaves and at most d additions are
-    needed; a primal value below -STRICT_TOL raises ``PositivityViolation``.
+    needed; a primal value below -STRICT_TOL * max|z| raises
+    ``PositivityViolation``. No threshold is absolute, so ``(c q, M)`` has
+    the solution ``c z``, with the same support, at any scale c > 0.
     """
     q = _finite_array(q, "q", (None,))
     M = _finite_array(M, "M", (q.size, q.size))
@@ -152,20 +154,23 @@ def solve_lcp(q, M) -> LcpSolution:
     factor = ActiveSetCholesky(M)
     while True:
         z = factor.solve(-q)
-        if np.min(z) < -STRICT_TOL:
+        if np.min(z) < -STRICT_TOL * np.max(np.abs(z)):
             raise PositivityViolation(
                 f"primal value {np.min(z):.3e} on active set {factor.order}"
             )
         z = np.maximum(z, 0.0)
-        w = q + M @ z
-        # w is zero on the active set, so only inactive coordinates violate.
+        Mz = M @ z
+        w = q + Mz
+        # w is zero on the active set, so only inactive coordinates violate;
+        # there M z <= 0, and a violation stands out from |q| + |M z|.
         w[factor.order] = 0.0
-        violated = np.flatnonzero(w < -STRICT_TOL)
+        violated = np.flatnonzero(w < -STRICT_TOL * (np.abs(q) + np.abs(Mz)))
         if violated.size == 0:
             break
         factor.append([violated[np.argmin(w[violated])]])
 
-    support = tuple(np.flatnonzero(z > STRICT_TOL).tolist())
+    # A coordinate joins with a violation, which makes its z positive.
+    support = tuple(np.flatnonzero(z > 0.0).tolist())
     w = np.maximum(w, 0.0)
     return LcpSolution(w=w, z=z, support=support)
 

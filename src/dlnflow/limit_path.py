@@ -80,7 +80,7 @@ class LimitPath:
     s_star: float
 
     def segment_at(self, s: float) -> PathSegment:
-        if s <= 0.0:
+        if not s > 0.0:
             raise OutOfRange("the limit path is defined for s > 0")
         return self.segments[int(np.searchsorted(self.breakpoints, s, side="right"))]
 
@@ -240,7 +240,7 @@ def theta_star_of_s(path: LimitPath, s: float) -> np.ndarray:
     Undefined within 1e-12 of an activation time, where the limit jumps;
     such queries raise ``AtBreakpoint``.
     """
-    if s <= 0.0:
+    if not s > 0.0:
         raise OutOfRange("the limit process is defined for s > 0")
     gaps = np.abs(path.breakpoints - s)
     if np.any(gaps < BREAKPOINT_TOL):

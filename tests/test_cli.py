@@ -8,7 +8,12 @@ from click.testing import CliRunner
 from conftest import deadline
 from dlnflow import dynamics, generate_direct, lcp, problem, save_instance
 from dlnflow.cli import main
-from dlnflow.errors import StepUnderflow
+from dlnflow.errors import (
+    BudgetExceeded,
+    NumericalFailure,
+    StepUnderflow,
+    ValidationError,
+)
 
 
 @pytest.fixture
@@ -140,6 +145,15 @@ class TestLcpSolve:
         assert obj["schema"] == "dlnflow-lcp v1"
         np.testing.assert_allclose(obj["z"], [1.0, 1.0], atol=1e-10)
         np.testing.assert_allclose(obj["w"], [0.0, 0.0], atol=1e-10)
+        assert obj["support"] == [0, 1]
+
+    def test_coordinates_far_below_the_largest(self, runner, tmp_path):
+        p = tmp_path / "lcp.json"
+        p.write_text(json.dumps({"q": [-1e-13, -1], "M": [[1, 0], [0, 1]]}))
+        result = invoke(runner, ["lcp-solve", "--input", str(p)])
+        obj = json.loads(result.output)
+        assert obj["z"] == [1e-13, 1.0]
+        assert obj["w"] == [0.0, 0.0]
         assert obj["support"] == [0, 1]
 
     def test_non_k_matrix_exit_code(self, runner, tmp_path):
@@ -583,6 +597,7 @@ def _lcp(tmp_path, q, M):
 _TRIDIAG_M = TRIDIAG_JSON["M"]
 _SHORT_SPAN = "error: span [0, 1e-15] is too short for one integration step"
 _C_ERROR = "error: C has 3 entries and k has 4"
+_TOL_FLOOR = "error: tol must be positive and finite, and no smaller than machine epsilon"
 _S_MAX_ERRORS = {"simulate": "error: a grid needs 2 or more points on a finite span",
                  "compare": "error: a grid needs 2 or more points on a finite span",
                  "hitting-time": "error: s_max must be positive and finite"}
@@ -688,6 +703,12 @@ MALFORMED = {
     **{f"simulate --tol {tol}": lambda tmp, tol=tol: (
         _simulate(tmp, "--tol", tol), "error: tol must be positive and finite")
        for tol in ("0", "nan", "inf", "-1")},
+    # Below machine epsilon the first step once came out NaN, after three
+    # RuntimeWarnings, and the run exited 3.
+    **{f"{command} --tol 1e-300": lambda tmp, command=command: (
+        _simulate(tmp, "--tol", "1e-300") if command == "simulate"
+        else _experiment(tmp, command, "--tol", "1e-300"), _TOL_FLOOR)
+       for command in ("simulate", "compare", "hitting-time")},
     **{f"{command} --s-max {s_max}": lambda tmp, command=command, s_max=s_max: (
         _simulate(tmp, "--s-max", s_max) if command == "simulate"
         else _experiment(tmp, command, "--s-max", s_max), _S_MAX_ERRORS[command])
@@ -772,3 +793,34 @@ def test_malformed_input_exits_2(runner, tmp_path, case):
     assert "Traceback" not in result.output
     assert result.output.count("error:") <= 1
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def _raising(monkeypatch, command, exc):
+    """Make ``command`` take no option and raise ``exc`` when run."""
+    def fail(**kwargs):
+        raise exc
+
+    monkeypatch.setattr(main.commands[command], "callback", fail)
+    monkeypatch.setattr(main.commands[command], "params", [])
+
+
+@pytest.mark.parametrize("exc, code", [
+    (ValidationError("bad input"), 2),
+    (NumericalFailure("no convergence"), 3),
+    (BudgetExceeded("out of attempts"), 4),
+], ids=["ValidationError", "NumericalFailure", "BudgetExceeded"])
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_every_command_reports_package_errors(runner, monkeypatch, command,
+                                              exc, code):
+    _raising(monkeypatch, command, exc)
+    result = runner.invoke(main, [command])
+    assert result.exit_code == code
+    assert result.output == f"error: {exc}\n"
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_every_command_lets_other_errors_propagate(runner, monkeypatch,
+                                                   command):
+    _raising(monkeypatch, command, RuntimeError("a defect"))
+    with pytest.raises(RuntimeError, match="a defect"):
+        invoke(runner, [command])

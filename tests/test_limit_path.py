@@ -297,5 +297,9 @@ class TestThetaStarOfS:
 
     def test_nonpositive_refused(self, separable_instance):
         path = compute_path(separable_instance, ONES)
-        with pytest.raises(OutOfRange):
-            theta_star_of_s(path, 0.0)
+        # NaN passes a test of s <= 0 and once read as a time past s*.
+        for s in (0.0, np.nan):
+            with pytest.raises(OutOfRange):
+                theta_star_of_s(path, s)
+            with pytest.raises(OutOfRange):
+                path.segment_at(s)

@@ -121,6 +121,19 @@ def test_three_lcp_routes_agree(d, seed, scale):
     assert np.all(solve_lcp(q_up, M).z <= pivoting.z + AGREE_TOL)
 
 
+@properties
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(-150.0, 150.0))
+def test_lcp_solution_scales_with_q(d, seed, exponent):
+    # The solution of (c q, M) is c z: no tolerance may be absolute.
+    rng = np.random.default_rng(seed)
+    M = random_k_matrix(rng, d)
+    q = rng.normal(size=d)
+    c = 10.0 ** exponent
+    base, scaled = solve_lcp(q, M), solve_lcp(c * q, M)
+    assert scaled.support == base.support
+    assert np.max(np.abs(scaled.z - c * base.z)) <= 1e-12 * c * np.max(base.z)
+
+
 def test_tie_joins_in_one_event():
     inst = ProblemInstance(M=np.eye(3), r=[1.0, 1.0, 2.0])
     path = compute_path(inst, np.ones(3))
