@@ -2,7 +2,7 @@
 
 Three families map onto the CLI exit codes: rejected inputs and violated
 model assumptions exit with 2, numerical failures with 3, exhausted
-sampling/iteration budgets with 4.
+sampling/iteration budgets with 4, as does a failed allocation.
 """
 
 import json
@@ -128,11 +128,12 @@ class RejectionBudgetExceeded(BudgetExceeded):
 
 def exit_code(exc: BaseException) -> int:
     """The documented CLI exit code of ``exc``; files that cannot be read,
-    parsed or written count as rejected input. The CLI reports codes 2 to 4
+    parsed or written count as rejected input, and a failed allocation
+    (``MemoryError``) as an exhausted budget. The CLI reports codes 2 to 4
     as one ``error:`` line; an exception mapped to 1 keeps its traceback."""
     if isinstance(exc, (ValidationError, OSError, json.JSONDecodeError)):
         return 2
-    if isinstance(exc, BudgetExceeded):
+    if isinstance(exc, (BudgetExceeded, MemoryError)):
         return 4
     if isinstance(exc, DlnFlowError):
         return 3

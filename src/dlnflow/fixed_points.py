@@ -52,7 +52,9 @@ def fixed_point(instance: ProblemInstance, support: Iterable[int]) -> FixedPoint
                 f"submatrix {idx.tolist()} failed to factor; instance invalid"
             ) from None
         theta_active = cho_solve(factor, instance.r[idx])
-        if np.any(theta_active <= POSITIVITY_TOL):
+        # M_II^{-1} >= diag(M_II)^{-1} entrywise, so theta_i >= r_i / M_ii.
+        if np.any(theta_active * np.diag(instance.M)[idx]
+                  <= POSITIVITY_TOL * instance.r[idx]):
             raise PositivityViolation(
                 f"computed active coordinates not strictly positive: "
                 f"{theta_active.tolist()}"

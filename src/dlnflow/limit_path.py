@@ -123,6 +123,8 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
     M, r, d = instance.M, instance.r, instance.d
 
     factor = lcp.ActiveSetCholesky(M)
+    # M_II^{-1} >= diag(M_II)^{-1} entrywise, so z_slp_i >= r_i / M_ii on I.
+    positivity_floor = POSITIVITY_TOL * r / np.diag(M)
     s_cur = 0.0
     breakpoints: list[float] = []
     segments: list[PathSegment] = []
@@ -134,7 +136,7 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
         w_slp = M @ z_slp - r
         w_int[active] = 0.0
         w_slp[active] = 0.0
-        if np.any(z_slp[active] <= POSITIVITY_TOL):
+        if np.any(z_slp[active] <= positivity_floor[active]):
             raise PositivityViolation(
                 f"stationary point on {active} not positive: {z_slp[active]}"
             )

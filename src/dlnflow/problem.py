@@ -20,7 +20,6 @@ import inspect
 import json
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -108,12 +107,6 @@ class ProblemInstance:
     def minimizer(self) -> np.ndarray:
         """Unconstrained minimizer M^{-1} r of the quadratic loss (read-only)."""
         return self._minimizer
-
-    @cached_property
-    def lambda_max(self) -> float:
-        """Largest eigenvalue of M, computed on first use: only simulations
-        read it, and an instance may serve several."""
-        return float(np.linalg.eigvalsh(self.M)[-1])
 
 
 @dataclass(frozen=True)

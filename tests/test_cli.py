@@ -172,6 +172,14 @@ class TestFixedPoints:
         obj = json.loads(result.output)
         assert len(obj["points"]) == 4
 
+    def test_coordinates_far_below_the_largest(self, runner, tmp_path):
+        inst = _instance(tmp_path, {"M": [[1.0, 0.0], [0.0, 1.0]],
+                                    "r": [1e-13, 1.0]})
+        result = invoke(runner, ["fixed-points", "--instance", inst])
+        assert result.exit_code == 0
+        points = json.loads(result.output)["points"]
+        assert points[-1]["theta"] == [1e-13, 1.0]
+
     def test_dimension_too_large_exit_code(self, runner, tmp_path):
         inst = tmp_path / "d21.json"
         save_instance(generate_direct(21, 3)[0], inst)
@@ -199,6 +207,18 @@ class TestSimulate:
         assert np.all(np.isfinite(data))
         # Loss column is nonincreasing along the flow.
         assert np.max(np.diff(data[:, 6])) <= 1e-9
+
+    def test_eigenvalues_far_apart(self, runner, tmp_path):
+        # The step cap weighs each coordinate by its own cap on theta, so
+        # M_00 = 1e-300 (theta*_0 = 1e300) no longer shrinks every step.
+        inst = _instance(tmp_path, {"M": [[1e-300, 0.0], [0.0, 1.0]],
+                                    "r": [1.0, 1.0]})
+        out = tmp_path / "t.csv"
+        result = invoke(runner, ["simulate", "--instance", inst,
+                                 "--epsilon", "1e-12", "--s-max", "3",
+                                 "--out", str(out)])
+        assert result.exit_code == 0
+        assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=2)))
 
     def test_assumption_violation_exit_code(self, runner, tmp_path):
         inst = tmp_path / "bad.json"
@@ -239,6 +259,17 @@ class TestLimitPath:
         assert obj["active_sets"][0] == []
         assert obj["active_sets"][-1] == [0, 1]
         assert out_csv.exists()
+
+    def test_coordinates_far_below_the_largest(self, runner, tmp_path):
+        inst = _instance(tmp_path, {"M": [[1.0, 0.0], [0.0, 1.0]],
+                                    "r": [1e-13, 1.0]})
+        out_json = tmp_path / "path.json"
+        result = invoke(runner, ["limit-path", "--instance", inst,
+                                 "--out-json", str(out_json)])
+        assert result.exit_code == 0
+        obj = json.loads(out_json.read_text())
+        assert obj["s_star"] == pytest.approx(1e13)
+        assert obj["active_sets"] == [[], [1], [0, 1]]
 
 
 class TestExperimentsCommands:
@@ -808,7 +839,8 @@ def _raising(monkeypatch, command, exc):
     (ValidationError("bad input"), 2),
     (NumericalFailure("no convergence"), 3),
     (BudgetExceeded("out of attempts"), 4),
-], ids=["ValidationError", "NumericalFailure", "BudgetExceeded"])
+    (MemoryError("Unable to allocate 298. GiB"), 4),
+], ids=["ValidationError", "NumericalFailure", "BudgetExceeded", "MemoryError"])
 @pytest.mark.parametrize("command", sorted(main.commands))
 def test_every_command_reports_package_errors(runner, monkeypatch, command,
                                               exc, code):
@@ -816,6 +848,27 @@ def test_every_command_reports_package_errors(runner, monkeypatch, command,
     result = runner.invoke(main, [command])
     assert result.exit_code == code
     assert result.output == f"error: {exc}\n"
+
+
+def _unaffordable(*args, **kwargs):
+    raise MemoryError("Unable to allocate 14.9 GiB for an array with shape "
+                      "(100000000, 20) and data type float64")
+
+
+@pytest.mark.parametrize("case", ["gen --d 200000", "simulate --grid 100000000"])
+def test_failed_allocation_exits_4(runner, tmp_path, monkeypatch, case):
+    # The callee that would allocate raises instead: no test allocates.
+    if case.startswith("gen"):
+        monkeypatch.setattr(problem, "generate_direct", _unaffordable)
+        args = ["gen", "--d", "200000", "--seed", "1",
+                "--out", str(tmp_path / "inst.json")]
+    else:
+        monkeypatch.setattr(dynamics, "Trajectory", _unaffordable)
+        args = _simulate(tmp_path, "--grid", "100000000")
+    result = runner.invoke(main, args)
+    assert result.exit_code == 4
+    assert result.output.startswith("error: Unable to allocate")
+    assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("command", sorted(main.commands))

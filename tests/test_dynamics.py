@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
-from conftest import scalar_logistic
+from conftest import random_instance, scalar_logistic
 from dlnflow import (
     Initialization,
     ProblemInstance,
+    compute_path,
+    dynamics,
     fixed_point,
+    generate_direct,
     hitting_time,
     hitting_time_on,
     simulate,
 )
+from dlnflow.dynamics import DEFAULT_TOL
 from dlnflow.errors import (
     DomainError,
     MonotonicityViolated,
@@ -65,6 +72,81 @@ class TestSimulateOracles:
             errors.append(float(np.max(np.abs(traj.theta[:, 0] - exact))))
         assert all(b < a for a, b in zip(errors, errors[1:]))
         assert errors[-1] < errors[0] * 1e-3
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-100, 1e-300])
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_matches_an_independent_integrator(self, d, eps):
+        # scipy's DOP853 at rtol = atol = 1e-13 on the same flow in w shares
+        # no code with simulate's integrator. An error of order tol in w is
+        # one of |log eps| * tol * theta in theta (README, numerical notes).
+        inst, _ = generate_direct(d, 5)
+        C, k = np.random.default_rng(d).uniform(0.5, 2.0, size=(2, d))
+        init = Initialization(C=C, k=k, epsilon=eps)
+        grid = np.linspace(0.0, 1.5 * compute_path(inst, k).s_star, 31)
+        traj = simulate(inst, init, grid[-1], s_grid=grid)
+
+        log_eps, M, r = init.log_epsilon, inst.M, inst.r
+        # A step of more than a few units of physical time t = s |log eps|
+        # takes trial stages far enough past theta* to overflow exp.
+        ref = solve_ivp(lambda s, w: M @ np.exp(w * log_eps) - r,
+                        (0.0, grid[-1]), init.w0, method="DOP853", rtol=1e-13,
+                        atol=1e-13, t_eval=grid, max_step=10.0 / -log_eps)
+        assert ref.success
+        error = np.max(np.abs(traj.theta - np.exp(ref.y.T * log_eps)))
+        assert error <= -log_eps * DEFAULT_TOL * np.max(inst.minimizer())
+
+
+class _Cap(Exception):
+    """Carries the step cap ``simulate`` hands to ``integrate``."""
+
+
+def stability_cap(inst, init):
+    """The ``max_step`` of ``simulate(inst, init, ...)``, read without
+    integrating."""
+    def capture(f, y0, s_end, tol, max_step, step_callback):
+        raise _Cap(max_step)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dynamics, "integrate", capture)
+        with pytest.raises(_Cap) as caught:
+            simulate(inst, init, 1.0)
+    return caught.value.args[0]
+
+
+class TestStabilityCap:
+    @pytest.mark.parametrize("case", ["d32-eps1e-300", "start-above-minimizer"])
+    def test_componentwise_formula(self, case):
+        if case == "d32-eps1e-300":
+            inst, _ = generate_direct(32, 3)
+            C, k = np.random.default_rng(3).uniform(0.5, 2.0, size=(2, 32))
+            init = Initialization(C=C, k=k, epsilon=1e-300)
+        else:
+            # theta(0) = (5, 0.05) against theta* = (1, 1): the cap takes
+            # the larger value in each coordinate.
+            inst = ProblemInstance(M=[[2.0, -1.0], [-1.0, 2.0]], r=[1.0, 1.0])
+            init = make_init(2, 0.5, C=[10.0, 0.1])
+        log_eps = np.log(init.epsilon)
+        theta_cap = np.maximum(inst.minimizer(), init.C * np.exp(init.k * log_eps))
+        root = np.diag(np.sqrt(theta_cap))
+        expected = 2.8 / (-log_eps * np.linalg.eigvalsh(root @ inst.M @ root)[-1])
+        assert stability_cap(inst, init) == pytest.approx(expected, rel=1e-12)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(-300.0, -1.0))
+    def test_between_the_scalar_and_the_diagonal_bounds(self, d, seed, log10_eps):
+        # lambda_max(D^1/2 M D^1/2) lies between max_i M_ii D_ii and
+        # lambda_max(M) max D, so the cap is never shorter than the scalar
+        # bound 2.8 / (|log eps| lambda_max(M) max theta_cap).
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, d)
+        C, k = rng.uniform(0.5, 2.0, size=(2, d))
+        init = Initialization(C=C, k=k, epsilon=10.0 ** log10_eps)
+        rate = -init.log_epsilon
+        theta_cap = np.maximum(inst.minimizer(), C * np.exp(-k * rate))
+        cap = stability_cap(inst, init)
+        scalar = 2.8 / (rate * np.linalg.eigvalsh(inst.M)[-1] * np.max(theta_cap))
+        diagonal = 2.8 / (rate * np.max(np.diag(inst.M) * theta_cap))
+        assert scalar * (1.0 - 1e-12) <= cap <= diagonal * (1.0 + 1e-12)
 
 
 class TestTrajectoryStructure:

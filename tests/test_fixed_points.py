@@ -58,6 +58,13 @@ class TestFixedPoint:
                 off = [i for i in range(d) if i not in support]
                 assert np.all(fp.theta[off] == 0.0)
 
+    def test_coordinates_far_below_the_largest(self):
+        # Positivity is judged against r_i / M_ii, a lower bound on each
+        # coordinate, so no unit of r makes a coordinate too small.
+        inst = ProblemInstance(M=np.eye(2), r=[1e-13, 1.0])
+        np.testing.assert_array_equal(fixed_point(inst, [0, 1]).theta, [1e-13, 1.0])
+        np.testing.assert_array_equal(fixed_point(inst, [0]).theta, [1e-13, 0.0])
+
     def test_full_minimizer_positive(self, rng):
         for _ in range(20):
             inst = random_instance(rng, int(rng.integers(1, 7)))

@@ -9,6 +9,7 @@ from dlnflow import (
     compute_path,
     convergence_time_s_star,
     from_data,
+    generate_direct,
     generate_rejection,
     solve_qp_nonneg,
     theta_star_of_s,
@@ -185,6 +186,22 @@ class TestComputePath:
         # Loss staircase is strictly decreasing along activations.
         values = [loss(inst, seg.theta_star) for seg in path.segments]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-100, 1e-200])
+    @pytest.mark.parametrize("scaled", ["r and k", "M"])
+    def test_rescaled_instance_keeps_s_star(self, scaled, scale):
+        # The path of (a M, b r, c k) has its breakpoints scaled by c / b, so
+        # s* stays put under these scalings, and every stationary point must
+        # pass its positivity certificate at any unit of M or r.
+        inst, _ = generate_direct(6, 3)
+        k = np.ones(6)
+        s_star = compute_path(inst, k).s_star
+        if scaled == "M":
+            inst = ProblemInstance(M=inst.M / scale, r=inst.r)
+        else:
+            inst, k = ProblemInstance(M=inst.M, r=scale * inst.r), scale * k
+        assert compute_path(inst, k).s_star == pytest.approx(s_star, rel=1e-12)
+        assert s_star == pytest.approx(1.36448398625, rel=1e-11)
 
 
 class TestSegmentCertificate:

@@ -166,6 +166,29 @@ def trajectories(draw):
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.floats(-300.0, -4.0),
+       st.floats(-150.0, 150.0))
+def test_rescaled_flow_gives_the_rescaled_trajectory(d, seed, log10_eps,
+                                                     log10_lam):
+    # The flow of (lam M, r) from C / lam is theta / lam: neither the step
+    # cap nor the monotonicity certificate may depend on the scale.
+    inst, _ = generate_direct(d, seed)
+    C, k = np.random.default_rng(seed).uniform(0.5, 2.0, size=(2, d))
+    eps, lam = 10.0 ** log10_eps, 10.0 ** log10_lam
+    grid = np.linspace(0.0, 1.5 * compute_path(inst, k).s_star, 31)
+    base = simulate(inst, Initialization(C=C, k=k, epsilon=eps), grid[-1],
+                    s_grid=grid)
+    scaled = simulate(ProblemInstance(M=lam * inst.M, r=inst.r),
+                      Initialization(C=C / lam, k=k, epsilon=eps), grid[-1],
+                      s_grid=grid)
+    # Each run is accurate to about tol * (1 + |w|) in w, the integrator's
+    # mixed error weight, and w moves by log(lam) / log(eps) with the scale.
+    w_scale = 1.0 + max(np.max(np.abs(base.w)), np.max(np.abs(scaled.w)))
+    bound = -np.log(eps) * DEFAULT_TOL * np.max(inst.minimizer()) * w_scale
+    assert np.max(np.abs(lam * scaled.theta - base.theta)) <= 2.0 * bound
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
 @given(trajectories())
 def test_trajectory_invariants_and_hitting_time(traj):
     # 16 points per accepted step of the dense output, plus the end point:
