@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, MonotonicityViolated, NotReached, OutOfRange
-from .integrate import DenseOutput, integrate
+from .integrate import DenseOutput, flow_product, integrate
 from .problem import Initialization, ProblemInstance, loss
 
 MONOTONE_RUNTIME_TOL = 1e-8
@@ -92,15 +92,6 @@ class Trajectory:
         return loss(self.instance, self.theta)
 
 
-def _flow(instance: ProblemInstance, log_eps: float):
-    M, r = instance.M, instance.r
-
-    def rhs(w):
-        return M @ np.exp(w * log_eps) - r
-
-    return rhs
-
-
 def simulate(
     instance: ProblemInstance,
     init: Initialization,
@@ -156,11 +147,10 @@ def simulate(
     h_stab = 2.8 / (abs(log_eps) * rate)
     drop_tol = MONOTONE_RUNTIME_TOL * theta_cap
 
-    def step(s_old, w_old, s_new, w_new):
+    def step(s_old, w_old, s_new, w_new, theta_new):
         # integrate calls this once per accepted step, in order, so w_old is
         # the previous call's w_new and theta_old its theta.
         nonlocal theta_old
-        theta_new = np.exp(w_new * log_eps)
         drop = theta_old - theta_new
         excess = drop - drop_tol
         if excess.max() > 0.0:
@@ -172,7 +162,8 @@ def simulate(
         theta_old = theta_new
         return stop is not None and stop(theta_new)
 
-    dense = integrate(_flow(instance, log_eps), init.w0, s_max, tol, h_stab, step)
+    dense = integrate(flow_product(instance.M, instance.r, log_eps), log_eps,
+                      init.w0, s_max, tol, h_stab, step)
     if stop is not None:
         s_grid = s_grid[s_grid <= dense.s_max]
     return Trajectory(instance, init, s_grid, dense)

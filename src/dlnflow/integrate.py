@@ -1,9 +1,9 @@
-"""Embedded Dormand-Prince 5(4) integration with quartic dense output.
+"""Embedded Dormand-Prince 5(4) integration of the log-coordinate flow
+w' = M theta - r, theta = exp(L w), L = log(epsilon), with quartic dense output.
 
-Plain explicit adaptive stepping: the systems integrated here have bounded
-right-hand sides by construction, so no stiff machinery is needed. The
-dense output is the classical order-4 continuous extension built from the
-seven stages, evaluated in Horner form.
+Each stage is kept as its theta and Q = L (M theta - r): its exponent is
+L w + h (a . Q), and one product gives its Q. The right-hand side is bounded
+along trajectories, so plain explicit adaptive stepping suffices.
 """
 
 from __future__ import annotations
@@ -64,16 +64,16 @@ class DenseOutput:
     """Piecewise-quartic interpolant over the accepted steps from s = 0, and
     the counters of the run that made them.
 
-    The one query-range rule of a trajectory: [0, s_max], and a relative
-    1e-12 past s_max, which reads the value at s_max.
+    A step's row holds w at its start, its increment, and h k = h Q / L of its
+    first and last stage and their D-combination; a query forms the quartic
+    of the steps it reads. The one query-range rule of a trajectory:
+    [0, s_max], and a relative 1e-12 past s_max, which reads the value there.
     """
 
-    def __init__(self, lefts: np.ndarray, widths: np.ndarray, cont: np.ndarray,
-                 stats: IntegratorStats):
-        self._lefts = lefts          # (nseg,)
-        self._widths = widths        # (nseg,)
-        self._cont = cont            # (nseg, 5, n)
-        self.s_max = float(lefts[-1] + widths[-1])
+    def __init__(self, knots: np.ndarray, rows: np.ndarray, stats: IntegratorStats):
+        self._knots = knots          # (nseg + 1,): 0, the step ends, s_max
+        self._rows = rows            # (nseg, 5, n)
+        self.s_max = float(knots[-1])
         self.stats = stats
 
     def __call__(self, s):
@@ -81,14 +81,18 @@ class DenseOutput:
         if not (np.all(s_arr >= 0.0)
                 and np.all(s_arr <= self.s_max * (1 + 1e-12) + 1e-15)):
             raise OutOfRange(f"s must lie in [0, {self.s_max}]")
-        # The first left end is 0, so every query lies right of one.
-        seg = np.searchsorted(self._lefts, s_arr, side="right") - 1
-        tau = (s_arr - self._lefts[seg]) / self._widths[seg]
-        tau = np.clip(tau, 0.0, 1.0)
-        c = self._cont[seg]          # (m, 5, n)
-        tau = tau[:, None]
+        # The first knot is 0, so every query lies right of one.
+        seg = np.searchsorted(self._knots[:-1], s_arr, side="right") - 1
+        left = self._knots[seg]
+        # A step end reads exactly the w it handed to the step callback.
+        tau = np.clip((s_arr - left) / (self._knots[seg + 1] - left), 0.0, 1.0)[:, None]
+        # Coefficients in place in this copy: h k0 - dw, then h k6 - dw + that.
+        c = self._rows[seg]          # (m, 5, n)
+        c[:, 2] -= c[:, 1]
+        c[:, 3] -= c[:, 1]
+        c[:, 3] += c[:, 2]
         omt = 1.0 - tau
-        out = c[:, 0] + tau * (c[:, 1] + omt * (c[:, 2] + tau * (c[:, 3] + omt * c[:, 4])))
+        out = c[:, 0] + tau * (c[:, 1] + omt * (c[:, 2] + tau * (omt * c[:, 4] - c[:, 3])))
         return out[0] if np.ndim(s) == 0 else out
 
 
@@ -99,14 +103,18 @@ def _doubled(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _initial_step(f, y0, f0, s_end, scale):
-    """Hairer-style starting step guess, clipped to the span."""
+def _initial_step(f, x, Q, log_eps, y0, ly0, s_end, scale):
+    """Hairer-style starting step guess, clipped to the span. Evaluates the
+    first stage into x[0], Q[0] and a probe stage into x[1], Q[1]."""
+    np.exp(ly0, out=x[0, :-1])
+    f(x[0], Q[0])
     d0 = np.sqrt(np.mean((y0 / scale) ** 2))
-    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
+    d1 = np.sqrt(np.mean((Q[0] / log_eps / scale) ** 2))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, s_end)
-    f1 = f(y0 + h0 * f0)
-    d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
+    np.exp(ly0 + h0 * Q[0], out=x[1, :-1])
+    f(x[1], Q[1])
+    d2 = np.sqrt(np.mean(((Q[1] - Q[0]) / log_eps / scale) ** 2)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -115,38 +123,44 @@ def _initial_step(f, y0, f0, s_end, scale):
 
 
 def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    y0,
+    f: Callable[[np.ndarray, np.ndarray], object],
+    log_eps: float,
+    w0,
     s_end: float,
     tol: float,
     max_step: float,
-    step_callback: Callable[[float, np.ndarray, float, np.ndarray], bool],
+    step_callback: Callable[[float, np.ndarray, float, np.ndarray, np.ndarray], bool],
 ) -> DenseOutput:
-    """Integrate the autonomous y' = f(y) from s = 0 to s_end and return the
-    dense output, which carries the run's ``stats``.
+    """Integrate w' = M theta - r, theta = exp(log_eps * w), from w(0) = w0
+    at s = 0 to s_end and return the dense output, which carries the run's
+    ``stats``.
 
-    Error control is mixed (tol + tol * |y|) and RMS-normed over every
-    component; no step exceeds ``max_step``. After each accepted step
-    ``step_callback(s_old, y_old, s_new, y_new)`` may raise to abort with a
-    domain-specific diagnosis, or return true to end the integration there:
-    the dense output's ``s_max`` is then that step's endpoint. A span too
-    short for one step is ``OutOfRange``.
+    ``f(x, out)`` writes log_eps * (M theta - r) into ``out`` for
+    x = [theta, 1], as ``flow_product`` builds it. Error control is mixed
+    (tol + tol * |w|) and RMS-normed over every component; no step exceeds
+    ``max_step``. After each accepted step ``step_callback(s_old, w_old,
+    s_new, w_new, theta_new)`` may raise to abort with a domain-specific
+    diagnosis, or return true to end the integration there: the dense
+    output's ``s_max`` is then that step's endpoint. ``theta_new`` is the
+    step's last stage exp(log_eps * w_new), bit for bit the dense output's
+    theta at ``s_new``. A span too short for one step is ``OutOfRange``.
     """
     # The loop's end test, applied at s = 0.
     s_stop = s_end - 1e-14 * max(1.0, s_end)
     if not s_stop > 0.0:
         raise OutOfRange(f"span [0, {s_end:g}] is too short for one integration step")
-    y = np.array(y0, dtype=float)
+    y = np.array(w0, dtype=float)
     n = y.size
 
-    k = np.empty((7, n))
-    k[0] = f(y)
-    h = min(_initial_step(f, y, k[0], s_end, tol + tol * np.abs(y)), max_step)
+    # Row i of x is stage i's [theta, 1], and Q[i] its product.
+    x, Q = np.ones((7, n + 1)), np.empty((7, n))
+    ly, abs_y = log_eps * y, np.abs(y)
+    h = min(_initial_step(f, x, Q, log_eps, y, ly, s_end, tol + tol * abs_y), max_step)
 
     # Accepted steps write their dense rows in place, doubling full buffers.
     # Starting at the rows a run at the step cap fills avoids most doublings.
     cap = max(64, int(min(s_end / max_step, 2**16)))
-    lefts, widths, cont = np.empty(cap), np.empty(cap), np.empty((cap, 5, n))
+    knots, rows = np.zeros(cap + 1), np.empty((cap, 5, n))
     steps, rejected, max_h = 0, 0, 0.0
     s = 0.0
     while s < s_stop:
@@ -154,15 +168,19 @@ def integrate(
         if not h >= 1e-14 * max(1.0, s):
             raise StepUnderflow(f"step {h:.3e} underflowed at s={s:.6g}")
 
-        for i in range(1, 7):
-            k[i] = f(y + h * _A[i].dot(k[:i]))
-        y_new = y + h * _B.dot(k)
+        for i in range(1, 6):
+            np.exp(ly + (h * _A[i]).dot(Q[:i]), out=x[i, :n])
+            f(x[i], Q[i])
+        hl = h / log_eps
+        ydiff = (hl * _B[:6]).dot(Q[:6])
+        y_new = y + ydiff
+        ly_new = log_eps * y_new
+        np.exp(ly_new, out=x[6, :n])
+        f(x[6], Q[6])
 
-        err_vec = h * _E.dot(k)
-        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        q = err_vec / scale
-        # The RMS norm; np.mean sums and divides the same way.
-        err_norm = math.sqrt(np.add.reduce(q * q) / n)
+        abs_y_new = np.abs(y_new)
+        q = (hl * _E).dot(Q) / (tol + tol * np.maximum(abs_y, abs_y_new))
+        err_norm = math.sqrt(q.dot(q) / n)
 
         # inf and NaN fail too, and max() makes their factor _MIN_FACTOR.
         if not err_norm <= 1.0:
@@ -170,19 +188,20 @@ def integrate(
             h *= max(_MIN_FACTOR, _SAFETY * err_norm ** _ORDER_EXP)
             continue
 
-        if steps == len(lefts):
-            lefts, widths, cont = map(_doubled, (lefts, widths, cont))
-        ydiff = y_new - y
-        bspl = h * k[0] - ydiff
-        cont[steps] = (y, ydiff, bspl, ydiff - h * k[6] - bspl, h * _D.dot(k))
-        lefts[steps] = s
-        widths[steps] = h
+        if steps == len(rows):
+            knots, rows = _doubled(knots), _doubled(rows)
+        row = rows[steps]
+        row[0] = y
+        row[1] = ydiff
+        np.multiply(Q[::6], hl, out=row[2:4])
+        (hl * _D).dot(Q, out=row[4])
+        s_new = s + h
         steps += 1
+        knots[steps] = s_new
         max_h = max(max_h, h)
-        done = step_callback(s, y, s + h, y_new)
-        s += h
-        y = y_new
-        k[0] = k[6]  # FSAL
+        done = step_callback(s, y, s_new, y_new, x[6, :n].copy())
+        s, y, ly, abs_y = s_new, y_new, ly_new, abs_y_new
+        Q[0] = Q[6]  # FSAL
         if done:
             break
 
@@ -194,4 +213,9 @@ def integrate(
 
     # Six evaluations per attempted step, two before the first one.
     stats = IntegratorStats(steps, rejected, max_h, 2 + 6 * (steps + rejected))
-    return DenseOutput(lefts[:steps], widths[:steps], cont[:steps], stats)
+    return DenseOutput(knots[: steps + 1], rows[:steps], stats)
+
+
+def flow_product(M: np.ndarray, r: np.ndarray, log_eps: float):
+    """The ``f`` of ``integrate`` for the flow of (M, r) at log(epsilon)."""
+    return (log_eps * np.column_stack([M, -np.asarray(r)])).dot

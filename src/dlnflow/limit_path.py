@@ -147,9 +147,9 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
             roots = np.full(d, np.inf)
             cand = inactive[w_slp[inactive] < 0.0]
             roots[cand] = -w_int[cand] / w_slp[cand]
-            # A root within tolerance of s_cur joins at s_cur: joins only
-            # pull the other roots earlier, so a skipped one never returns.
-            late = np.flatnonzero(roots <= s_cur + BREAKPOINT_TOL * max(1.0, s_cur))
+            # A root within a relative tolerance of s_cur joins at s_cur: joins
+            # only pull the other roots earlier, so a skipped one never returns.
+            late = np.flatnonzero(roots <= s_cur + BREAKPOINT_TOL * s_cur)
             if late.size:
                 factor.append(late)
                 continue
@@ -160,7 +160,7 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
                     f"the full set must eventually activate"
                 )
             joining = np.flatnonzero(
-                np.abs(roots - s_next) <= BREAKPOINT_TOL * max(1.0, s_next)
+                np.abs(roots - s_next) <= BREAKPOINT_TOL * s_next
             )
         else:
             s_next = math.inf
@@ -184,7 +184,7 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
         s_cur = s_next
 
     closed_form = float(np.max(instance.solve(k) / instance.minimizer()))
-    if abs(s_cur - closed_form) > 1e-9 * max(1.0, abs(closed_form)):
+    if abs(s_cur - closed_form) > 1e-9 * closed_form:
         raise PathInconsistent(
             f"path terminal breakpoint {s_cur!r} disagrees with closed form "
             f"{closed_form!r}"
@@ -218,7 +218,9 @@ def _verify_segment(instance, k, segment: PathSegment) -> None:
     residuals = lcp.LcpSolution(w=w_mid, z=z_mid, support=segment.active).residuals(
         k - mid * instance.r, instance.M
     )
-    scale = max(1.0, float(np.max(np.abs(z_mid))), float(np.max(np.abs(w_mid))))
+    # The segment's own scale; k, r > 0 size the terms of q = k - s r.
+    scale = float(max(np.max(np.abs(z_mid)), np.max(np.abs(w_mid)),
+                      np.max(k + mid * instance.r)))
     if max(residuals.values()) > SEGMENT_CHECK_TOL * scale:
         detail = ", ".join(f"{name} {err:.3e}" for name, err in residuals.items())
         raise PathInconsistent(
@@ -239,16 +241,16 @@ def convergence_time_s_star(instance: ProblemInstance, k) -> float:
 def theta_star_of_s(path: LimitPath, s: float) -> np.ndarray:
     """Value of the piecewise-constant limit process at rescaled time s.
 
-    Undefined within 1e-12 of an activation time, where the limit jumps;
-    such queries raise ``AtBreakpoint``.
+    Undefined within a relative 1e-12 of an activation time, where the limit
+    jumps; such queries raise ``AtBreakpoint``.
     """
     if not s > 0.0:
         raise OutOfRange("the limit process is defined for s > 0")
     gaps = np.abs(path.breakpoints - s)
-    if np.any(gaps < BREAKPOINT_TOL):
+    if np.any(gaps < BREAKPOINT_TOL * path.breakpoints):
         j = int(np.argmin(gaps))
         raise AtBreakpoint(
-            f"s={s!r} is within {BREAKPOINT_TOL} of breakpoint "
+            f"s={s!r} is within a relative {BREAKPOINT_TOL} of breakpoint "
             f"s_{j + 1}={path.breakpoints[j]!r}"
         )
     return path.segment_at(s).theta_star

@@ -1,10 +1,12 @@
+import inspect
 import signal
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from dlnflow import ProblemInstance
+from dlnflow import ProblemInstance, dynamics
+from dlnflow.integrate import integrate
 
 
 def random_k_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -62,3 +64,37 @@ def tridiag_instance():
 def separable_instance():
     """M = I_2, r = (2,1): coordinates evolve as independent logistics."""
     return ProblemInstance(M=np.eye(2), r=[2.0, 1.0])
+
+
+class _NotIntegrated(Exception):
+    """Ends the block of ``recorded_integrate(run=False)`` at the call."""
+
+
+@contextmanager
+def recorded_integrate(run: bool = True):
+    """Inside the block, ``dynamics.integrate`` appends the arguments of each
+    call, by keyword, to the yielded list, and runs as usual. Each record's
+    ``"steps"`` lists the arguments of every call of its step callback.
+    With ``run=False`` the block ends at the first call instead."""
+    calls = []
+    signature = inspect.signature(integrate)
+
+    def spy(*args, **kwargs):
+        arguments = signature.bind(*args, **kwargs).arguments
+        callback, steps = arguments["step_callback"], []
+
+        def hook(*step):
+            steps.append(step)
+            return callback(*step)
+
+        calls.append({**arguments, "steps": steps})
+        if not run:
+            raise _NotIntegrated
+        return integrate(**{**arguments, "step_callback": hook})
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dynamics, "integrate", spy)
+        try:
+            yield calls
+        except _NotIntegrated:
+            pass

@@ -5,8 +5,9 @@ code they check.
 the incremental Cholesky kernel; ``solve_limit_lcp`` and ``mu`` solve the
 parametric problem pointwise instead of following the path homotopy;
 ``lyapunov`` and ``in_invariant_region`` are diagnostics of trajectories;
-``integrate_reference`` is the list-based Dormand-Prince loop that
-``integrate.integrate`` must reproduce bit for bit.
+``integrate_reference`` is a generic list-based Dormand-Prince loop, whose
+steps ``integrate.integrate`` must repeat and whose states it must match up
+to roundoff.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from dlnflow.integrate import (
     _MIN_FACTOR,
     _ORDER_EXP,
     _SAFETY,
-    DenseOutput,
     IntegratorStats,
 )
 from dlnflow.lcp import STRICT_TOL, LcpSolution, _finite_array
@@ -138,13 +138,29 @@ def in_invariant_region(
 
 
 @dataclass
+class ReferenceDense:
+    """Piecewise-quartic interpolant with every coefficient stored per step."""
+
+    lefts: np.ndarray   # (nseg,)
+    widths: np.ndarray  # (nseg,)
+    cont: np.ndarray    # (nseg, 5, n)
+
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        seg = np.searchsorted(self.lefts, s, side="right") - 1
+        tau = np.clip((s - self.lefts[seg]) / self.widths[seg], 0.0, 1.0)[:, None]
+        c = self.cont[seg]
+        omt = 1.0 - tau
+        return c[:, 0] + tau * (c[:, 1] + omt * (c[:, 2] + tau * (c[:, 3] + omt * c[:, 4])))
+
+
+@dataclass
 class ReferenceRun:
     """What ``integrate_reference`` returns: the end of the run and its
     dense output."""
 
     s: float
     y: np.ndarray
-    dense: DenseOutput
+    dense: ReferenceDense
     stats: IntegratorStats
 
 
@@ -253,5 +269,5 @@ def integrate_reference(
             factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm ** _ORDER_EXP))
         h *= factor
 
-    dense = DenseOutput(np.array(lefts), np.array(widths), np.array(conts), stats)
+    dense = ReferenceDense(np.array(lefts), np.array(widths), np.array(conts))
     return ReferenceRun(s=s, y=y, dense=dense, stats=stats)

@@ -4,12 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from conftest import random_instance, scalar_logistic
+from conftest import random_instance, recorded_integrate, scalar_logistic
 from dlnflow import (
     Initialization,
     ProblemInstance,
     compute_path,
-    dynamics,
     fixed_point,
     generate_direct,
     hitting_time,
@@ -73,8 +72,10 @@ class TestSimulateOracles:
         assert all(b < a for a, b in zip(errors, errors[1:]))
         assert errors[-1] < errors[0] * 1e-3
 
-    @pytest.mark.parametrize("eps", [1e-12, 1e-100, 1e-300])
-    @pytest.mark.parametrize("d", [3, 8])
+    # d = 32 at eps = 1e-300 is the regime of the hitting-time benchmark.
+    @pytest.mark.parametrize("d, eps", [(d, eps) for d in (3, 8)
+                                        for eps in (1e-12, 1e-100, 1e-300)]
+                             + [(32, 1e-300)])
     def test_matches_an_independent_integrator(self, d, eps):
         # scipy's DOP853 at rtol = atol = 1e-13 on the same flow in w shares
         # no code with simulate's integrator. An error of order tol in w is
@@ -96,21 +97,12 @@ class TestSimulateOracles:
         assert error <= -log_eps * DEFAULT_TOL * np.max(inst.minimizer())
 
 
-class _Cap(Exception):
-    """Carries the step cap ``simulate`` hands to ``integrate``."""
-
-
 def stability_cap(inst, init):
-    """The ``max_step`` of ``simulate(inst, init, ...)``, read without
-    integrating."""
-    def capture(f, y0, s_end, tol, max_step, step_callback):
-        raise _Cap(max_step)
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(dynamics, "integrate", capture)
-        with pytest.raises(_Cap) as caught:
-            simulate(inst, init, 1.0)
-    return caught.value.args[0]
+    """The ``max_step`` that ``simulate(inst, init, ...)`` hands to
+    ``integrate``, read without integrating."""
+    with recorded_integrate(run=False) as calls:
+        simulate(inst, init, 1.0)
+    return calls[0]["max_step"]
 
 
 class TestStabilityCap:
@@ -337,6 +329,22 @@ class TestHittingTime:
         assert 0 < len(stopped) < len(full)
         assert stopped.s[-1] <= stopped.s_max
         np.testing.assert_array_equal(stopped.theta, full.theta[:len(stopped)])
+
+    @pytest.mark.parametrize("d, eps", [(8, 1e-12), (32, 1e-300)])
+    def test_step_theta_is_the_trajectory_theta(self, d, eps):
+        # The step callback gets the step's last stage as theta; simulate
+        # certifies monotonicity and stops on it, and hitting_time_on then
+        # reads the trajectory at the stop, so the two must agree bit for bit.
+        inst, _ = generate_direct(d, 5)
+        C, k = np.random.default_rng(d).uniform(0.5, 2.0, size=(2, d))
+        init = Initialization(C=C, k=k, epsilon=eps)
+        with recorded_integrate() as calls:
+            traj = simulate(inst, init, 1.5 * compute_path(inst, k).s_star)
+        steps = calls[0]["steps"]
+        assert len(steps) == traj.stats.steps
+        for _, _, s_new, w_new, theta_new in steps:
+            np.testing.assert_array_equal(traj.w_at(s_new), w_new)
+            np.testing.assert_array_equal(traj.theta_at(s_new), theta_new)
 
     def test_drop_before_the_hit_raises(self, tridiag_instance):
         # theta(0) = (5, 5) lies outside the invariant region and the ball,

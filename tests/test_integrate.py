@@ -1,18 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
-from conftest import deadline
+from conftest import deadline, recorded_integrate, scalar_logistic
 from dlnflow import Initialization, compute_path, dynamics, generate_direct
 from dlnflow.errors import OutOfRange, StepUnderflow
-from dlnflow.integrate import integrate
+from dlnflow.integrate import flow_product, integrate
 from oracles import integrate_reference
 
 
-def logistic(s, theta0):
-    return theta0 * np.exp(s) / (1.0 + theta0 * (np.exp(s) - 1.0))
-
-
-def go_on(s0, y0, s1, y1):
+def go_on(s0, y0, s1, y1, theta1):
     """A step callback that never ends the run."""
     return False
 
@@ -21,98 +19,132 @@ class LastStep:
     """A step callback that never ends the run and keeps the endpoint
     ``s``, ``y`` of the last accepted step."""
 
-    def __call__(self, s0, y0, s1, y1):
+    def __call__(self, s0, y0, s1, y1, theta1):
         self.s, self.y = s1, y1
         return False
 
 
+def flow(M, r, eps, w0, s_end, tol, max_step=np.inf):
+    """The arguments of ``integrate`` for the flow of (M, r) from w0."""
+    log_eps = math.log(eps)
+    return dict(f=flow_product(np.asarray(M, dtype=float), np.asarray(r, dtype=float),
+                               log_eps),
+                log_eps=log_eps, w0=np.asarray(w0, dtype=float), s_end=s_end,
+                tol=tol, max_step=max_step)
+
+
+def logistic(theta0, t_end, tol, max_step=None, eps=1e-6):
+    """theta' = theta (1 - theta) from theta0 over physical time t_end: the
+    d = 1 flow, whose exact solution is ``scalar_logistic``. The step cap
+    defaults to the one ``simulate`` sets."""
+    log_eps = math.log(eps)
+    if max_step is None:
+        max_step = 2.8 / -log_eps
+    return flow([[1.0]], [1.0], eps, [math.log(theta0) / log_eps],
+                t_end / -log_eps, tol, max_step)
+
+
+def theta_error(res, args, theta0, points=257):
+    """Largest error of the dense output's theta against the exact logistic."""
+    s = np.linspace(0.0, res.s_max, points)
+    theta = np.exp(res(s)[:, 0] * args["log_eps"])
+    return np.max(np.abs(theta - scalar_logistic(s * -args["log_eps"], theta0)))
+
+
+def decay(t_end, tol, max_step=np.inf, eps=1e-6):
+    """theta' = -theta from theta = 1 over physical time t_end: the d = 1
+    flow with M = 0 and r = -1, along which w = s grows linearly."""
+    return flow([[0.0]], [-1.0], eps, [0.0], t_end / -math.log(eps), tol, max_step)
+
+
 def test_exponential_decay():
-    res = integrate(lambda y: -y, np.array([1.0]), 5.0, 1e-10, np.inf, go_on)
-    assert res(res.s_max)[0] == pytest.approx(np.exp(-5.0), rel=1e-8)
+    args = decay(5.0, 1e-10)
+    res = integrate(**args, step_callback=go_on)
+    theta_end = math.exp(res(res.s_max)[0] * args["log_eps"])
+    assert theta_end == pytest.approx(math.exp(-5.0), rel=1e-12)
+
+
+def test_logistic_matches_its_closed_form():
+    args = logistic(1e-6, 20.0, 1e-10)
+    res = integrate(**args, step_callback=go_on)
+    assert theta_error(res, args, 1e-6) < 1e-8
 
 
 def test_logistic_accuracy_improves_with_tolerance():
-    theta0 = 1e-6
-    f = lambda y: y * (1.0 - y)
     errors = []
     for tol in [1e-5, 1e-7, 1e-9, 1e-11]:
-        res = integrate(f, np.array([theta0]), 20.0, tol, np.inf, go_on)
-        grid = np.linspace(0.0, 20.0, 257)
-        err = np.max(np.abs(res(grid)[:, 0] - logistic(grid, theta0)))
-        errors.append(err)
+        args = logistic(1e-6, 20.0, tol)
+        errors.append(theta_error(integrate(**args, step_callback=go_on), args, 1e-6))
     assert all(b < a for a, b in zip(errors, errors[1:]))
     assert errors[-1] < errors[0] * 1e-3
 
 
 def test_dense_output_order():
     # Fixed step caps isolate the interpolant: halving the step must shrink
-    # the dense-output error by roughly the method order. The oscillator's
-    # first component is sin s.
-    f = lambda y: np.array([y[1], -y[0]])
+    # the dense-output error by roughly the method order.
     prev = None
     for h in [0.4, 0.2, 0.1]:
-        res = integrate(f, np.array([0.0, 1.0]), 6.0, 1e-2, h, go_on)
-        grid = np.linspace(0.0, 6.0, 1001)
-        err = np.max(np.abs(res(grid)[:, 0] - np.sin(grid)))
+        args = logistic(1e-2, 12.0, 1e-2, max_step=h / -math.log(1e-6))
+        err = theta_error(integrate(**args, step_callback=go_on), args, 1e-2, 1001)
         if prev is not None:
             assert err < prev / 10.0
         prev = err
 
 
 def test_dense_output_matches_endpoints():
-    f = lambda y: y * (1.0 - y)
     last = LastStep()
-    res = integrate(f, np.array([0.01]), 10.0, 1e-9, np.inf, last)
+    args = logistic(0.01, 10.0, 1e-9)
+    res = integrate(**args, step_callback=last)
     assert res.s_max == last.s
-    np.testing.assert_allclose(res(res.s_max), last.y, atol=1e-14)
-    np.testing.assert_allclose(res(0.0), [0.01], atol=1e-15)
+    np.testing.assert_array_equal(res(res.s_max), last.y)
+    np.testing.assert_array_equal(res(0.0), args["w0"])
 
 
 def test_stats_populated():
-    f = lambda y: y * (1.0 - y)
-    res = integrate(f, np.array([1e-8]), 25.0, 1e-9, np.inf, go_on)
+    res = integrate(**logistic(1e-8, 25.0, 1e-9), step_callback=go_on)
     assert res.stats.steps > 10
     assert res.stats.max_step > 0
-    assert res.stats.rhs_evaluations >= 6 * res.stats.steps
+    assert res.stats.rhs_evaluations == 2 + 6 * (res.stats.steps + res.stats.rejected)
 
 
 def test_max_step_respected():
-    res = integrate(lambda y: -y, np.array([1.0]), 2.0, 1e-6, 0.05, go_on)
+    res = integrate(**logistic(0.5, 2.0, 1e-6, max_step=0.05), step_callback=go_on)
     assert res.stats.max_step <= 0.05 + 1e-15
 
 
 def test_step_underflow_near_blowup():
-    # y' = y^2 from y(0)=1 blows up at s=1; the controller must not march
-    # through it.
-    with pytest.raises(StepUnderflow):
-        integrate(lambda y: y ** 2, np.array([1.0]), 2.0, 1e-8, np.inf, go_on)
+    # With M = -1, theta' = theta (1 + theta) from theta = 1 blows up at
+    # t = log 2; the controller must not march through it.
+    args = flow([[-1.0]], [1.0], math.exp(-1.0), [0.0], 2.0, 1e-8)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StepUnderflow):
+        integrate(**args, step_callback=go_on)
 
 
 def test_nan_step_underflows():
     # A zero tolerance makes the first step NaN, which no comparison with a
     # threshold catches; the underflow test must stop the loop anyway.
+    args = logistic(0.5, 1.0, 0.0)
     with deadline(10), np.errstate(all="ignore"), pytest.raises(StepUnderflow):
-        integrate(lambda y: -y, np.array([1.0]), 1.0, 0.0, np.inf, go_on)
+        integrate(**args, step_callback=go_on)
 
 
 def test_callback_abort_propagates():
     class Abort(RuntimeError):
         pass
 
-    def cb(s0, y0, s1, y1):
+    def cb(s0, y0, s1, y1, theta1):
         if s1 > 1.0:
             raise Abort
 
     with pytest.raises(Abort):
-        integrate(lambda y: -y, np.array([1.0]), 5.0, 1e-8, np.inf, cb)
+        integrate(**logistic(0.5, 5.0, 1e-8, eps=math.exp(-1.0)), step_callback=cb)
 
 
 def test_dense_output_out_of_range():
     last = LastStep()
-    res = integrate(lambda y: -y, np.array([1.0]), 1.0, 1e-8, np.inf, last)
+    res = integrate(**logistic(0.5, 1.0, 1e-8, eps=math.exp(-1.0)), step_callback=last)
     # A relative 1e-12 past the end reads the value at the end.
-    np.testing.assert_allclose(res(res.s_max * (1 + 1e-12) + 1e-15), last.y,
-                               rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(res(res.s_max * (1 + 1e-12) + 1e-15), last.y)
     for s in (1.5, res.s_max * (1 + 1e-11), -1e-300, np.nan):
         with pytest.raises(OutOfRange):
             res(s)
@@ -120,72 +152,72 @@ def test_dense_output_out_of_range():
 
 @pytest.mark.parametrize("s_end", [1e-14, 1e-15, 0.0, -1.0, np.nan])
 def test_span_too_short_for_one_step_is_out_of_range(s_end):
-    def f(y):
-        raise AssertionError("no step may be tried")
+    def f(x, out):
+        raise AssertionError("no stage may be evaluated")
 
+    args = {**logistic(0.5, 1.0, 1e-8), "f": f, "s_end": s_end}
     with pytest.raises(OutOfRange):
-        integrate(f, np.array([1.0]), s_end, 1e-8, np.inf, go_on)
+        integrate(**args, step_callback=go_on)
 
 
 def test_shortest_span_takes_one_step():
-    res = integrate(lambda y: -y, np.array([1.0]), 2e-14, 1e-8, np.inf, go_on)
+    args = {**logistic(0.5, 1.0, 1e-8), "s_end": 2e-14}
+    res = integrate(**args, step_callback=go_on)
     assert res.stats.steps == 1 and res.s_max == 2e-14
 
 
 def test_callback_returning_true_ends_the_run_at_that_step():
     seen = []
 
-    def cb(s0, y0, s1, y1):
-        seen.append((s1, y1))
-        return y1[0] > 0.5
+    def cb(s0, y0, s1, y1, theta1):
+        seen.append((s1, y1, theta1))
+        return theta1[0] > 0.5
 
-    res = integrate(lambda y: y * (1.0 - y), np.array([1e-3]), 20.0, 1e-9, np.inf, cb)
-    assert [y[0] > 0.5 for _, y in seen] == [False] * (len(seen) - 1) + [True]
+    args = logistic(1e-3, 20.0, 1e-9)
+    res = integrate(**args, step_callback=cb)
+    assert [theta[0] > 0.5 for *_, theta in seen] == [False] * (len(seen) - 1) + [True]
     assert res.stats.steps == len(seen)
     # The dense output covers [0, s] for that step's endpoint s and no further.
-    assert res.s_max == seen[-1][0] < 20.0
-    np.testing.assert_allclose(res(res.s_max), seen[-1][1], atol=1e-14)
+    assert res.s_max == seen[-1][0] < args["s_end"]
+    np.testing.assert_array_equal(res(res.s_max), seen[-1][1])
     with pytest.raises(OutOfRange):
         res(res.s_max + 1e-6)
 
 
-def _extreme_flow(monkeypatch):
-    """The flow ``simulate`` integrates for a d = 32 instance at eps = 1e-300,
-    with its h_stab cap, up to s*."""
-    inst, _ = generate_direct(32, 3)
-    init = Initialization(C=np.ones(32), k=np.ones(32), epsilon=1e-300)
-    s_star = compute_path(inst, init.k).s_star
-    args = {}
-
-    def capture(f, y0, s_end, tol, max_step, step_callback):
-        args.update(f=f, y0=y0, s_end=s_end, tol=tol, max_step=max_step)
-        return integrate(f, y0, s_end, tol, max_step, step_callback)
-
-    with monkeypatch.context() as m:
-        m.setattr(dynamics, "integrate", capture)
-        dynamics.simulate(inst, init, s_star)
-    return args
+def simulated(d, seed, eps, s_end=None):
+    """The flow ``simulate`` integrates for ``generate_direct(d, seed)`` from
+    C = k = 1, with its h_stab cap, up to ``s_end`` (default s*)."""
+    inst, _ = generate_direct(d, seed)
+    init = Initialization(C=np.ones(d), k=np.ones(d), epsilon=eps)
+    if s_end is None:
+        s_end = compute_path(inst, init.k).s_star
+    with recorded_integrate(run=False) as calls:
+        dynamics.simulate(inst, init, s_end)
+    args = calls[0]
+    del args["step_callback"], args["steps"]
+    return args, (inst.M, inst.r)
 
 
-BITWISE_CASES = {
-    "logistic": dict(f=lambda y: y * (1.0 - y), y0=np.array([1e-6]), s_end=20.0,
-                     tol=1e-9, max_step=np.inf),
-    "decay-max-step": dict(f=lambda y: -y, y0=np.array([1.0]), s_end=2.0,
-                           tol=1e-6, max_step=0.05),
-    "rejections": dict(f=lambda y: np.array([y[1], 5 * (1 - y[0] ** 2) * y[1] - y[0]]),
-                       y0=np.array([2.0, 0.0]), s_end=10.0, tol=1e-6,
-                       max_step=np.inf),
-    "callback-stop": dict(f=lambda y: y * (1.0 - y), y0=np.array([1e-6]), s_end=20.0,
-                          tol=1e-9, max_step=np.inf),
-    "extreme-d32": _extreme_flow,
+REFERENCE_CASES = {
+    "logistic": lambda: (logistic(1e-6, 20.0, 1e-9), ([[1.0]], [1.0])),
+    "decay-max-step": lambda: (decay(2.0, 1e-6, max_step=0.005), ([[0.0]], [-1.0])),
+    "rejections": lambda: simulated(4, 7, 1e-12, 2.0),
+    "callback-stop": lambda: (logistic(1e-6, 20.0, 1e-9), ([[1.0]], [1.0])),
+    "extreme-d32": lambda: simulated(32, 3, 1e-300),
 }
+# Roundoff tolerance on w, relative to 1 + |w|: the loop and the reference
+# evaluate the right-hand side in different orders, and a state carries
+# the difference of each step it went through. Fixed from the dtype.
+STATE_RTOL = 1000 * np.finfo(float).eps
 
 
-@pytest.mark.parametrize("case", BITWISE_CASES)
-def test_loop_matches_the_reference_bit_for_bit(case, monkeypatch):
-    args = BITWISE_CASES[case]
-    args = args(monkeypatch) if callable(args) else args
-    stop = (lambda y: y[0] > 0.5) if case == "callback-stop" else None
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_loop_matches_the_reference_bit_for_bit(case):
+    """Bit for bit in what the step controller decides: the same accepted
+    and rejected steps. The states agree to roundoff."""
+    args, (M, r) = REFERENCE_CASES[case]()
+    log_eps = args["log_eps"]
+    stop = (lambda y: y[0] * log_eps > math.log(0.5)) if case == "callback-stop" else None
     calls, reference_calls = [], []
 
     def callback(*step):
@@ -193,13 +225,16 @@ def test_loop_matches_the_reference_bit_for_bit(case, monkeypatch):
         return stop is not None and stop(step[3])
 
     res = integrate(**args, step_callback=callback)
-    # The reference integrates the non-autonomous y' = f(s, y) from any s0.
-    f, tol = args["f"], args["tol"]
-    ref = integrate_reference(lambda s, y: f(y), 0.0, args["y0"], args["s_end"],
-                              rtol=tol, atol=tol, max_step=args["max_step"],
+    M, r = np.asarray(M, dtype=float), np.asarray(r, dtype=float)
+    ref = integrate_reference(lambda s, y: M @ np.exp(y * log_eps) - r, 0.0,
+                              args["w0"], args["s_end"], rtol=args["tol"],
+                              atol=args["tol"], max_step=args["max_step"],
                               step_callback=lambda *step: reference_calls.append(step),
                               stop=stop)
-    assert res.stats == ref.stats
+    # The same steps, accepted and rejected.
+    assert (res.stats.steps, res.stats.rejected, res.stats.rhs_evaluations) == (
+        ref.stats.steps, ref.stats.rejected, ref.stats.rhs_evaluations)
+    assert res.stats.max_step == pytest.approx(ref.stats.max_step, rel=1e-9)
     if case == "rejections":
         assert res.stats.rejected > 0
     if case == "extreme-d32":
@@ -207,13 +242,14 @@ def test_loop_matches_the_reference_bit_for_bit(case, monkeypatch):
         # buffer, so the buffer grew; the longest steps are at the cap.
         assert res.stats.steps > args["s_end"] / args["max_step"] > 64
         assert res.stats.max_step == args["max_step"]
-    assert res.s_max == ref.s
-    np.testing.assert_array_equal(calls[-1][3], ref.y)
-    for mine, theirs in zip((res._lefts, res._widths, res._cont),
-                            (ref.dense._lefts, ref.dense._widths, ref.dense._cont)):
-        assert mine.shape == theirs.shape and np.array_equal(mine, theirs)
-    # The hook saw the same steps.
+    # Step sizes follow the error estimate, a difference of nearly equal
+    # stages, so they agree only to about 1e-11; the states on a common
+    # grid agree to roundoff.
+    assert res.s_max == pytest.approx(ref.s, rel=1e-9)
+    s = np.linspace(0.0, min(res.s_max, ref.s), 1001)
+    theirs = ref.dense(s)
+    assert np.max(np.abs(res(s) - theirs) / (1.0 + np.abs(theirs))) <= STATE_RTOL
+    # The hook saw as many steps, each with theta = exp(log_eps * w).
     assert len(calls) == len(reference_calls)
-    for mine, theirs in zip(calls, reference_calls):
-        assert mine[0] == theirs[0] and mine[2] == theirs[2]
-        assert np.array_equal(mine[1], theirs[1]) and np.array_equal(mine[3], theirs[3])
+    for *_, w, theta in calls:
+        np.testing.assert_array_equal(theta, np.exp(log_eps * w))

@@ -102,6 +102,19 @@ class TestComputePath:
         np.testing.assert_allclose(path.breakpoints, [1.0])
         assert [seg.active for seg in path.segments] == [(), (0, 1)]
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-11, 1e-13, 1e-200])
+    def test_small_k_gives_the_rescaled_path(self, scale):
+        # Joins, ties and the s* check are relative to the breakpoint: at
+        # k = 1e-11 coordinates (1, 3, 4) used to activate at once, and at
+        # k = 1e-13 the whole path collapsed to s* = 0.
+        inst, _ = generate_direct(6, 3)
+        path = compute_path(inst, scale * np.ones(6))
+        assert [seg.active for seg in path.segments][:3] == [(), (4,), (1, 4)]
+        assert len(path.segments) == 7
+        np.testing.assert_allclose(path.breakpoints / scale,
+                                   compute_path(inst, np.ones(6)).breakpoints,
+                                   rtol=1e-12)
+
     @pytest.mark.parametrize("delta", [0.0, 1e-14, 1e-12, 1e-11, 1e-9])
     def test_near_tied_activations_all_join(self, delta):
         # An exchangeable block whose roots all lie within about delta of

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from conftest import random_instance, random_k_matrix
+from conftest import random_instance, random_k_matrix, recorded_integrate
 from dlnflow import (
     Initialization,
     ProblemInstance,
@@ -21,6 +21,7 @@ from dlnflow import (
 from dlnflow.dynamics import (
     DEFAULT_TOL,
     MONOTONE_RUNTIME_TOL,
+    _ball_gap,
     hitting_time,
     hitting_time_on,
 )
@@ -101,6 +102,30 @@ def exchangeable_blocks(draw):
 def test_near_ties_give_a_consistent_path(case):
     # compute_path raises PathInconsistent where near-tied roots fail to join.
     assert_nested_path_with_closed_form_s_star(*case)
+
+
+@properties
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(-100.0, 100.0),
+       st.floats(-150.0, 150.0), st.floats(-150.0, 150.0))
+def test_rescaled_instance_gives_the_rescaled_path(d, seed, log10_b, log10_c_b,
+                                                   log10_b_a):
+    # The path of (a M, b r, c k) has the same active sets, breakpoints
+    # scaled by c / b and stationary points scaled by b / a: no tolerance
+    # of the homotopy may be absolute.
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, d)
+    k = rng.uniform(0.5, 2.0, size=d)
+    b = 10.0 ** log10_b
+    c, a = b * 10.0 ** log10_c_b, b / 10.0 ** log10_b_a
+    base = compute_path(inst, k)
+    scaled = compute_path(ProblemInstance(M=a * inst.M, r=b * inst.r), c * k)
+    assert ([seg.active for seg in scaled.segments]
+            == [seg.active for seg in base.segments])
+    np.testing.assert_allclose(scaled.breakpoints, base.breakpoints * (c / b),
+                               rtol=1e-10)
+    for mine, theirs in zip(scaled.segments, base.segments):
+        np.testing.assert_allclose(mine.theta_star, theirs.theta_star * (b / a),
+                                   rtol=1e-10)
 
 
 @properties
@@ -193,10 +218,10 @@ def test_rescaled_flow_gives_the_rescaled_trajectory(d, seed, log10_eps,
 def test_trajectory_invariants_and_hitting_time(traj):
     # 16 points per accepted step of the dense output, plus the end point:
     # every 16th point is a step endpoint.
-    dense = traj._dense
+    knots = traj._dense._knots
+    lefts, widths = knots[:-1], np.diff(knots)
     fractions = np.arange(16) / 16
-    s = np.append((dense._lefts[:, None] + dense._widths[:, None] * fractions)
-                  .ravel(), traj.s_max)
+    s = np.append((lefts[:, None] + widths[:, None] * fractions).ravel(), traj.s_max)
     theta = traj.theta_at(s)
     target = traj.instance.minimizer()
     gap = np.linalg.norm(theta - target, axis=1)
@@ -213,7 +238,6 @@ def test_trajectory_invariants_and_hitting_time(traj):
     # Running averages against an independent oracle: the cumulative
     # 8-point Gauss-Legendre quadrature of theta over the accepted steps.
     nodes, weights = np.polynomial.legendre.leggauss(8)
-    lefts, widths = dense._lefts, dense._widths
     x = lefts[:, None] + 0.5 * widths[:, None] * (nodes + 1.0)
     theta_x = traj.theta_at(x.ravel()).reshape(*x.shape, -1)
     per_step = 0.5 * widths[:, None] * np.einsum("j,njd->nd", weights, theta_x)
@@ -241,3 +265,27 @@ def test_trajectory_invariants_and_hitting_time(traj):
     assert hitting_time(traj.instance, traj.init, eta, traj.s_max) == tau
     ratio = tau / -traj.init.log_epsilon
     assert abs(ratio - first) <= 2e-6 * first
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(-300.0, -6.0),
+       st.floats(0.5, 2.0))
+def test_a_run_stopped_at_the_hit_has_reached_it(d, seed, log10_eps, cap_fraction):
+    # hitting_time stops the run at the first step whose theta is inside the
+    # ball, then reads the trajectory at that stop: NotReached comes exactly
+    # when no step ended inside, at caps before and after the hit.
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, d)
+    C, k = rng.uniform(0.5, 2.0, size=(2, d))
+    init = Initialization(C=C, k=k, epsilon=10.0 ** log10_eps)
+    target = inst.minimizer()
+    eta = 0.1 * float(np.min(target))
+    s_cap = cap_fraction * compute_path(inst, k).s_star
+    with recorded_integrate() as calls:
+        try:
+            hitting_time(inst, init, eta, s_cap)
+            reached = True
+        except NotReached:
+            reached = False
+    *_, theta_last = calls[0]["steps"][-1]
+    assert reached == (_ball_gap(theta_last, target, eta) <= 0.0)
