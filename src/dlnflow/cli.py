@@ -149,7 +149,7 @@ def limit_path_cmd(instance_path, k, out_json, out_csv, grid):
     """Compute breakpoints, active sets and affine pieces of the limit."""
     instance = problem.load_instance(instance_path)
     path = limit_path.compute_path(instance, experiments.ones_unless(k, instance.d))
-    written = experiments.write_limit_path(instance, path, out_json, out_csv, grid)
+    written = experiments.write_limit_path(path, out_json, out_csv, grid)
     click.echo(f"wrote {out_json} ({len(path.breakpoints)} breakpoints, "
                f"s_star={path.s_star:.6g})")
     for out in written[1:]:

@@ -100,10 +100,6 @@ class StepUnderflow(NumericalFailure):
     """Adaptive step size shrank below representable resolution."""
 
 
-class NegativePrimalOnSegment(NumericalFailure):
-    """Path construction produced a negative primal value on a segment."""
-
-
 class PathInconsistent(NumericalFailure):
     """Closed-form path segment fails its KKT certificate."""
 

@@ -98,7 +98,7 @@ def uniform_grid(s_max: float, points: int) -> np.ndarray:
 
 # -- documents ------------------------------------------------------------------
 
-def write_limit_path(instance, path: limit_path.LimitPath, out_json, out_csv,
+def write_limit_path(path: limit_path.LimitPath, out_json, out_csv,
                      grid_points: int) -> list[Path]:
     """Write the path's breakpoints, active sets and stationary points as
     JSON and, with ``out_csv``, mu(s) and the limit process sampled on
@@ -113,7 +113,7 @@ def write_limit_path(instance, path: limit_path.LimitPath, out_json, out_csv,
     })]
     if out_csv is not None:
         theta, mu_vals = path.sample(s_grid)
-        d = instance.d
+        d = theta.shape[1]
         header = (["s"] + [f"mu_{i + 1}" for i in range(d)]
                   + [f"theta_star_{i + 1}" for i in range(d)])
         written.append(write_csv(out_csv, "limit-path", header,

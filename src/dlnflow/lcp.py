@@ -85,12 +85,14 @@ def _finite_array(a, name: str, shape: tuple) -> np.ndarray:
 def check_k_matrix(M: np.ndarray) -> tuple:
     """Certify a square matrix as a K-matrix and return its ``cho_factor``.
 
-    Symmetry, nonpositive off-diagonals and a Cholesky factor; every
-    instance and every ``(q, M)`` pair of :func:`solve_lcp` passes here.
+    Symmetry relative to max|M|, nonpositive off-diagonals and a Cholesky
+    factor; every instance and every ``(q, M)`` pair of :func:`solve_lcp`
+    passes here.
     """
-    asym = np.max(np.abs(M - M.T))
-    if asym > STRICT_TOL * max(1.0, np.max(np.abs(M))):
-        raise NotKMatrix(f"M is not symmetric (max asymmetry {asym:.3e})")
+    asym, scale = np.max(np.abs(M - M.T)), np.max(np.abs(M))
+    if asym > STRICT_TOL * scale:
+        raise NotKMatrix(f"M is not symmetric (max asymmetry {asym / scale:.3e} "
+                         f"of max|M|)")
     if np.any(M - np.diag(np.diag(M)) > 0.0):
         raise NotKMatrix("M has a positive off-diagonal entry")
     try:

@@ -29,7 +29,6 @@ from . import lcp
 from .errors import (
     AtBreakpoint,
     DomainError,
-    NegativePrimalOnSegment,
     OutOfRange,
     PathInconsistent,
     PositivityViolation,
@@ -43,53 +42,38 @@ SEGMENT_CHECK_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PathSegment:
-    """One constancy interval [s_lo, s_hi) of the active set.
+    """One constancy interval of the active set, between two breakpoints.
 
-    Carries the exact affine coefficients of the primal/dual path on the
-    interval: z(s) = z_intercept + s * z_slope (zero off the active set)
-    and w(s) = w_intercept + s * w_slope (zero on it).
+    The primal path is affine on it, z(s) = z_intercept + s * theta_star and
+    zero off the active set I; theta_star = M_II^{-1} r_I is the stationary
+    point the trajectory plateaus at. The dual follows as w = k - s r + M z.
     """
 
-    s_lo: float
-    s_hi: float
     active: tuple[int, ...]
     z_intercept: np.ndarray
-    z_slope: np.ndarray
-    w_intercept: np.ndarray
-    w_slope: np.ndarray
-
-    @property
-    def theta_star(self) -> np.ndarray:
-        """The stationary point the trajectory plateaus at: the slope
-        M_II^{-1} r_I of z on the active set I."""
-        return self.z_slope
-
-    def z_at(self, s: float) -> np.ndarray:
-        return self.z_intercept + s * self.z_slope
-
-    def w_at(self, s: float) -> np.ndarray:
-        return self.w_intercept + s * self.w_slope
+    theta_star: np.ndarray
 
 
 @dataclass(frozen=True)
 class LimitPath:
-    """Breakpoints s_1 < ... < s_q, nested active sets, and affine pieces."""
+    """Breakpoints s_1 < ... < s_q, nested active sets, and affine pieces;
+    segment j lies between breakpoints j - 1 and j, with s_0 = 0."""
 
     breakpoints: np.ndarray
     segments: tuple[PathSegment, ...]
-    s_star: float
 
-    def segment_at(self, s: float) -> PathSegment:
-        if not s > 0.0:
-            raise OutOfRange("the limit path is defined for s > 0")
-        return self.segments[int(np.searchsorted(self.breakpoints, s, side="right"))]
+    @property
+    def s_star(self) -> float:
+        """The convergence time: the last breakpoint."""
+        return float(self.breakpoints[-1])
 
     def sample(self, s) -> tuple[np.ndarray, np.ndarray]:
-        """theta*(I(s)) and mu(s) = z(s) / s, one row per s of a vector s >= 0;
-        mu(0) = 0, and a breakpoint belongs to the segment it starts."""
+        """theta*(I(s)) and mu(s) = z(s) / s, one row per s of a vector of
+        finite s >= 0; mu(0) = 0, and a breakpoint belongs to the segment it
+        starts."""
         s = np.asarray(s, dtype=float)
-        if not (s.ndim == 1 and np.all(s >= 0.0)):
-            raise OutOfRange("the limit path is sampled on a vector of s >= 0")
+        if not (s.ndim == 1 and np.all((s >= 0.0) & (s < np.inf))):
+            raise OutOfRange("the limit path is sampled on a vector of finite s >= 0")
         seg = np.searchsorted(self.breakpoints, s, side="right")
         theta = np.array([segment.theta_star for segment in self.segments])[seg]
         z = np.array([segment.z_intercept for segment in self.segments])[seg]
@@ -123,7 +107,7 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
     M, r, d = instance.M, instance.r, instance.d
 
     factor = lcp.ActiveSetCholesky(M)
-    # M_II^{-1} >= diag(M_II)^{-1} entrywise, so z_slp_i >= r_i / M_ii on I.
+    # M_II^{-1} >= diag(M_II)^{-1} entrywise, so theta_i >= r_i / M_ii on I.
     positivity_floor = POSITIVITY_TOL * r / np.diag(M)
     s_cur = 0.0
     breakpoints: list[float] = []
@@ -131,19 +115,18 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
 
     while True:
         active = sorted(factor.order)
-        z_int, z_slp = factor.solve(np.column_stack([-k, r])).T
+        z_int, theta = factor.solve(np.column_stack([-k, r])).T
         w_int = k + M @ z_int
-        w_slp = M @ z_slp - r
-        w_int[active] = 0.0
-        w_slp[active] = 0.0
-        if np.any(z_slp[active] <= positivity_floor[active]):
+        w_slp = M @ theta - r
+        if np.any(theta[active] <= positivity_floor[active]):
             raise PositivityViolation(
-                f"stationary point on {active} not positive: {z_slp[active]}"
+                f"stationary point on {active} not positive: {theta[active]}"
             )
 
         inactive = np.setdiff1d(np.arange(d), active, assume_unique=True)
         if inactive.size:
-            # Next event: earliest upcoming zero of an inactive dual line.
+            # Next event: earliest upcoming zero of an inactive dual line
+            # w = w_int + s w_slp.
             roots = np.full(d, np.inf)
             cand = inactive[w_slp[inactive] < 0.0]
             roots[cand] = -w_int[cand] / w_slp[cand]
@@ -165,16 +148,9 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
         else:
             s_next = math.inf
 
-        segment = PathSegment(
-            s_lo=s_cur,
-            s_hi=s_next,
-            active=tuple(active),
-            z_intercept=z_int.copy(),
-            z_slope=z_slp.copy(),
-            w_intercept=w_int,
-            w_slope=w_slp,
-        )
-        _verify_segment(instance, k, segment)
+        segment = PathSegment(active=tuple(active), z_intercept=z_int,
+                              theta_star=theta)
+        _verify_segment(instance, k, s_cur, s_next, segment)
         segments.append(segment)
 
         if not inactive.size:
@@ -189,43 +165,37 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
             f"path terminal breakpoint {s_cur!r} disagrees with closed form "
             f"{closed_form!r}"
         )
-    return LimitPath(
-        breakpoints=np.array(breakpoints),
-        segments=tuple(segments),
-        s_star=s_cur,
-    )
+    return LimitPath(breakpoints=np.array(breakpoints), segments=tuple(segments))
 
 
-def _verify_segment(instance, k, segment: PathSegment) -> None:
-    """KKT certificate of the affine formulas at the segment midpoint.
+def _verify_segment(instance, k, s_lo: float, s_hi: float,
+                    segment: PathSegment) -> None:
+    """KKT certificate of a segment's affine primal on [s_lo, s_hi).
 
-    Checks w = k - s r + M z, z >= 0, w >= 0 and complementarity in O(d^2)
-    (``LcpSolution.residuals``). K-matrix complementarity solutions are
-    unique, so a passing midpoint is the pointwise solution: a missed
-    activation shows as a negative w, a spurious one as a negative z.
+    The probe point is the midpoint, or 2 s_lo on the last, unbounded
+    segment. There z gives the dual w = q + M z, q = k - s r, off the
+    active set, and w = 0 on it. ``LcpSolution.residuals`` then checks the
+    affine identity (stationarity on the active set), z >= 0, w >= 0 and
+    complementarity in O(d^2), on z, w and q divided by the segment's own
+    scale, the largest of |z|, |w| and the terms of q. K-matrix
+    complementarity solutions are unique, so a passing probe is the
+    pointwise solution: a missed activation shows as a negative w, a
+    spurious one as a negative z.
     """
-    if math.isinf(segment.s_hi):
-        mid = segment.s_lo + max(1.0, segment.s_lo)
-    else:
-        mid = 0.5 * (segment.s_lo + segment.s_hi)
-    z_mid = segment.z_at(mid)
-    w_mid = segment.w_at(mid)
-    if np.min(z_mid) < -lcp.STRICT_TOL:
-        raise NegativePrimalOnSegment(
-            f"z(s) negative on segment [{segment.s_lo:.6g}, {segment.s_hi:.6g}): "
-            f"min {np.min(z_mid):.3e}"
-        )
-    residuals = lcp.LcpSolution(w=w_mid, z=z_mid, support=segment.active).residuals(
-        k - mid * instance.r, instance.M
-    )
-    # The segment's own scale; k, r > 0 size the terms of q = k - s r.
-    scale = float(max(np.max(np.abs(z_mid)), np.max(np.abs(w_mid)),
-                      np.max(k + mid * instance.r)))
-    if max(residuals.values()) > SEGMENT_CHECK_TOL * scale:
+    s = 2.0 * s_lo if math.isinf(s_hi) else 0.5 * (s_lo + s_hi)
+    q = k - s * instance.r
+    z = segment.z_intercept + s * segment.theta_star
+    w = q + instance.M @ z
+    w[list(segment.active)] = 0.0
+    # k, r > 0 size the terms of q.
+    scale = max(np.max(np.abs(z)), np.max(np.abs(w)), np.max(k + s * instance.r))
+    residuals = lcp.LcpSolution(w=w / scale, z=z / scale, support=segment.active
+                                ).residuals(q / scale, instance.M)
+    if max(residuals.values()) > SEGMENT_CHECK_TOL:
         detail = ", ".join(f"{name} {err:.3e}" for name, err in residuals.items())
         raise PathInconsistent(
-            f"segment [{segment.s_lo:.6g}, {segment.s_hi:.6g}) fails its KKT "
-            f"certificate at s={mid:.6g}: {detail}"
+            f"segment [{s_lo:.6g}, {s_hi:.6g}) fails its KKT certificate at "
+            f"s={s:.6g}, relative to {scale:.3e}: {detail}"
         )
 
 
@@ -253,4 +223,4 @@ def theta_star_of_s(path: LimitPath, s: float) -> np.ndarray:
             f"s={s!r} is within a relative {BREAKPOINT_TOL} of breakpoint "
             f"s_{j + 1}={path.breakpoints[j]!r}"
         )
-    return path.segment_at(s).theta_star
+    return path.sample([s])[0][0]

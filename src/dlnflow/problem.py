@@ -95,11 +95,6 @@ class ProblemInstance:
     def d(self) -> int:
         return self.r.shape[0]
 
-    @property
-    def has_offset(self) -> bool:
-        """True when the constant 0.5*||y||^2 term of the loss is known."""
-        return self.data is not None
-
     def solve(self, b) -> np.ndarray:
         """M^{-1} b through the Cholesky factor; b may have columns."""
         return cho_solve(self._factor, b, check_finite=False)
@@ -259,8 +254,8 @@ def loss(instance: ProblemInstance, theta) -> float | np.ndarray:
     """Quadratic loss at theta, or at each row of a (..., d) array of them.
 
     Includes the constant 0.5*||y||^2 only when the instance carries its
-    raw data; otherwise the offset-free value is returned (flagged by
-    ``instance.has_offset``). A single theta gives a float.
+    raw data in ``instance.data``; otherwise the offset-free value is
+    returned. A single theta gives a float.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape[-1:] != (instance.d,):

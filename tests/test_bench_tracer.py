@@ -6,8 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from dlnflow import Initialization, dynamics, generate_direct
+from dlnflow import (Initialization, compute_path, dynamics, generate_direct,
+                     save_instance)
+from dlnflow.cli import main
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -54,3 +57,24 @@ def test_integrator_counters_match_its_stats(tracer):
     assert counts["integrate.rejected"] == stats.rejected
     assert counts["integrate.rhs.calls"] == stats.rhs_evaluations
     assert counts["integrate.callback.calls"] == stats.steps
+
+
+def test_path_and_writer_counters_match_what_limit_path_made(tracer, tmp_path):
+    # The tracer's hooks read len(path.segments) from compute_path and the
+    # Path that write_csv / write_json return; a record that drops either
+    # breaks the traced benchmark.
+    instance, _ = generate_direct(6, 3)
+    save_instance(instance, tmp_path / "inst.json")
+    out_json, out_csv = tmp_path / "path.json", tmp_path / "path.csv"
+    recorder = tracer.Tracer()
+    with recorder.installed(), recorder.op(0):
+        result = CliRunner().invoke(main, [
+            "limit-path", "--instance", str(tmp_path / "inst.json"),
+            "--out-json", str(out_json), "--out-csv", str(out_csv)],
+            catch_exceptions=False)
+    assert result.exit_code == 0
+    counts = recorder.counts[0]
+    path = compute_path(instance, np.ones(6))
+    assert counts["limit_path.segments"] == len(path.segments)
+    assert counts["experiments.bytes_written"] == (out_json.stat().st_size
+                                                   + out_csv.stat().st_size) > 0

@@ -478,6 +478,24 @@ class TestInputExitCodes:
         assert "Traceback" not in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+    @pytest.mark.parametrize("command", ["lcp-solve", "limit-path", "fixed-points"])
+    def test_asymmetry_relative_to_max_m(self, runner, tmp_path, command, scale):
+        # A 10% asymmetry is rejected at every scale, a symmetric M accepted:
+        # at 1e-200 the asymmetric M once passed and gave a wrong answer.
+        def run(off_diagonal):
+            M = (scale * np.array([[1.0, -0.1], [off_diagonal, 1.0]])).tolist()
+            if command == "lcp-solve":
+                return runner.invoke(main, _lcp(tmp_path, [-1.0, -1.0], M))
+            inst = _instance(tmp_path, {"M": M, "r": [1.0, 1.0]})
+            return runner.invoke(main, INSTANCE_COMMANDS[command](inst, str(tmp_path)))
+
+        rejected = run(-0.2)
+        assert rejected.exit_code == 2
+        assert rejected.output == ("error: M is not symmetric "
+                                   "(max asymmetry 1.000e-01 of max|M|)\n")
+        assert run(-0.1).exit_code == 0
+
     def test_hitting_time_rejects_grid(self, runner, tmp_path):
         # hitting-time samples no grid; only compare and figure1 take --grid.
         inst = tmp_path / "inst.json"

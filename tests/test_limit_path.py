@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from dlnflow import (
 from dlnflow.errors import (
     AtBreakpoint,
     DomainError,
-    NegativePrimalOnSegment,
     NotKMatrix,
     OutOfRange,
     PathInconsistent,
@@ -151,11 +151,12 @@ class TestComputePath:
         inst = random_instance(rng, 5)
         k = rng.uniform(0.5, 2.0, size=5)
         path = compute_path(inst, k)
-        for s in rng.uniform(1e-3, 1.3 * path.s_star, size=100):
-            seg = path.segment_at(s)
+        grid = rng.uniform(1e-3, 1.3 * path.s_star, size=100)
+        for s, z in zip(grid, grid[:, None] * path.sample(grid)[1]):
             sol = solve_limit_lcp(inst, k, s)
-            np.testing.assert_allclose(seg.z_at(s), sol.z, atol=1e-9)
-            np.testing.assert_allclose(seg.w_at(s), sol.w, atol=1e-9)
+            np.testing.assert_allclose(z, sol.z, atol=1e-9)
+            np.testing.assert_allclose(k - s * inst.r + inst.M @ z, sol.w,
+                                       atol=1e-9)
 
     def test_mu_nondecreasing_on_dense_grid(self, rng):
         inst = random_instance(rng, 4)
@@ -174,14 +175,16 @@ class TestComputePath:
         for s, mu_s in zip(grid[1:], mu_vals[1:]):
             np.testing.assert_allclose(mu_s, mu(separable_instance, ONES, s),
                                        atol=1e-14)
-            np.testing.assert_allclose(path.segment_at(s).z_at(s), s * mu_s,
-                                       atol=1e-14)
+            seg = path.segments[np.searchsorted(path.breakpoints, s, side="right")]
+            np.testing.assert_allclose(seg.z_intercept + s * seg.theta_star,
+                                       s * mu_s, atol=1e-14)
         for j, segment in enumerate(path.segments[1:]):
             np.testing.assert_array_equal(theta[1 + j], segment.theta_star)
         np.testing.assert_array_equal(theta[-3:], [[0.0, 0.0], [2.0, 0.0],
                                                    [2.0, 1.0]])
 
-    @pytest.mark.parametrize("grid", [[-1e-300, 1.0], [np.nan], [[0.5]], 0.5])
+    @pytest.mark.parametrize("grid", [[-1e-300, 1.0], [np.nan], [[0.5]], 0.5,
+                                      [1.0, np.inf]])
     def test_sample_needs_a_vector_of_nonnegative_s(self, tridiag_instance, grid):
         with pytest.raises(OutOfRange):
             compute_path(tridiag_instance, ONES).sample(grid)
@@ -218,44 +221,44 @@ class TestComputePath:
 
 
 class TestSegmentCertificate:
-    """Corrupted segments of M = [[2,-1],[-1,2]], r = (1,2), k = 1.
+    """Corrupted segments of M = [[2,-1],[-1,2]], r = (1,2), k = c * 1.
 
-    The path activates coordinate 1 at s = 1/2 and coordinate 0 at 3/4.
+    The path activates coordinate 1 at s = c/2 and coordinate 0 at 3c/4.
+    The certificate is relative, so every scale c fails the same way.
     """
 
     @pytest.fixture
-    def path(self):
+    def paths(self):
         inst = ProblemInstance(M=[[2.0, -1.0], [-1.0, 2.0]], r=[1.0, 2.0])
-        return inst, compute_path(inst, ONES)
+        return [(inst, c * ONES, compute_path(inst, c * ONES))
+                for c in (1.0, 1e-200, 1e200)]
 
-    def test_exact_segments_pass(self, path):
-        inst, path = path
-        assert [seg.active for seg in path.segments] == [(), (1,), (0, 1)]
-        for seg in path.segments:
-            _verify_segment(inst, ONES, seg)
+    def test_exact_segments_pass(self, paths):
+        for inst, k, path in paths:
+            assert [seg.active for seg in path.segments] == [(), (1,), (0, 1)]
+            bounds = [0.0, *path.breakpoints, math.inf]
+            for s_lo, s_hi, seg in zip(bounds, bounds[1:], path.segments):
+                _verify_segment(inst, k, s_lo, s_hi, seg)
 
-    def test_perturbed_slope_rejected(self, path):
-        inst, path = path
-        seg = path.segments[1]
-        bad = dataclasses.replace(seg, z_slope=seg.z_slope + [0.0, 1e-6])
-        with pytest.raises(PathInconsistent, match="affine"):
-            _verify_segment(inst, ONES, bad)
+    def test_perturbed_slope_rejected(self, paths):
+        for inst, k, path in paths:
+            seg = path.segments[1]
+            bad = dataclasses.replace(seg, theta_star=seg.theta_star + [0.0, 1e-6])
+            with pytest.raises(PathInconsistent, match="affine [1-9]"):
+                _verify_segment(inst, k, *path.breakpoints, bad)
 
-    def test_missed_activation_rejected(self, path):
-        # The affine pieces of (1,) carried past s = 3/4, where 0 joins.
-        inst, path = path
-        last = path.segments[2]
-        bad = dataclasses.replace(path.segments[1], s_lo=last.s_lo,
-                                  s_hi=last.s_hi)
-        with pytest.raises(PathInconsistent, match="negative_w [1-9]"):
-            _verify_segment(inst, ONES, bad)
+    def test_missed_activation_rejected(self, paths):
+        # The affine pieces of (1,) carried past s = 3c/4, where 0 joins.
+        for inst, k, path in paths:
+            with pytest.raises(PathInconsistent, match="negative_w [1-9]"):
+                _verify_segment(inst, k, path.s_star, math.inf, path.segments[1])
 
-    def test_negative_primal_rejected(self, path):
-        inst, path = path
-        seg = path.segments[1]
-        bad = dataclasses.replace(seg, z_intercept=seg.z_intercept - [0.0, 10.0])
-        with pytest.raises(NegativePrimalOnSegment):
-            _verify_segment(inst, ONES, bad)
+    def test_negative_primal_rejected(self, paths):
+        for inst, k, path in paths:
+            seg = path.segments[1]
+            bad = dataclasses.replace(seg, z_intercept=seg.z_intercept - 10.0 * k)
+            with pytest.raises(PathInconsistent, match="negative_z [1-9]"):
+                _verify_segment(inst, k, *path.breakpoints, bad)
 
     def test_singular_instance_rejected(self):
         # Construction certifies M, so no singular instance reaches the path.
@@ -328,8 +331,6 @@ class TestThetaStarOfS:
     def test_nonpositive_refused(self, separable_instance):
         path = compute_path(separable_instance, ONES)
         # NaN passes a test of s <= 0 and once read as a time past s*.
-        for s in (0.0, np.nan):
+        for s in (0.0, np.nan, np.inf):
             with pytest.raises(OutOfRange):
                 theta_star_of_s(path, s)
-            with pytest.raises(OutOfRange):
-                path.segment_at(s)

@@ -83,6 +83,16 @@ class TestInstanceValidation:
         with pytest.raises(ValidationError):
             ProblemInstance(M=[[1.0, -0.5], [-0.4, 1.0]], r=[1.0, 1.0])
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+    def test_symmetry_relative_to_max_m(self, scale):
+        # An absolute floor once let this 10% asymmetry through at 1e-200.
+        M = scale * np.array([[1.0, -0.1], [-0.2, 1.0]])
+        with pytest.raises(NotKMatrix, match=r"asymmetry 1.000e-01 of max\|M\|"):
+            ProblemInstance(M=M, r=[1.0, 1.0])
+        M[1, 0] = M[0, 1]
+        np.testing.assert_allclose(ProblemInstance(M=M, r=[1.0, 1.0]).minimizer(),
+                                   np.full(2, 1.0 / (0.9 * scale)), rtol=1e-14)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             ProblemInstance(M=[[1.0, 0.0], [0.0, 1.0]], r=[1.0])
@@ -265,7 +275,7 @@ class TestLoss:
     def test_offset_only_with_provenance(self):
         inst_with, data = generate_direct(d=3, seed=5)
         inst_without = ProblemInstance(M=inst_with.M, r=inst_with.r)
-        assert inst_with.has_offset and not inst_without.has_offset
+        assert inst_with.data is data and inst_without.data is None
         theta = np.full(3, 0.2)
         offset = 0.5 * float(data.y @ data.y)
         assert loss(inst_with, theta) == pytest.approx(

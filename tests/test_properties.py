@@ -52,10 +52,10 @@ def closed_form_s_star(inst, k):
 def test_path_matches_pointwise_oracles(case, fractions):
     inst, k = case
     path = compute_path(inst, k)
-    for s in np.array(fractions) * path.s_star:
+    grid = np.array(fractions) * path.s_star
+    for s, z in zip(grid, grid[:, None] * path.sample(grid)[1]):
         q = k - s * inst.r
-        seg = path.segment_at(s)
-        z, w = seg.z_at(s), seg.w_at(s)
+        w = q + inst.M @ z
         exact = solve_lcp_bruteforce(q, inst.M)
         theta = solve_qp_nonneg(q, inst.M)
         np.testing.assert_allclose(z, exact.z, atol=AGREE_TOL)
@@ -170,8 +170,9 @@ def test_large_d_mu_matches_qp():
     inst, _ = generate_direct(128, 7)
     k = np.ones(128)
     path = compute_path(inst, k)
-    for seg in (path.segments[1], path.segments[64], path.segments[-2]):
-        s = 0.5 * (seg.s_lo + seg.s_hi)
+    # Segment j spans breakpoints j - 1 and j.
+    for j in (1, 64, len(path.segments) - 2):
+        s = 0.5 * (path.breakpoints[j - 1] + path.breakpoints[j])
         np.testing.assert_allclose(path.sample([s])[1][0],
                                    solve_qp_nonneg(k / s - inst.r, inst.M),
                                    atol=AGREE_TOL)
