@@ -7,7 +7,6 @@ are written atomically (temp file + rename) with a schema version header.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
@@ -16,7 +15,8 @@ import numpy as np
 from . import dynamics, fixed_points, limit_path, problem
 from .errors import DimensionMismatch, DomainError, NotReached
 from .lcp import _finite_array
-from .problem import Initialization, ProblemInstance, _write_atomic
+# write_json is called through this module's name; bench/tracer.py wraps it here.
+from .problem import Initialization, ProblemInstance, _write_atomic, write_json
 
 CSV_SCHEMA = "dlnflow-csv v1"
 # Half-width of the windows around activation times that the compare
@@ -48,10 +48,6 @@ def write_csv(path, kind: str, header: list[str], rows) -> Path:
             fh.write(",".join(cells) + "\r\n")
 
     return _write_atomic(path, write)
-
-
-def write_json(path, obj) -> Path:
-    return _write_atomic(path, lambda fh: fh.write(json.dumps(obj, indent=2)))
 
 
 def _write_report(out_dir, stem: str, document: dict, *table) -> list[Path]:

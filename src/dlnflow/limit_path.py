@@ -28,13 +28,12 @@ from scipy.linalg import cho_factor  # noqa: F401
 from . import lcp
 from .errors import (
     AtBreakpoint,
-    DomainError,
     OutOfRange,
     PathInconsistent,
     PositivityViolation,
 )
 from .fixed_points import POSITIVITY_TOL, fixed_point  # noqa: F401
-from .problem import ProblemInstance
+from .problem import ProblemInstance, _positive_array
 
 BREAKPOINT_TOL = 1e-12
 SEGMENT_CHECK_TOL = 1e-9
@@ -82,13 +81,6 @@ class LimitPath:
         return theta, mu
 
 
-def _check_k(instance: ProblemInstance, k) -> np.ndarray:
-    k = lcp._finite_array(k, "k", (instance.d,))
-    if not np.all(k > 0.0):
-        raise DomainError("k must be strictly positive")
-    return k
-
-
 def compute_path(instance: ProblemInstance, k) -> LimitPath:
     """Exact homotopy in s.
 
@@ -103,7 +95,7 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
     Cholesky factor of M[I, I]; each segment must pass its KKT certificate.
     A segment's stationary point is its slope M_II^{-1} r_I.
     """
-    k = _check_k(instance, k)
+    k = _positive_array(k, "k", (instance.d,))
     M, r, d = instance.M, instance.r, instance.d
 
     factor = lcp.ActiveSetCholesky(M)

@@ -11,7 +11,8 @@ When r = X^T y, these force M to be positive definite (hence n >= d): a
 singular Z-matrix X^T X has a nonzero nonnegative null vector v, and then
 r^T v = y^T X v = 0 contradicts A1. A pair (M, r) given directly has no
 such link, so every instance is certified a K-matrix (symmetric positive
-definite with nonpositive off-diagonals) once, when it is built.
+definite with nonpositive off-diagonals) once, when it is built, with the
+data (X, y) it carries.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ class ProblemInstance:
     and Cholesky-factors it once (an asymmetric, singular or indefinite M
     raises ``NotKMatrix``). The factor serves every solve with M
     (:meth:`solve`, :meth:`minimizer`), so no later layer re-certifies it.
+    Data need d columns (``DimensionMismatch``) and X^T X = M, X^T y = r
+    within ``RECONSTRUCTION_RTOL`` of max|M|, max|r| (``DomainError``).
     """
 
     M: np.ndarray
@@ -90,6 +93,15 @@ class ProblemInstance:
         minimizer = self.solve(r)
         minimizer.flags.writeable = False
         object.__setattr__(self, "_minimizer", minimizer)
+        if self.data is not None:
+            X, y = self.data.X, self.data.y
+            if X.shape[1] != r.size:
+                raise DimensionMismatch(f"X has {X.shape[1]} columns, not d = {r.size}")
+            for name, got, want in (("M", X.T @ X, M), ("r", X.T @ y, r)):
+                err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                if err > RECONSTRUCTION_RTOL:
+                    raise DomainError(f"the data do not reproduce {name} "
+                                      f"(max residual {err:.3e} of max|{name}|)")
 
     @property
     def d(self) -> int:
@@ -104,6 +116,14 @@ class ProblemInstance:
         return self._minimizer
 
 
+def _positive_array(a, name: str, shape: tuple) -> np.ndarray:
+    """``_finite_array`` with every entry strictly positive: the rule for C and k."""
+    arr = _finite_array(a, name, shape)
+    if not np.all(arr > 0.0):
+        raise DomainError(f"{name} must be strictly positive")
+    return arr
+
+
 @dataclass(frozen=True)
 class Initialization:
     """Initialization theta_i(0) = C_i * epsilon^{k_i} of the flow."""
@@ -113,14 +133,10 @@ class Initialization:
     epsilon: float
 
     def __post_init__(self):
-        C = _finite_array(self.C, "C", (None,))
-        k = _finite_array(self.k, "k", (None,))
+        C = _positive_array(self.C, "C", (None,))
+        k = _positive_array(self.k, "k", (None,))
         if C.size != k.size:
             raise DimensionMismatch(f"C has {C.size} entries and k has {k.size}")
-        if not np.all(C > 0.0):
-            raise DomainError("C must be strictly positive")
-        if not np.all(k > 0.0):
-            raise DomainError("k must be strictly positive")
         if not (0.0 < self.epsilon < 1.0):
             raise DomainError("epsilon must lie strictly between 0 and 1")
         object.__setattr__(self, "C", C)
@@ -137,11 +153,11 @@ class Initialization:
         return self.k + np.log(self.C) / self.log_epsilon
 
 
-def from_data(data: RegressionData) -> ProblemInstance:
-    """Build the validated (M, r) pair from raw data, keeping provenance."""
-    M = data.X.T @ data.X
-    r = data.X.T @ data.y
-    return ProblemInstance(M=M, r=r, data=data, meta={"n": data.n, "d": data.d})
+def from_data(data: RegressionData, **meta) -> ProblemInstance:
+    """Build the validated (M, r) pair from raw data, keeping provenance;
+    ``meta`` is recorded ahead of n and d."""
+    return ProblemInstance(M=data.X.T @ data.X, r=data.X.T @ data.y, data=data,
+                           meta={**meta, "n": data.n, "d": data.d})
 
 
 def generate_rejection(
@@ -178,17 +194,18 @@ def generate_direct(
     M is symmetric with nonpositive off-diagonals and strictly diagonally
     dominant (hence positive definite), r is positive, and consistent data
     is reconstructed through the Cholesky factor: X is the upper factor of
-    M (n = d) and y solves X^T y = r, so X^T X = M and X^T y = r up to
-    roundoff. The default off-diagonal scale shrinks with d to keep
-    dominance at any dimension; larger explicit values raise
-    ``DegenerateScale`` when they break it.
+    M (n = d) and y solves X^T y = r. The default off-diagonal scale
+    shrinks with d to keep dominance at any dimension; larger explicit
+    values raise ``DegenerateScale`` when they break it, as do negative
+    and non-finite ones.
     """
     if d < 1:
         raise DimensionMismatch("need d >= 1")
     if offdiag_scale is None:
         offdiag_scale = 0.5 / max(1, d - 1)
-    if offdiag_scale < 0.0:
-        raise DegenerateScale("offdiag_scale must be nonnegative")
+    if not 0.0 <= offdiag_scale < np.inf:
+        raise DegenerateScale(
+            f"offdiag_scale must be finite and nonnegative, got {offdiag_scale}")
     rng = np.random.default_rng(seed)
     diag = rng.uniform(1.0, 2.0, size=d)
     upper = -offdiag_scale * rng.uniform(0.0, 1.0, size=(d, d))
@@ -207,14 +224,6 @@ def generate_direct(
     X = L.T                            # X^T X = L L^T = M
     y = np.linalg.solve(L, r)          # X^T y = L y = r
     data = RegressionData(X=X, y=y)
-
-    m_err = np.max(np.abs(data.X.T @ data.X - M))
-    r_err = np.max(np.abs(data.X.T @ data.y - r))
-    if m_err > RECONSTRUCTION_RTOL * np.max(np.abs(M)):
-        raise DegenerateScale(f"covariance reconstruction residual {m_err:.3e}")
-    if r_err > RECONSTRUCTION_RTOL * np.max(np.abs(r)):
-        raise DegenerateScale(f"correlation reconstruction residual {r_err:.3e}")
-
     instance = ProblemInstance(
         M=M,
         r=r,
@@ -244,10 +253,8 @@ def generate(spec: dict) -> ProblemInstance:
             raise DomainError(f"{kind} generator spec: bad {key} {value!r}")
     if kind == "direct":
         return generate_direct(**params)[0]
-    data = generate_rejection(**params)
-    return ProblemInstance(M=data.X.T @ data.X, r=data.X.T @ data.y, data=data,
-                           meta={"seed": params["seed"], "generator": "rejection",
-                                 "n": data.n, "d": data.d})
+    return from_data(generate_rejection(**params), seed=params["seed"],
+                     generator="rejection")
 
 
 def loss(instance: ProblemInstance, theta) -> float | np.ndarray:
@@ -282,9 +289,10 @@ def to_json_dict(instance: ProblemInstance) -> dict:
 
 
 def from_json_dict(obj: dict) -> ProblemInstance:
-    data = None
-    if obj.get("X") is not None and obj.get("y") is not None:
-        data = RegressionData(X=obj["X"], y=obj["y"])
+    X, y = obj.get("X"), obj.get("y")
+    if (X is None) != (y is None):
+        raise DomainError("an instance must give both X and y, or neither")
+    data = None if X is None else RegressionData(X=X, y=y)
     meta = obj.get("meta", {})
     if not isinstance(meta, dict):
         raise DomainError(f"meta must be a JSON object, got {meta!r}")
@@ -307,10 +315,13 @@ def _write_atomic(path, write) -> Path:
     return path
 
 
+def write_json(path, obj) -> Path:
+    return _write_atomic(path, lambda fh: fh.write(json.dumps(obj, indent=2)))
+
+
 def save_instance(instance: ProblemInstance, path) -> None:
     """Write the instance JSON atomically (temp file + rename)."""
-    _write_atomic(path, lambda fh: fh.write(json.dumps(to_json_dict(instance),
-                                                        indent=2)))
+    write_json(path, to_json_dict(instance))
 
 
 def read_json_object(path) -> dict:

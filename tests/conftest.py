@@ -5,8 +5,10 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from dlnflow import ProblemInstance, dynamics
+from dlnflow import ProblemInstance, dynamics, generate_direct
+from dlnflow.errors import DimensionMismatch, DomainError
 from dlnflow.integrate import integrate
+from dlnflow.problem import to_json_dict
 
 
 def random_k_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -41,6 +43,24 @@ def deadline(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+_GEN_D2 = to_json_dict(generate_direct(2, 1)[0])  # what `gen --d 2 --seed 1` writes
+_X_AND_Y = "an instance must give both X and y, or neither"
+
+# Instance files whose (X, y) disagree with their (M, r); each case gives
+# the file's object, the error that loading it raises, and its message.
+# Each once loaded at exit 0 with a wrong loss offset, or X silently dropped.
+BAD_DATA_FILES = {
+    "y inconsistent": ({**_GEN_D2, "y": [100.0, 100.0]}, DomainError,
+                       "the data do not reproduce r"),
+    "X too wide": ({**_GEN_D2, "X": [row + [0.0] for row in _GEN_D2["X"]]},
+                   DimensionMismatch, "X has 3 columns, not d = 2"),
+    "X without y": ({key: v for key, v in _GEN_D2.items() if key != "y"},
+                    DomainError, _X_AND_Y),
+    "y without X": ({key: v for key, v in _GEN_D2.items() if key != "X"},
+                    DomainError, _X_AND_Y),
+}
 
 
 def random_instance(rng: np.random.Generator, d: int) -> ProblemInstance:

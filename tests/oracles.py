@@ -38,8 +38,7 @@ from dlnflow.integrate import (
     IntegratorStats,
 )
 from dlnflow.lcp import STRICT_TOL, LcpSolution, _finite_array
-from dlnflow.limit_path import _check_k
-from dlnflow.problem import ProblemInstance
+from dlnflow.problem import ProblemInstance, _positive_array
 
 BRUTEFORCE_MAX_DIM = 20
 
@@ -98,7 +97,7 @@ def solve_lcp_bruteforce(q, M) -> LcpSolution:
 
 def solve_limit_lcp(instance: ProblemInstance, k, s: float) -> LcpSolution:
     """Pointwise solve of the parametric problem at rescaled time s."""
-    k = _check_k(instance, k)
+    k = _positive_array(k, "k", (instance.d,))
     if s <= 0.0:
         raise OutOfRange("s must be positive")
     return lcp.solve_lcp(k - s * instance.r, instance.M)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import deadline
+from conftest import BAD_DATA_FILES, deadline
 from dlnflow import dynamics, generate_direct, lcp, problem, save_instance
 from dlnflow.cli import main
 from dlnflow.errors import (
@@ -627,6 +627,15 @@ def _generated(tmp_path):
     return str(inst)
 
 
+def _on_instance(tmp_path, command, obj):
+    """``simulate`` or ``limit-path`` on the instance ``obj``, writing files."""
+    out = {"simulate": ["--epsilon", "1e-8", "--s-max", "1.0",
+                        "--out", str(tmp_path / "t.csv")],
+           "limit-path": ["--out-json", str(tmp_path / "path.json"),
+                          "--out-csv", str(tmp_path / "path.csv")]}[command]
+    return [command, "--instance", _instance(tmp_path, obj), *out]
+
+
 def _simulate(tmp_path, *flags):
     """simulate arguments; a later option replaces an earlier one."""
     return ["simulate", "--instance", _instance(tmp_path, TRIDIAG_JSON),
@@ -827,6 +836,20 @@ MALFORMED = {
     "gen with a negative seed": lambda tmp: (
         ["gen", "--d", "2", "--seed", "-1", "--out", str(tmp / "inst.json")],
         "error: direct generator spec: bad seed -1"),
+    # A NaN scale once surfaced as "X contains non-finite entries".
+    "gen --offdiag-scale nan": lambda tmp: (
+        ["gen", "--d", "3", "--seed", "1", "--offdiag-scale", "nan",
+         "--out", str(tmp / "inst.json")],
+        "error: offdiag_scale must be finite and nonnegative, got nan"),
+    "spec with offdiag_scale NaN": lambda tmp: (
+        _spec_config(tmp, {"generator": "direct", "d": 3, "seed": 1,
+                           "offdiag_scale": float("nan")}),
+        "error: offdiag_scale must be finite and nonnegative, got nan"),
+    **{f"{command} on an instance file with {case}":
+       lambda tmp, command=command, case=case: (
+           _on_instance(tmp, command, BAD_DATA_FILES[case][0]),
+           "error: " + BAD_DATA_FILES[case][2])
+       for command in ("simulate", "limit-path") for case in BAD_DATA_FILES},
 }
 
 

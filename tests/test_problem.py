@@ -3,7 +3,9 @@ import json
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from conftest import BAD_DATA_FILES
 from dlnflow import (
     Initialization,
     ProblemInstance,
@@ -15,7 +17,15 @@ from dlnflow import (
     loss,
     save_instance,
 )
-from dlnflow.problem import from_json_dict, generate, resolve_instance, to_json_dict
+from dlnflow.cli import main
+from dlnflow.limit_path import compute_path
+from dlnflow.problem import (
+    RECONSTRUCTION_RTOL,
+    from_json_dict,
+    generate,
+    resolve_instance,
+    to_json_dict,
+)
 from dlnflow.errors import (
     AssumptionViolated,
     DegenerateScale,
@@ -118,6 +128,63 @@ class TestInstanceValidation:
     def test_instances_are_immutable(self, tridiag_instance):
         with pytest.raises(ValueError):
             tridiag_instance.M[0, 0] = 5.0
+
+
+def _gen_then_load(tmp_path):
+    path = tmp_path / "inst.json"
+    result = CliRunner().invoke(main, ["gen", "--d", "5", "--seed", "3",
+                                       "--out", str(path)])
+    assert result.exit_code == 0
+    return load_instance(path)
+
+
+# Every way an instance with data is built; each certifies the data.
+ROUTES = {
+    "generate_direct": lambda tmp: generate_direct(d=5, seed=3)[0],
+    "rejection spec": lambda tmp: generate(
+        {"generator": "rejection", "n": 6, "d": 3, "seed": 1}),
+    "from_data": lambda tmp: from_data(generate_rejection(n=6, d=3, seed=1)),
+    "gen then load_instance": _gen_then_load,
+}
+
+
+class TestDataCertificate:
+    """Construction certifies that the data an instance carries give its
+    (M, r); every route goes through it."""
+
+    @pytest.mark.parametrize("case", BAD_DATA_FILES)
+    def test_inconsistent_file_rejected(self, case):
+        obj, error, message = BAD_DATA_FILES[case]
+        with pytest.raises(error, match=message):
+            from_json_dict(obj)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+    def test_relative_to_max_m_and_r(self, scale):
+        # The direct generator's roundoff passes at every scale; a 1e-8
+        # relative change of M or r does not, even where it is 1e-208.
+        inst, data = generate_direct(d=4, seed=2)
+        M, r = scale * inst.M, scale * inst.r
+        scaled = RegressionData(X=np.sqrt(scale) * data.X, y=np.sqrt(scale) * data.y)
+        assert ProblemInstance(M=M, r=r, data=scaled).data is scaled
+        with pytest.raises(DomainError, match=r"do not reproduce M \(max residual"):
+            ProblemInstance(M=M * (1.0 + 1e-8), r=r, data=scaled)
+        with pytest.raises(DomainError, match=r"do not reproduce r \(max residual"):
+            ProblemInstance(M=M, r=r * (1.0 + 1e-8), data=scaled)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_every_route_passes_unchanged(self, tmp_path, route):
+        inst = ROUTES[route](tmp_path)
+        X, y = inst.data.X, inst.data.y
+        assert np.max(np.abs(X.T @ X - inst.M)) <= (
+            RECONSTRUCTION_RTOL * np.max(np.abs(inst.M)))
+        assert np.max(np.abs(X.T @ y - inst.r)) <= (
+            RECONSTRUCTION_RTOL * np.max(np.abs(inst.r)))
+        assert ProblemInstance(M=inst.M, r=inst.r, data=inst.data).data is inst.data
+        if route == "gen then load_instance":
+            direct = ROUTES["generate_direct"](tmp_path)
+            for got, want in ((inst.M, direct.M), (inst.r, direct.r),
+                              (X, direct.data.X), (y, direct.data.y)):
+                np.testing.assert_array_equal(got, want)
 
 
 # Symmetric, A1 and A2 hold, but M is not positive definite.
@@ -230,6 +297,12 @@ class TestGenerateDirect:
         with pytest.raises(DegenerateScale):
             generate_direct(d=8, seed=0, offdiag_scale=5.0)
 
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, -1.0])
+    def test_scale_must_be_finite_and_nonnegative(self, scale):
+        # A NaN scale once surfaced as "X contains non-finite entries".
+        with pytest.raises(DegenerateScale, match="offdiag_scale must be finite"):
+            generate_direct(d=3, seed=1, offdiag_scale=scale)
+
     def test_assumptions_hold_across_seeds(self):
         for seed in range(20):
             inst, _ = generate_direct(d=5, seed=seed)
@@ -317,6 +390,13 @@ class TestInitialization:
     def test_invalid(self, kwargs):
         with pytest.raises(DomainError):
             Initialization(**kwargs)
+
+    @pytest.mark.parametrize("k", [[0.0, 1.0], [1.0, -2.0]])
+    def test_k_rule_shared_with_the_limit_path(self, tridiag_instance, k):
+        for build in (lambda: Initialization(C=[1.0, 1.0], k=k, epsilon=0.1),
+                      lambda: compute_path(tridiag_instance, k)):
+            with pytest.raises(DomainError, match="^k must be strictly positive$"):
+                build()
 
 
 class TestSerialization:
