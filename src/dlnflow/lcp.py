@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, solve_triangular
+from scipy.linalg import LinAlgError, cho_factor
+from scipy.linalg.blas import dtpsv
 
 from .errors import (
     DimensionMismatch,
@@ -44,21 +45,6 @@ class LcpSolution:
     w: np.ndarray
     z: np.ndarray
     support: tuple[int, ...]
-
-    def residuals(self, q: np.ndarray, M: np.ndarray) -> dict[str, float]:
-        """Violation magnitudes of the defining conditions (0 when exact)."""
-        affine = float(np.max(np.abs(self.w - q - M @ self.z)))
-        neg_w = float(max(0.0, -np.min(self.w, initial=0.0)))
-        neg_z = float(max(0.0, -np.min(self.z, initial=0.0)))
-        comp = float(abs(self.w @ self.z))
-        per_coord = float(np.max(np.minimum(self.w, self.z), initial=0.0))
-        return {
-            "affine": affine,
-            "negative_w": neg_w,
-            "negative_z": neg_z,
-            "complementarity": comp,
-            "per_coordinate": max(0.0, per_coord),
-        }
 
 
 def _finite_array(a, name: str, shape: tuple) -> np.ndarray:
@@ -102,41 +88,49 @@ def check_k_matrix(M: np.ndarray) -> tuple:
 
 
 class ActiveSetCholesky:
-    """Lower Cholesky factor of M[I, I] for an active set I that only grows.
+    """Lower Cholesky factor L of M[I, I] for a growing active set I, with
+    the forward substitution L^{-1} b[I] of a fixed vector or columns b.
 
-    Rows sit in activation order in a preallocated d x d array; appending a
-    coordinate costs one O(|I|^2) triangular solve, solving costs two.
+    L's rows sit in activation order, one after another in a buffer that
+    BLAS reads, uncopied, as the packed upper triangle of L^T. An append
+    costs one O(|I|^2) triangular solve and one forward-substitution row; a
+    solve costs one back substitution per column of b.
     """
 
-    def __init__(self, M: np.ndarray):
+    def __init__(self, M: np.ndarray, b: np.ndarray):
         self.M = M
         self.order: list[int] = []
-        self._lower = np.zeros_like(M)
+        self._shape = np.shape(b)
+        # One row per column of b.
+        self._rhs = np.reshape(b, (len(M), -1)).T
+        self._forward = np.zeros(self._rhs.shape)
+        self._packed = np.zeros(len(M) * (len(M) + 1) // 2)
 
     def append(self, joining) -> None:
         """Add the coordinates in ``joining`` to I, one row each."""
         for j in joining:
             n = len(self.order)
-            row = solve_triangular(self._lower[:n, :n], self.M[self.order, j],
-                                   lower=True, check_finite=False)
-            pivot = self.M[j, j] - row @ row
+            # BLAS reads the first n entries and rejects an empty vector.
+            column = self.M[self.order + [j], j]
+            row = dtpsv(n, self._packed, column, trans=1)[:n]
+            pivot = column[n] - row @ row
             if not pivot > 0.0:
                 raise SingularSubmatrix(
                     f"pivot {pivot:.3e} adding coordinate {j} to {self.order}"
                 )
-            self._lower[n, :n] = row
-            self._lower[n, n] = np.sqrt(pivot)
+            start, diagonal = n * (n + 1) // 2, np.sqrt(pivot)
+            self._packed[start:start + n + 1] = np.append(row, diagonal)
+            forward = self._forward
+            forward[:, n] = (self._rhs[:, j] - forward[:, :n] @ row) / diagonal
             self.order.append(int(j))
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """x with M[I, I] x_I = b_I and x = 0 off I; b may have columns."""
+    def solve(self) -> np.ndarray:
+        """x with M[I, I] x_I = b_I and x = 0 off I."""
         n = len(self.order)
-        lower = self._lower[:n, :n]
-        y = solve_triangular(lower, b[self.order], lower=True, check_finite=False)
-        x = np.zeros_like(b, dtype=float)
-        x[self.order] = solve_triangular(lower, y, lower=True, trans="T",
-                                         check_finite=False)
-        return x
+        x = np.zeros(self._forward.shape)
+        for x_col, forward in zip(x, self._forward):
+            x_col[self.order] = dtpsv(n, self._packed, forward, trans=0)[:n]
+        return x.T.reshape(self._shape)
 
 
 def solve_lcp(q, M) -> LcpSolution:
@@ -153,9 +147,9 @@ def solve_lcp(q, M) -> LcpSolution:
     q = _finite_array(q, "q", (None,))
     M = _finite_array(M, "M", (q.size, q.size))
     check_k_matrix(M)
-    factor = ActiveSetCholesky(M)
+    factor = ActiveSetCholesky(M, -q)
     while True:
-        z = factor.solve(-q)
+        z = factor.solve()
         if np.min(z) < -STRICT_TOL * np.max(np.abs(z)):
             raise PositivityViolation(
                 f"primal value {np.min(z):.3e} on active set {factor.order}"

@@ -98,7 +98,9 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
     k = _positive_array(k, "k", (instance.d,))
     M, r, d = instance.M, instance.r, instance.d
 
-    factor = lcp.ActiveSetCholesky(M)
+    rhs = np.column_stack([-k, r])
+    factor = lcp.ActiveSetCholesky(M, rhs)
+    inactive = np.ones(d, dtype=bool)
     # M_II^{-1} >= diag(M_II)^{-1} entrywise, so theta_i >= r_i / M_ii on I.
     positivity_floor = POSITIVITY_TOL * r / np.diag(M)
     s_cur = 0.0
@@ -106,27 +108,27 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
     segments: list[PathSegment] = []
 
     while True:
-        active = sorted(factor.order)
-        z_int, theta = factor.solve(np.column_stack([-k, r])).T
-        w_int = k + M @ z_int
-        w_slp = M @ theta - r
-        if np.any(theta[active] <= positivity_floor[active]):
+        active = np.flatnonzero(~inactive).tolist()
+        lines = factor.solve()
+        z_int, theta = lines.T
+        # Both dual lines, w = w_int + s w_slp, from one product with M.
+        w_int, w_slp = (M @ lines - rhs).T
+        if np.any((theta <= positivity_floor) & ~inactive):
             raise PositivityViolation(
                 f"stationary point on {active} not positive: {theta[active]}"
             )
 
-        inactive = np.setdiff1d(np.arange(d), active, assume_unique=True)
-        if inactive.size:
-            # Next event: earliest upcoming zero of an inactive dual line
-            # w = w_int + s w_slp.
+        if inactive.any():
+            # Next event: earliest upcoming zero of an inactive dual line.
             roots = np.full(d, np.inf)
-            cand = inactive[w_slp[inactive] < 0.0]
+            cand = inactive & (w_slp < 0.0)
             roots[cand] = -w_int[cand] / w_slp[cand]
             # A root within a relative tolerance of s_cur joins at s_cur: joins
             # only pull the other roots earlier, so a skipped one never returns.
             late = np.flatnonzero(roots <= s_cur + BREAKPOINT_TOL * s_cur)
             if late.size:
                 factor.append(late)
+                inactive[late] = False
                 continue
             s_next = float(np.min(roots))
             if not np.isfinite(s_next):
@@ -145,10 +147,11 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
         _verify_segment(instance, k, s_cur, s_next, segment)
         segments.append(segment)
 
-        if not inactive.size:
+        if math.isinf(s_next):
             break
         breakpoints.append(s_next)
         factor.append(joining)
+        inactive[joining] = False
         s_cur = s_next
 
     closed_form = float(np.max(instance.solve(k) / instance.minimizer()))
@@ -165,24 +168,26 @@ def _verify_segment(instance, k, s_lo: float, s_hi: float,
     """KKT certificate of a segment's affine primal on [s_lo, s_hi).
 
     The probe point is the midpoint, or 2 s_lo on the last, unbounded
-    segment. There z gives the dual w = q + M z, q = k - s r, off the
-    active set, and w = 0 on it. ``LcpSolution.residuals`` then checks the
-    affine identity (stationarity on the active set), z >= 0, w >= 0 and
-    complementarity in O(d^2), on z, w and q divided by the segment's own
-    scale, the largest of |z|, |w| and the terms of q. K-matrix
-    complementarity solutions are unique, so a passing probe is the
-    pointwise solution: a missed activation shows as a negative w, a
-    spurious one as a negative z.
+    segment. There z gives the dual w = q + M z, q = k - s r, which is the
+    stationarity ("affine") residual on the active set and is set to 0
+    there. z >= 0, w >= 0 and complementarity are then checked in O(d^2),
+    on z and w divided by the segment's own scale, the largest of |z|, |w|
+    and the terms of q. K-matrix complementarity solutions are unique, so a
+    passing probe is the pointwise solution: a missed activation shows as a
+    negative w, a spurious one as a negative z.
     """
     s = 2.0 * s_lo if math.isinf(s_hi) else 0.5 * (s_lo + s_hi)
-    q = k - s * instance.r
     z = segment.z_intercept + s * segment.theta_star
-    w = q + instance.M @ z
-    w[list(segment.active)] = 0.0
+    w = k - s * instance.r + instance.M @ z
+    active = np.array(segment.active, dtype=int)
+    affine = np.max(np.abs(w[active]), initial=0.0)
+    w[active] = 0.0
     # k, r > 0 size the terms of q.
     scale = max(np.max(np.abs(z)), np.max(np.abs(w)), np.max(k + s * instance.r))
-    residuals = lcp.LcpSolution(w=w / scale, z=z / scale, support=segment.active
-                                ).residuals(q / scale, instance.M)
+    w, z = w / scale, z / scale
+    residuals = {"affine": affine / scale, "negative_w": max(0.0, -np.min(w)),
+                 "negative_z": max(0.0, -np.min(z)), "complementarity": abs(w @ z),
+                 "per_coordinate": max(0.0, np.max(np.minimum(w, z)))}
     if max(residuals.values()) > SEGMENT_CHECK_TOL:
         detail = ", ".join(f"{name} {err:.3e}" for name, err in residuals.items())
         raise PathInconsistent(

@@ -316,7 +316,8 @@ def _write_atomic(path, write) -> Path:
 
 
 def write_json(path, obj) -> Path:
-    return _write_atomic(path, lambda fh: fh.write(json.dumps(obj, indent=2)))
+    """Write ``obj`` as compact JSON, which CPython encodes in C, atomically."""
+    return _write_atomic(path, lambda fh: fh.write(json.dumps(obj)))
 
 
 def save_instance(instance: ProblemInstance, path) -> None:

@@ -2,7 +2,8 @@
 code they check.
 
 ``solve_lcp_bruteforce`` enumerates every support instead of pivoting on
-the incremental Cholesky kernel; ``solve_limit_lcp`` and ``mu`` solve the
+the incremental Cholesky kernel, and ``residuals`` measures how far a pair
+is from solving its problem; ``solve_limit_lcp`` and ``mu`` solve the
 parametric problem pointwise instead of following the path homotopy;
 ``lyapunov`` and ``in_invariant_region`` are diagnostics of trajectories;
 ``integrate_reference`` is a generic list-based Dormand-Prince loop, whose
@@ -49,6 +50,23 @@ class NoSolution(NumericalFailure):
 
 class MultipleSolutions(NumericalFailure):
     """Exhaustive support enumeration found more than one complementary pair."""
+
+
+def residuals(sol: LcpSolution, q: np.ndarray, M: np.ndarray) -> dict[str, float]:
+    """Violation magnitudes of the conditions that define ``sol`` as a
+    solution for ``(q, M)`` (0 when exact)."""
+    affine = float(np.max(np.abs(sol.w - q - M @ sol.z)))
+    neg_w = float(max(0.0, -np.min(sol.w, initial=0.0)))
+    neg_z = float(max(0.0, -np.min(sol.z, initial=0.0)))
+    comp = float(abs(sol.w @ sol.z))
+    per_coord = float(np.max(np.minimum(sol.w, sol.z), initial=0.0))
+    return {
+        "affine": affine,
+        "negative_w": neg_w,
+        "negative_z": neg_z,
+        "complementarity": comp,
+        "per_coordinate": max(0.0, per_coord),
+    }
 
 
 def solve_lcp_bruteforce(q, M) -> LcpSolution:

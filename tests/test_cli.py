@@ -6,7 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import BAD_DATA_FILES, deadline
-from dlnflow import dynamics, generate_direct, lcp, problem, save_instance
+from dlnflow import (dynamics, experiments, generate_direct, lcp, problem,
+                     save_instance)
 from dlnflow.cli import main
 from dlnflow.errors import (
     BudgetExceeded,
@@ -904,7 +905,7 @@ def test_failed_allocation_exits_4(runner, tmp_path, monkeypatch, case):
         args = ["gen", "--d", "200000", "--seed", "1",
                 "--out", str(tmp_path / "inst.json")]
     else:
-        monkeypatch.setattr(dynamics, "Trajectory", _unaffordable)
+        monkeypatch.setattr(experiments, "uniform_grid", _unaffordable)
         args = _simulate(tmp_path, "--grid", "100000000")
     result = runner.invoke(main, args)
     assert result.exit_code == 4

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_k_matrix
 from dlnflow import solve_lcp, solve_qp_nonneg
@@ -12,13 +14,13 @@ from dlnflow.errors import (
     SingularSubmatrix,
 )
 from dlnflow.lcp import ActiveSetCholesky
-from oracles import MultipleSolutions, NoSolution, solve_lcp_bruteforce
+from oracles import MultipleSolutions, NoSolution, residuals, solve_lcp_bruteforce
 
 TRIDIAG = np.array([[2.0, -1.0], [-1.0, 2.0]])
 
 
 def assert_valid_solution(sol, q, M):
-    res = sol.residuals(q, M)
+    res = residuals(sol, q, M)
     q_norm = np.linalg.norm(q)
     z_norm = np.linalg.norm(sol.z)
     assert res["affine"] <= 1e-10 * (q_norm + np.linalg.norm(M) * z_norm + 1)
@@ -91,16 +93,38 @@ class TestActiveSetCholesky:
     def test_nonpositive_pivot_rejected(self):
         # Each 1x1 block is positive definite, but the second pivot is
         # 1 - (-2)^2 = -3: the 2x2 matrix is indefinite.
-        factor = ActiveSetCholesky(np.array([[1.0, -2.0], [-2.0, 1.0]]))
+        factor = ActiveSetCholesky(np.array([[1.0, -2.0], [-2.0, 1.0]]), np.ones(2))
         factor.append([0])
         with pytest.raises(SingularSubmatrix, match="pivot -3.000e"):
             factor.append([1])
 
     def test_solves_on_the_active_set(self):
-        factor = ActiveSetCholesky(TRIDIAG)
+        factor = ActiveSetCholesky(TRIDIAG, np.array([1.0, 1.0]))
         factor.append([1, 0])
-        np.testing.assert_allclose(factor.solve(np.array([1.0, 1.0])), [1.0, 1.0],
-                                   atol=1e-15)
+        np.testing.assert_allclose(factor.solve(), [1.0, 1.0], atol=1e-15)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @given(st.integers(1, 64), st.integers(0, 2**32 - 1), st.sampled_from([(), (2,)]))
+    def test_matches_dense_solve_after_every_append(self, d, seed, columns):
+        # Joins of 1 to 4 coordinates in a random order; b a vector or columns.
+        rng = np.random.default_rng(seed)
+        M = random_k_matrix(rng, d)
+        b = rng.normal(size=(d, *columns))
+        order = rng.permutation(d)
+        ends = np.cumsum(rng.integers(1, 5, size=d))
+        factor = ActiveSetCholesky(M, b)
+        np.testing.assert_array_equal(factor.solve(), np.zeros_like(b))
+        for start, stop in zip([0, *ends], ends):
+            if start >= d:
+                break
+            factor.append(order[start:stop])
+            active = np.sort(order[:stop])
+            x = factor.solve()
+            expected = np.linalg.solve(M[np.ix_(active, active)], b[active])
+            error = np.max(np.abs(x[active] - expected))
+            assert error <= 1e-12 * np.max(np.abs(expected))
+            inactive = np.setdiff1d(np.arange(d), active)
+            np.testing.assert_array_equal(x[inactive], 0.0)
 
 
 class TestBruteforce:

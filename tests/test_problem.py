@@ -25,6 +25,7 @@ from dlnflow.problem import (
     generate,
     resolve_instance,
     to_json_dict,
+    write_json,
 )
 from dlnflow.errors import (
     AssumptionViolated,
@@ -405,10 +406,15 @@ class TestSerialization:
         path = tmp_path / "inst.json"
         save_instance(inst, path)
         again = load_instance(path)
-        np.testing.assert_allclose(again.M, inst.M, atol=0)
-        np.testing.assert_allclose(again.r, inst.r, atol=0)
-        np.testing.assert_allclose(again.data.X, inst.data.X, atol=0)
+        for got, want in ((again.M, inst.M), (again.r, inst.r),
+                          (again.data.X, inst.data.X), (again.data.y, inst.data.y)):
+            np.testing.assert_array_equal(got, want)
         assert again.meta["seed"] == 9
+
+    def test_files_are_compact_json(self, tmp_path):
+        obj = to_json_dict(generate_direct(d=3, seed=9)[0])
+        path = write_json(tmp_path / "inst.json", obj)
+        assert path.read_text() == json.dumps(obj)
 
     def test_schema_fields(self, tmp_path):
         inst, _ = generate_direct(d=2, seed=1)

@@ -73,6 +73,7 @@ def assert_nested_path_with_closed_form_s_star(inst, k):
     assert np.all(np.diff(path.breakpoints) > 0)
     s_star = closed_form_s_star(inst, k)
     assert abs(path.breakpoints[-1] - s_star) <= 1e-9 * max(1.0, s_star)
+    return path
 
 
 @properties
@@ -176,6 +177,39 @@ def test_large_d_mu_matches_qp():
         np.testing.assert_allclose(path.sample([s])[1][0],
                                    solve_qp_nonneg(k / s - inst.r, inst.M),
                                    atol=AGREE_TOL)
+
+
+@pytest.mark.parametrize("d", [64, 128, 256])
+def test_path_at_scale_matches_dense_solves(d):
+    # Every segment against dense solves on its block M[I, I], and mu(s)
+    # at random s against M_II^{-1} (r_I - k_I / s) on the support of s,
+    # both within 1e-12 of the scale of the terms; zero off I.
+    inst, _ = generate_direct(d, d)
+    rng = np.random.default_rng(d)
+    k = rng.uniform(0.3, 3.0, size=d)
+    M, r = inst.M, inst.r
+    path = assert_nested_path_with_closed_form_s_star(inst, k)
+    for seg in path.segments:
+        active = list(seg.active)
+        assert not np.any(np.delete([seg.theta_star, seg.z_intercept], active, axis=1))
+        if active:
+            want = np.linalg.solve(M[np.ix_(active, active)],
+                                   np.column_stack([r[active], -k[active]]))
+            got = np.column_stack([seg.theta_star, seg.z_intercept])[active]
+            assert np.all(np.max(np.abs(got - want), axis=0)
+                          <= 1e-12 * np.max(np.abs(want), axis=0))
+
+    s = rng.uniform(0.0, 1.5, size=20) * path.s_star
+    for s_i, mu_i in zip(s, path.sample(s)[1]):
+        seg = path.segments[np.searchsorted(path.breakpoints, s_i, side="right")]
+        active = list(seg.active)
+        want = np.zeros(d)
+        if active:
+            want[active] = np.linalg.solve(M[np.ix_(active, active)],
+                                           r[active] - k[active] / s_i)
+        scale = np.max(np.abs(seg.theta_star) + np.abs(seg.z_intercept) / s_i)
+        assert np.max(np.abs(mu_i - want)) <= 1e-12 * scale
+        np.testing.assert_array_equal(np.delete(mu_i, active), 0.0)
 
 
 @st.composite
