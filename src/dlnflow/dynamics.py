@@ -27,7 +27,6 @@ from .problem import Initialization, ProblemInstance, loss
 MONOTONE_RUNTIME_TOL = 1e-8
 DEFAULT_TOL = 1e-9
 DEFAULT_GRID_POINTS = 400
-HITTING_REL_ACCURACY = 1e-6
 
 
 class Trajectory:
@@ -169,14 +168,15 @@ def simulate(
     return Trajectory(instance, init, s_grid, dense)
 
 
-def _ball_gap(theta: np.ndarray, target: np.ndarray, eta: float) -> float:
-    """||theta - target||_2 - eta, <= 0 exactly inside the closed ball."""
+def _ball_gap(theta: np.ndarray, target: np.ndarray, eta: float):
+    """||theta - target||_2 - eta of each row of theta, <= 0 exactly inside
+    the closed ball. A row's gap is bit for bit the gap of that row alone, so
+    a scan of step ends and a stop at one agree on which end is inside."""
     diff = theta - target
-    return float(np.sqrt(diff.dot(diff))) - eta
+    return np.sqrt(np.square(diff, out=diff).sum(axis=-1)) - eta
 
 
-def hitting_time_on(trajectory: Trajectory, eta: float, *,
-                    s_cap: float | None = None) -> float:
+def hitting_time_on(trajectory: Trajectory, eta: float) -> float:
     """First physical time t with ||theta(t) - M^{-1} r||_2 <= eta.
 
     An instance's M is a certified K-matrix, so M^{-1} >= 0 entrywise. A
@@ -186,32 +186,35 @@ def hitting_time_on(trajectory: Trajectory, eta: float, *,
     theta <= M^{-1} r componentwise.
     Every coordinate of M^{-1} r - theta(s) is therefore nonnegative and,
     up to the integration tolerance, nonincreasing, and so is the l2 gap:
-    the ball is entered once, and a bisection on [0, s_cap] finds that time
-    to relative accuracy 1e-6.
-
-    ``s_cap`` (default: the trajectory's end ``s_max``) may lie past that
-    end, where the gap is read at the end: by monotonicity it stays <= 0
-    once the end lies inside the ball, as in a trajectory ``hitting_time``
-    stopped there, and the midpoints are those of a run to ``s_cap``.
+    the ball is entered once. The gap is read at the step ends, and the
+    first step that ends inside the ball is rooted on its dense quartic to
+    roundoff, by Illinois regula falsi. Any run that takes the same steps
+    up to that end, stopped there or not, returns the same time bit for bit.
     """
     target = trajectory.instance.minimizer()
-    s_end = trajectory.s_max
-
-    def gap(s):
-        return _ball_gap(trajectory.theta_at(min(s, s_end)), target, eta)
-
-    if gap(0.0) <= 0.0:
+    knots, w = trajectory._dense.step_ends
+    gaps = _ball_gap(np.exp(w * trajectory._log_eps), target, eta)
+    j = int(np.argmax(gaps <= 0.0))
+    if not gaps[j] <= 0.0:
+        raise NotReached(trajectory.s_max)
+    if j == 0:
         return 0.0
-    lo, hi = 0.0, s_end if s_cap is None else s_cap
-    if gap(hi) > 0.0:
-        raise NotReached(hi)
-    while hi - lo > HITTING_REL_ACCURACY * max(hi, 1e-300):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi * -trajectory.init.log_epsilon
+    # Illinois regula falsi on the step's [outside, inside] ends, down to a
+    # bracket of a few ulps or an exact zero. g_lo - g_hi >= -g_hi > 0, and
+    # the secant's root is kept tol inside the bracket; an end kept twice
+    # has its gap halved.
+    ends, g_ends = knots[j - 1:j + 1].tolist(), gaps[j - 1:j + 1].tolist()
+    tol = 2.0 * float(np.spacing(ends[1]))
+    last = None
+    while g_ends[1] < 0.0 and ends[1] - ends[0] > 2.0 * tol:
+        (lo, hi), (g_lo, g_hi) = ends, g_ends
+        s = min(max(lo + (hi - lo) * g_lo / (g_lo - g_hi), lo + tol), hi - tol)
+        g = float(_ball_gap(trajectory.theta_at(s), target, eta))
+        side = int(g <= 0.0)
+        if side == last:
+            g_ends[1 - side] *= 0.5
+        ends[side], g_ends[side], last = s, g, side
+    return ends[1] * -trajectory._log_eps
 
 
 def hitting_time(
@@ -225,9 +228,9 @@ def hitting_time(
     around the unconstrained minimizer.
 
     Integration stops at the first accepted step that ends inside the
-    closed ball; ``NotReached(s_cap)`` is raised if none does. The bisection
-    still spans [0, s_cap]. Monotonicity is certified up to the stop only:
-    a drop after the hit no longer raises ``MonotonicityViolated``.
+    closed ball, the step ``hitting_time_on`` roots; ``NotReached`` is raised
+    if none does. Monotonicity is certified up to the stop only: a drop
+    after the hit no longer raises ``MonotonicityViolated``.
     """
     target = instance.minimizer()
     if not eta < float(np.min(target)):
@@ -238,4 +241,4 @@ def hitting_time(
     trajectory = simulate(instance, init, s_cap, s_grid=np.array([0.0, s_cap]),
                           tol=tol,
                           stop=lambda theta: _ball_gap(theta, target, eta) <= 0.0)
-    return hitting_time_on(trajectory, eta, s_cap=s_cap)
+    return hitting_time_on(trajectory, eta)

@@ -76,6 +76,13 @@ class DenseOutput:
         self.s_max = float(knots[-1])
         self.stats = stats
 
+    @property
+    def step_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """s and w at 0 and at every step end, bit for bit what a query there
+        reads: each step's starting w, then the last one's plus its increment."""
+        last = self._rows[-1:]
+        return self._knots, np.concatenate([self._rows[:, 0], last[:, 0] + last[:, 1]])
+
     def __call__(self, s):
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         if not (np.all(s_arr >= 0.0)

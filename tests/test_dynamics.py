@@ -304,14 +304,23 @@ class TestHittingTime:
         with pytest.raises(NotReached):
             hitting_time(scalar_instance, make_init(1, 1e-10), 0.1, s_cap=0.5)
 
-    def test_scan_matches_full_run(self, separable_instance):
+    @pytest.mark.parametrize("s_cap", [2.0, 3.0, 6.0])
+    def test_scan_matches_full_run(self, separable_instance, s_cap):
+        # The hit is near s = 1; runs to any cap past it take the same steps
+        # up to it, and hitting_time stops there and roots the same step.
         init = make_init(2, 1e-12)
         traj = simulate(separable_instance, init, 3.0, tol=TIGHT_TOL)
         tau_scan = hitting_time_on(traj, 0.05)
-        tau_full = hitting_time(separable_instance, init, 0.05, s_cap=3.0,
+        tau_full = hitting_time(separable_instance, init, 0.05, s_cap=s_cap,
                                 tol=TIGHT_TOL)
-        # hitting_time stops at the hit but bisects the same bracket.
         assert tau_scan == tau_full
+
+    def test_start_inside_the_ball_is_time_zero(self, scalar_instance):
+        # theta(0) = 0.96 lies within 0.1 of the minimizer 1.
+        init = make_init(1, 0.96)
+        traj = simulate(scalar_instance, init, 1.0)
+        assert hitting_time_on(traj, 0.1) == 0.0
+        assert hitting_time(scalar_instance, init, 0.1, s_cap=1.0) == 0.0
 
     def test_stop_ends_the_run_at_the_hit(self, separable_instance):
         init = make_init(2, 1e-12)
@@ -334,7 +343,8 @@ class TestHittingTime:
     def test_step_theta_is_the_trajectory_theta(self, d, eps):
         # The step callback gets the step's last stage as theta; simulate
         # certifies monotonicity and stops on it, and hitting_time_on then
-        # reads the trajectory at the stop, so the two must agree bit for bit.
+        # scans the trajectory's step ends for the first inside the ball, so
+        # the two must agree bit for bit.
         inst, _ = generate_direct(d, 5)
         C, k = np.random.default_rng(d).uniform(0.5, 2.0, size=(2, d))
         init = Initialization(C=C, k=k, epsilon=eps)

@@ -92,12 +92,23 @@ def test_dense_output_order():
 
 
 def test_dense_output_matches_endpoints():
-    last = LastStep()
+    s_ends, w_ends = [0.0], []
+
+    def record(s0, y0, s1, y1, theta1):
+        s_ends.append(s1)
+        w_ends.append(y1)
+        return False
+
     args = logistic(0.01, 10.0, 1e-9)
-    res = integrate(**args, step_callback=last)
-    assert res.s_max == last.s
-    np.testing.assert_array_equal(res(res.s_max), last.y)
+    res = integrate(**args, step_callback=record)
+    assert res.s_max == s_ends[-1]
+    np.testing.assert_array_equal(res(res.s_max), w_ends[-1])
     np.testing.assert_array_equal(res(0.0), args["w0"])
+    # step_ends holds 0 and every step end, and reads what a query there reads.
+    s, w = res.step_ends
+    np.testing.assert_array_equal(s, s_ends)
+    np.testing.assert_array_equal(w, res(s))
+    np.testing.assert_array_equal(w, [args["w0"]] + w_ends)
 
 
 def test_stats_populated():
