@@ -264,14 +264,17 @@ def test_trajectory_invariants_and_hitting_time(traj):
     # quartic dense output is accurate to the integration tolerance in w,
     # that is to |log eps| * tol * theta in theta (README, numerical notes).
     slack = DEFAULT_TOL * -traj.init.log_epsilon * float(np.max(target))
+    # simulate does not certify theta <= M^{-1} r: at the endpoints a
+    # coordinate that has just activated overshoots it by the integration
+    # error: at most 0.55 * tol * max(M^{-1} r) on 1000 random instances
+    # drawn as this strategy draws them (2.8e-10 on a d = 5 instance at
+    # eps = 1e-300, 3e-13 on it at tol 1e-11).
+    overshoot = DEFAULT_TOL * float(np.max(target))
     for stride, extra in ((16, 0.0), (1, slack)):
         tol = MONOTONE_RUNTIME_TOL + extra
         assert np.min(np.diff(theta[::stride], axis=0)) >= -tol
         assert np.max(np.diff(gap[::stride])) <= tol
-    # Nothing certifies theta <= M^{-1} r, at the endpoints either: a
-    # coordinate that has just activated overshoots it by the integration
-    # error (2.8e-10 on a d = 5 instance at eps = 1e-300, 3e-13 at tol 1e-11).
-    assert np.all(theta <= target + 1e-10 + slack)
+        assert np.all(theta[::stride] <= target + 1e-10 + max(extra, overshoot))
 
     # Running averages against an independent oracle: the cumulative
     # 8-point Gauss-Legendre quadrature of theta over the accepted steps.
