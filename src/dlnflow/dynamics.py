@@ -35,6 +35,7 @@ class Trajectory:
     Immutable once returned; ``theta_at``/``w_at``/``average`` evaluate the
     dense output anywhere inside the integrated range, under its rule.
     ``averages`` holds the running averages on the grid, 0 at s = 0.
+    ``knots`` and ``theta_knots`` hold s and theta at 0 and every step end.
     """
 
     def __init__(self, instance, init, s_grid, dense: DenseOutput):
@@ -43,6 +44,9 @@ class Trajectory:
         self.stats = dense.stats
         self._dense = dense
         self._log_eps = init.log_epsilon
+        self.knots, w_knots = dense.step_ends
+        self.theta_knots = np.exp(w_knots * self._log_eps)
+        self.knots.flags.writeable = self.theta_knots.flags.writeable = False
 
         self.s = np.asarray(s_grid, dtype=float)
         self.w = dense(self.s)
@@ -103,18 +107,17 @@ def simulate(
 
     Sampling happens on ``s_grid`` (default: 400 uniform points on
     [0, s_max]) through the dense output, whose range rule a grid must pass
-    (a point outside it is ``OutOfRange``). Any coordinate decreasing
-    between accepted steps by more than 1e-8 times its cap
-    max(theta*_i, theta_i(0)) aborts with ``MonotonicityViolated``:
-    trajectories are provably monotone once the initialization is small
-    enough to start inside the invariant region, so a decrease means
-    epsilon is too large for the asymptotic regime (or the integration
-    broke down).
+    (a point outside it is ``OutOfRange``). If ``stop(theta)`` is true at an
+    accepted step's endpoint, integration ends there: the trajectory's
+    ``s_max`` is then that endpoint, sampled only on the grid points up to it.
 
-    If ``stop(theta)`` is true at an accepted step's endpoint, integration
-    ends there, after that step's monotonicity check.
-    The trajectory's ``s_max`` is then that endpoint, and it is sampled only
-    on the grid points up to it.
+    Once the run ends, a coordinate decreasing from one step end to the next
+    by more than 1e-8 times its cap max(theta*_i, theta_i(0)) raises
+    ``MonotonicityViolated`` on the first such step. Trajectories are
+    provably monotone once the initialization is small enough to start
+    inside the invariant region, so a decrease means epsilon is too large
+    for the asymptotic regime (or the integration broke down). The dense
+    output between step ends is not certified (README, numerical notes).
     """
     if init.C.shape[0] != instance.d:
         raise DomainError(f"initialization has dimension {init.C.shape[0]}, "
@@ -139,33 +142,31 @@ def simulate(
     # tail contracts monotonically instead of bouncing along the stability
     # boundary, which would otherwise inject tolerance-scale jitter into
     # coordinates that the monotonicity check watches.
-    theta_old = np.exp(init.w0 * log_eps)
-    theta_cap = np.maximum(instance.minimizer(), theta_old)
+    theta_cap = np.maximum(instance.minimizer(), np.exp(init.w0 * log_eps))
     root = np.sqrt(theta_cap)
     rate = float(np.linalg.eigvalsh(root[:, None] * instance.M * root)[-1])
     h_stab = 2.8 / (abs(log_eps) * rate)
-    drop_tol = MONOTONE_RUNTIME_TOL * theta_cap
-
-    def step(s_old, w_old, s_new, w_new, theta_new):
-        # integrate calls this once per accepted step, in order, so w_old is
-        # the previous call's w_new and theta_old its theta.
-        nonlocal theta_old
-        drop = theta_old - theta_new
-        excess = drop - drop_tol
-        if excess.max() > 0.0:
-            i = int(excess.argmax())
-            raise MonotonicityViolated(
-                f"theta_{i} decreased by {drop[i]:.3e} over [{s_old:.6g}, {s_new:.6g}]; "
-                f"epsilon={init.epsilon:g} is too large for monotone dynamics"
-            )
-        theta_old = theta_new
-        return stop is not None and stop(theta_new)
 
     dense = integrate(flow_product(instance.M, instance.r, log_eps), log_eps,
-                      init.w0, s_max, tol, h_stab, step)
+                      init.w0, s_max, tol, h_stab, stop)
     if stop is not None:
         s_grid = s_grid[s_grid <= dense.s_max]
-    return Trajectory(instance, init, s_grid, dense)
+    trajectory = Trajectory(instance, init, s_grid, dense)
+
+    # The first step that drops too far, and its coordinate of largest excess.
+    knots, theta = trajectory.knots, trajectory.theta_knots
+    excess = theta[:-1] - theta[1:]
+    excess -= MONOTONE_RUNTIME_TOL * theta_cap
+    bad = np.flatnonzero(excess.max(axis=1) > 0.0)
+    if bad.size:
+        j = bad[0]
+        i = int(excess[j].argmax())
+        raise MonotonicityViolated(
+            f"theta_{i} decreased by {theta[j, i] - theta[j + 1, i]:.3e} over "
+            f"[{knots[j]:.6g}, {knots[j + 1]:.6g}]; "
+            f"epsilon={init.epsilon:g} is too large for monotone dynamics"
+        )
+    return trajectory
 
 
 def _ball_gap(theta: np.ndarray, target: np.ndarray, eta: float):
@@ -180,20 +181,19 @@ def hitting_time_on(trajectory: Trajectory, eta: float) -> float:
     """First physical time t with ||theta(t) - M^{-1} r||_2 <= eta.
 
     An instance's M is a certified K-matrix, so M^{-1} >= 0 entrywise. A
-    trajectory ``simulate`` returns has nondecreasing coordinates (it aborts
-    on any drop beyond ``MONOTONE_RUNTIME_TOL`` times the coordinate's cap)
-    and stays in the invariant region {r - M theta >= 0}, that is
-    theta <= M^{-1} r componentwise.
-    Every coordinate of M^{-1} r - theta(s) is therefore nonnegative and,
-    up to the integration tolerance, nonincreasing, and so is the l2 gap:
-    the ball is entered once. The gap is read at the step ends, and the
-    first step that ends inside the ball is rooted on its dense quartic to
-    roundoff, by Illinois regula falsi. Any run that takes the same steps
-    up to that end, stopped there or not, returns the same time bit for bit.
+    trajectory ``simulate`` returns is nondecreasing at its step ends (it
+    raises on any drop beyond ``MONOTONE_RUNTIME_TOL`` times the
+    coordinate's cap) and stays in the invariant region {r - M theta >= 0},
+    theta <= M^{-1} r, up to the integration error. Every coordinate of
+    M^{-1} r - theta(s) is therefore, up to that error, nonnegative and
+    nonincreasing, and so is the l2 gap: the ball is entered once. The gap
+    is read at the step ends, and the first step that ends inside the ball
+    is rooted on its dense quartic to roundoff, by Illinois regula falsi.
+    Any run that takes the same steps up to that end, stopped there or not,
+    returns the same time bit for bit.
     """
     target = trajectory.instance.minimizer()
-    knots, w = trajectory._dense.step_ends
-    gaps = _ball_gap(np.exp(w * trajectory._log_eps), target, eta)
+    gaps = _ball_gap(trajectory.theta_knots, target, eta)
     j = int(np.argmax(gaps <= 0.0))
     if not gaps[j] <= 0.0:
         raise NotReached(trajectory.s_max)
@@ -203,7 +203,7 @@ def hitting_time_on(trajectory: Trajectory, eta: float) -> float:
     # bracket of a few ulps or an exact zero. g_lo - g_hi >= -g_hi > 0, and
     # the secant's root is kept tol inside the bracket; an end kept twice
     # has its gap halved.
-    ends, g_ends = knots[j - 1:j + 1].tolist(), gaps[j - 1:j + 1].tolist()
+    ends, g_ends = trajectory.knots[j - 1:j + 1].tolist(), gaps[j - 1:j + 1].tolist()
     tol = 2.0 * float(np.spacing(ends[1]))
     last = None
     while g_ends[1] < 0.0 and ends[1] - ends[0] > 2.0 * tol:
@@ -214,7 +214,7 @@ def hitting_time_on(trajectory: Trajectory, eta: float) -> float:
         if side == last:
             g_ends[1 - side] *= 0.5
         ends[side], g_ends[side], last = s, g, side
-    return ends[1] * -trajectory._log_eps
+    return ends[1] * -trajectory.init.log_epsilon
 
 
 def hitting_time(
@@ -229,8 +229,8 @@ def hitting_time(
 
     Integration stops at the first accepted step that ends inside the
     closed ball, the step ``hitting_time_on`` roots; ``NotReached`` is raised
-    if none does. Monotonicity is certified up to the stop only: a drop
-    after the hit no longer raises ``MonotonicityViolated``.
+    if none does. Monotonicity is certified up to the stop's step only: a
+    drop after the hit does not raise ``MonotonicityViolated``.
     """
     target = instance.minimizer()
     if not eta < float(np.min(target)):

@@ -91,7 +91,7 @@ class DenseOutput:
         # The first knot is 0, so every query lies right of one.
         seg = np.searchsorted(self._knots[:-1], s_arr, side="right") - 1
         left = self._knots[seg]
-        # A step end reads exactly the w it handed to the step callback.
+        # A step end reads exactly the w the loop accepted there.
         tau = np.clip((s_arr - left) / (self._knots[seg + 1] - left), 0.0, 1.0)[:, None]
         # Coefficients in place in this copy: h k0 - dw, then h k6 - dw + that.
         c = self._rows[seg]          # (m, 5, n)
@@ -136,7 +136,7 @@ def integrate(
     s_end: float,
     tol: float,
     max_step: float,
-    step_callback: Callable[[float, np.ndarray, float, np.ndarray, np.ndarray], bool],
+    step_callback: Callable[[np.ndarray], bool] | None = None,
 ) -> DenseOutput:
     """Integrate w' = M theta - r, theta = exp(log_eps * w), from w(0) = w0
     at s = 0 to s_end and return the dense output, which carries the run's
@@ -145,12 +145,12 @@ def integrate(
     ``f(x, out)`` writes log_eps * (M theta - r) into ``out`` for
     x = [theta, 1], as ``flow_product`` builds it. Error control is mixed
     (tol + tol * |w|) and RMS-normed over every component; no step exceeds
-    ``max_step``. After each accepted step ``step_callback(s_old, w_old,
-    s_new, w_new, theta_new)`` may raise to abort with a domain-specific
-    diagnosis, or return true to end the integration there: the dense
-    output's ``s_max`` is then that step's endpoint. ``theta_new`` is the
-    step's last stage exp(log_eps * w_new), bit for bit the dense output's
-    theta at ``s_new``. A span too short for one step is ``OutOfRange``.
+    ``max_step``. If given, ``step_callback(theta_new)`` is called after
+    each accepted step and may return true to end the integration there:
+    the dense output's ``s_max`` is then that step's endpoint. ``theta_new``
+    is a copy of the step's last stage exp(log_eps * w_new), bit for bit
+    exp(log_eps * w) at that end of ``step_ends``. Without it the loop makes
+    no per-step call. A span too short for one step is ``OutOfRange``.
     """
     # The loop's end test, applied at s = 0.
     s_stop = s_end - 1e-14 * max(1.0, s_end)
@@ -202,14 +202,13 @@ def integrate(
         row[1] = ydiff
         np.multiply(Q[::6], hl, out=row[2:4])
         (hl * _D).dot(Q, out=row[4])
-        s_new = s + h
+        s += h
         steps += 1
-        knots[steps] = s_new
+        knots[steps] = s
         max_h = max(max_h, h)
-        done = step_callback(s, y, s_new, y_new, x[6, :n].copy())
-        s, y, ly, abs_y = s_new, y_new, ly_new, abs_y_new
+        y, ly, abs_y = y_new, ly_new, abs_y_new
         Q[0] = Q[6]  # FSAL
-        if done:
+        if step_callback is not None and step_callback(x[6, :n].copy()):
             break
 
         if err_norm == 0.0:

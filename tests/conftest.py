@@ -94,23 +94,25 @@ class _NotIntegrated(Exception):
 def recorded_integrate(run: bool = True):
     """Inside the block, ``dynamics.integrate`` appends the arguments of each
     call, by keyword, to the yielded list, and runs as usual. Each record's
-    ``"steps"`` lists the arguments of every call of its step callback.
+    ``"steps"`` lists the theta of every call of its step callback; a call
+    without one stays without one and records none.
     With ``run=False`` the block ends at the first call instead."""
     calls = []
     signature = inspect.signature(integrate)
 
     def spy(*args, **kwargs):
         arguments = signature.bind(*args, **kwargs).arguments
-        callback, steps = arguments["step_callback"], []
+        callback, steps = arguments.get("step_callback"), []
 
-        def hook(*step):
-            steps.append(step)
-            return callback(*step)
+        def hook(theta):
+            steps.append(theta)
+            return callback(theta)
 
         calls.append({**arguments, "steps": steps})
         if not run:
             raise _NotIntegrated
-        return integrate(**{**arguments, "step_callback": hook})
+        return integrate(**{**arguments,
+                            "step_callback": None if callback is None else hook})
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(dynamics, "integrate", spy)

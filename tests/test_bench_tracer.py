@@ -46,17 +46,22 @@ def test_install_restores_every_attribute(tracer):
 def test_integrator_counters_match_its_stats(tracer):
     # The tracer binds integrate's f and step_callback by name and reads the
     # result's stats; its counters must agree with what the integrator says.
+    # Only a run with a stop has a step callback; one without makes no call.
     instance, _ = generate_direct(4, 7)
     init = Initialization(C=np.ones(4), k=np.ones(4), epsilon=1e-12)
     recorder = tracer.Tracer()
     with recorder.installed(), recorder.op(0):
-        stats = dynamics.simulate(instance, init, 2.0).stats
+        stats = dynamics.simulate(instance, init, 2.0, stop=lambda theta: False).stats
+    with recorder.installed(), recorder.op(1):
+        dynamics.simulate(instance, init, 2.0)
     counts = recorder.counts[0]
     assert stats.steps > 0 and stats.rejected > 0
     assert counts["integrate.steps"] == stats.steps
     assert counts["integrate.rejected"] == stats.rejected
     assert counts["integrate.rhs.calls"] == stats.rhs_evaluations
     assert counts["integrate.callback.calls"] == stats.steps
+    assert recorder.counts[1]["integrate.steps"] == stats.steps
+    assert recorder.counts[1]["integrate.callback.calls"] == 0
 
 
 def test_path_and_writer_counters_match_what_limit_path_made(tracer, tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,9 +228,14 @@ class TestDynamicsInvariants:
     def test_monotonicity_violation_reported(self, tridiag_instance):
         # theta(0) = (5, 5) starts outside the invariant region, so the flow
         # genuinely decreases and must be reported rather than continued.
+        # The report names the first step that drops too far, whatever the
+        # span: the second step drops theta_0 by 0.297, the run's largest.
         init = make_init(2, 0.5, C=[10.0, 10.0])
-        with pytest.raises(MonotonicityViolated):
-            simulate(tridiag_instance, init, s_max=1.0)
+        message = ("theta_0 decreased by 6.487e-02 over [0, 0.00474903]; "
+                   "epsilon=0.5 is too large for monotone dynamics")
+        for s_max in (1.0, 3.0):
+            with pytest.raises(MonotonicityViolated, match=f"^{re.escape(message)}$"):
+                simulate(tridiag_instance, init, s_max=s_max)
 
 
 class TestInvariantRegion:
@@ -341,20 +348,26 @@ class TestHittingTime:
 
     @pytest.mark.parametrize("d, eps", [(8, 1e-12), (32, 1e-300)])
     def test_step_theta_is_the_trajectory_theta(self, d, eps):
-        # The step callback gets the step's last stage as theta; simulate
-        # certifies monotonicity and stops on it, and hitting_time_on then
-        # scans the trajectory's step ends for the first inside the ball, so
-        # the two must agree bit for bit.
+        # simulate hands its stop to integrate, which calls it with the
+        # step's last stage as theta; hitting_time_on then scans the
+        # trajectory's theta at the step ends for the first inside the ball,
+        # so the two must agree bit for bit. A run without a stop has no hook.
         inst, _ = generate_direct(d, 5)
         C, k = np.random.default_rng(d).uniform(0.5, 2.0, size=(2, d))
         init = Initialization(C=C, k=k, epsilon=eps)
+        target = inst.minimizer()
+        eta = 0.1 * float(np.min(target))
+        s_max = 1.5 * compute_path(inst, k).s_star
         with recorded_integrate() as calls:
-            traj = simulate(inst, init, 1.5 * compute_path(inst, k).s_star)
+            traj = simulate(inst, init, s_max,
+                            stop=lambda theta: np.linalg.norm(theta - target) <= eta)
+            simulate(inst, init, s_max)
         steps = calls[0]["steps"]
-        assert len(steps) == traj.stats.steps
-        for _, _, s_new, w_new, theta_new in steps:
-            np.testing.assert_array_equal(traj.w_at(s_new), w_new)
-            np.testing.assert_array_equal(traj.theta_at(s_new), theta_new)
+        assert traj.s_max < s_max and len(steps) == traj.stats.steps
+        np.testing.assert_array_equal(steps, traj.theta_knots[1:])
+        np.testing.assert_array_equal(traj.theta_at(traj.knots), traj.theta_knots)
+        assert not (traj.knots.flags.writeable or traj.theta_knots.flags.writeable)
+        assert calls[1]["step_callback"] is None and calls[1]["steps"] == []
 
     def test_drop_before_the_hit_raises(self, tridiag_instance):
         # theta(0) = (5, 5) lies outside the invariant region and the ball,
@@ -363,6 +376,18 @@ class TestHittingTime:
         eta = 0.1 * float(np.min(tridiag_instance.minimizer()))
         with pytest.raises(MonotonicityViolated):
             hitting_time(tridiag_instance, init, eta, s_cap=1.0)
+
+    def test_drop_on_the_stopping_step_raises(self, tridiag_instance):
+        # theta(0) = (1.02, 0.98) lies outside the invariant region, at a gap
+        # of 0.0283 from theta* = (1, 1); the first step drops theta_0 and
+        # ends inside the ball, so the run stops on the step that drops.
+        init = make_init(2, 0.5, C=[2.04, 1.96])
+        message = ("theta_0 decreased by 4.040e-04 over [0, 0.00962165]; "
+                   "epsilon=0.5 is too large for monotone dynamics")
+        with recorded_integrate() as calls, pytest.raises(
+                MonotonicityViolated, match=f"^{re.escape(message)}$"):
+            hitting_time(tridiag_instance, init, 0.028, s_cap=1.0)
+        assert len(calls[0]["steps"]) == 1
 
 
 class TestLyapunov:

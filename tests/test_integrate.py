@@ -10,17 +10,12 @@ from dlnflow.integrate import flow_product, integrate
 from oracles import integrate_reference
 
 
-def go_on(s0, y0, s1, y1, theta1):
-    """A step callback that never ends the run."""
-    return False
-
-
 class LastStep:
-    """A step callback that never ends the run and keeps the endpoint
-    ``s``, ``y`` of the last accepted step."""
+    """A step callback that never ends the run and keeps the theta of the
+    last accepted step."""
 
-    def __call__(self, s0, y0, s1, y1, theta1):
-        self.s, self.y = s1, y1
+    def __call__(self, theta1):
+        self.theta = theta1
         return False
 
 
@@ -59,14 +54,14 @@ def decay(t_end, tol, max_step=np.inf, eps=1e-6):
 
 def test_exponential_decay():
     args = decay(5.0, 1e-10)
-    res = integrate(**args, step_callback=go_on)
+    res = integrate(**args)
     theta_end = math.exp(res(res.s_max)[0] * args["log_eps"])
     assert theta_end == pytest.approx(math.exp(-5.0), rel=1e-12)
 
 
 def test_logistic_matches_its_closed_form():
     args = logistic(1e-6, 20.0, 1e-10)
-    res = integrate(**args, step_callback=go_on)
+    res = integrate(**args)
     assert theta_error(res, args, 1e-6) < 1e-8
 
 
@@ -74,7 +69,7 @@ def test_logistic_accuracy_improves_with_tolerance():
     errors = []
     for tol in [1e-5, 1e-7, 1e-9, 1e-11]:
         args = logistic(1e-6, 20.0, tol)
-        errors.append(theta_error(integrate(**args, step_callback=go_on), args, 1e-6))
+        errors.append(theta_error(integrate(**args), args, 1e-6))
     assert all(b < a for a, b in zip(errors, errors[1:]))
     assert errors[-1] < errors[0] * 1e-3
 
@@ -85,41 +80,42 @@ def test_dense_output_order():
     prev = None
     for h in [0.4, 0.2, 0.1]:
         args = logistic(1e-2, 12.0, 1e-2, max_step=h / -math.log(1e-6))
-        err = theta_error(integrate(**args, step_callback=go_on), args, 1e-2, 1001)
+        err = theta_error(integrate(**args), args, 1e-2, 1001)
         if prev is not None:
             assert err < prev / 10.0
         prev = err
 
 
 def test_dense_output_matches_endpoints():
-    s_ends, w_ends = [0.0], []
+    thetas = []
 
-    def record(s0, y0, s1, y1, theta1):
-        s_ends.append(s1)
-        w_ends.append(y1)
+    def record(theta1):
+        thetas.append(theta1)
         return False
 
     args = logistic(0.01, 10.0, 1e-9)
     res = integrate(**args, step_callback=record)
-    assert res.s_max == s_ends[-1]
-    np.testing.assert_array_equal(res(res.s_max), w_ends[-1])
-    np.testing.assert_array_equal(res(0.0), args["w0"])
     # step_ends holds 0 and every step end, and reads what a query there reads.
     s, w = res.step_ends
-    np.testing.assert_array_equal(s, s_ends)
+    assert s[0] == 0.0 and res.s_max == s[-1]
+    assert len(thetas) == len(s) - 1 == res.stats.steps
+    np.testing.assert_array_equal(res(res.s_max), w[-1])
+    np.testing.assert_array_equal(res(0.0), args["w0"])
     np.testing.assert_array_equal(w, res(s))
-    np.testing.assert_array_equal(w, [args["w0"]] + w_ends)
+    np.testing.assert_array_equal(w[0], args["w0"])
+    # The hook's theta is the step's end, bit for bit.
+    np.testing.assert_array_equal(thetas, np.exp(args["log_eps"] * w[1:]))
 
 
 def test_stats_populated():
-    res = integrate(**logistic(1e-8, 25.0, 1e-9), step_callback=go_on)
+    res = integrate(**logistic(1e-8, 25.0, 1e-9))
     assert res.stats.steps > 10
     assert res.stats.max_step > 0
     assert res.stats.rhs_evaluations == 2 + 6 * (res.stats.steps + res.stats.rejected)
 
 
 def test_max_step_respected():
-    res = integrate(**logistic(0.5, 2.0, 1e-6, max_step=0.05), step_callback=go_on)
+    res = integrate(**logistic(0.5, 2.0, 1e-6, max_step=0.05))
     assert res.stats.max_step <= 0.05 + 1e-15
 
 
@@ -128,7 +124,7 @@ def test_step_underflow_near_blowup():
     # t = log 2; the controller must not march through it.
     args = flow([[-1.0]], [1.0], math.exp(-1.0), [0.0], 2.0, 1e-8)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StepUnderflow):
-        integrate(**args, step_callback=go_on)
+        integrate(**args)
 
 
 def test_nan_step_underflows():
@@ -136,15 +132,15 @@ def test_nan_step_underflows():
     # threshold catches; the underflow test must stop the loop anyway.
     args = logistic(0.5, 1.0, 0.0)
     with deadline(10), np.errstate(all="ignore"), pytest.raises(StepUnderflow):
-        integrate(**args, step_callback=go_on)
+        integrate(**args)
 
 
 def test_callback_abort_propagates():
     class Abort(RuntimeError):
         pass
 
-    def cb(s0, y0, s1, y1, theta1):
-        if s1 > 1.0:
+    def cb(theta1):
+        if theta1[0] > 0.9:
             raise Abort
 
     with pytest.raises(Abort):
@@ -153,9 +149,13 @@ def test_callback_abort_propagates():
 
 def test_dense_output_out_of_range():
     last = LastStep()
-    res = integrate(**logistic(0.5, 1.0, 1e-8, eps=math.exp(-1.0)), step_callback=last)
+    args = logistic(0.5, 1.0, 1e-8, eps=math.exp(-1.0))
+    res = integrate(**args, step_callback=last)
+    s, w = res.step_ends
+    assert res.s_max == s[-1]
+    np.testing.assert_array_equal(last.theta, np.exp(args["log_eps"] * w[-1]))
     # A relative 1e-12 past the end reads the value at the end.
-    np.testing.assert_array_equal(res(res.s_max * (1 + 1e-12) + 1e-15), last.y)
+    np.testing.assert_array_equal(res(res.s_max * (1 + 1e-12) + 1e-15), w[-1])
     for s in (1.5, res.s_max * (1 + 1e-11), -1e-300, np.nan):
         with pytest.raises(OutOfRange):
             res(s)
@@ -168,29 +168,31 @@ def test_span_too_short_for_one_step_is_out_of_range(s_end):
 
     args = {**logistic(0.5, 1.0, 1e-8), "f": f, "s_end": s_end}
     with pytest.raises(OutOfRange):
-        integrate(**args, step_callback=go_on)
+        integrate(**args)
 
 
 def test_shortest_span_takes_one_step():
     args = {**logistic(0.5, 1.0, 1e-8), "s_end": 2e-14}
-    res = integrate(**args, step_callback=go_on)
+    res = integrate(**args)
     assert res.stats.steps == 1 and res.s_max == 2e-14
 
 
 def test_callback_returning_true_ends_the_run_at_that_step():
     seen = []
 
-    def cb(s0, y0, s1, y1, theta1):
-        seen.append((s1, y1, theta1))
+    def cb(theta1):
+        seen.append(theta1)
         return theta1[0] > 0.5
 
     args = logistic(1e-3, 20.0, 1e-9)
     res = integrate(**args, step_callback=cb)
-    assert [theta[0] > 0.5 for *_, theta in seen] == [False] * (len(seen) - 1) + [True]
+    assert [theta[0] > 0.5 for theta in seen] == [False] * (len(seen) - 1) + [True]
     assert res.stats.steps == len(seen)
+    s, w = res.step_ends
+    np.testing.assert_array_equal(seen, np.exp(args["log_eps"] * w[1:]))
     # The dense output covers [0, s] for that step's endpoint s and no further.
-    assert res.s_max == seen[-1][0] < args["s_end"]
-    np.testing.assert_array_equal(res(res.s_max), seen[-1][1])
+    assert res.s_max == s[-1] < args["s_end"]
+    np.testing.assert_array_equal(res(res.s_max), w[-1])
     with pytest.raises(OutOfRange):
         res(res.s_max + 1e-6)
 
@@ -228,12 +230,14 @@ def test_loop_matches_the_reference_bit_for_bit(case):
     and rejected steps. The states agree to roundoff."""
     args, (M, r) = REFERENCE_CASES[case]()
     log_eps = args["log_eps"]
-    stop = (lambda y: y[0] * log_eps > math.log(0.5)) if case == "callback-stop" else None
+    stop = (lambda theta: theta[0] > 0.5) if case == "callback-stop" else None
+    # The reference loop hands its stop w, so both stops decide on theta.
+    reference_stop = None if stop is None else (lambda w: stop(np.exp(w * log_eps)))
     calls, reference_calls = [], []
 
-    def callback(*step):
-        calls.append(step)
-        return stop is not None and stop(step[3])
+    def callback(theta):
+        calls.append(theta)
+        return stop is not None and stop(theta)
 
     res = integrate(**args, step_callback=callback)
     M, r = np.asarray(M, dtype=float), np.asarray(r, dtype=float)
@@ -241,7 +245,7 @@ def test_loop_matches_the_reference_bit_for_bit(case):
                               args["w0"], args["s_end"], rtol=args["tol"],
                               atol=args["tol"], max_step=args["max_step"],
                               step_callback=lambda *step: reference_calls.append(step),
-                              stop=stop)
+                              stop=reference_stop)
     # The same steps, accepted and rejected.
     assert (res.stats.steps, res.stats.rejected, res.stats.rhs_evaluations) == (
         ref.stats.steps, ref.stats.rejected, ref.stats.rhs_evaluations)
@@ -262,5 +266,4 @@ def test_loop_matches_the_reference_bit_for_bit(case):
     assert np.max(np.abs(res(s) - theirs) / (1.0 + np.abs(theirs))) <= STATE_RTOL
     # The hook saw as many steps, each with theta = exp(log_eps * w).
     assert len(calls) == len(reference_calls)
-    for *_, w, theta in calls:
-        np.testing.assert_array_equal(theta, np.exp(log_eps * w))
+    np.testing.assert_array_equal(calls, np.exp(log_eps * res.step_ends[1][1:]))

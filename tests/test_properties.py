@@ -253,7 +253,7 @@ def test_rescaled_flow_gives_the_rescaled_trajectory(d, seed, log10_eps,
 def test_trajectory_invariants_and_hitting_time(traj):
     # 16 points per accepted step of the dense output, plus the end point:
     # every 16th point is a step endpoint.
-    knots = traj._dense._knots
+    knots = traj.knots
     lefts, widths = knots[:-1], np.diff(knots)
     fractions = np.arange(16) / 16
     s = np.append((lefts[:, None] + widths[:, None] * fractions).ravel(), traj.s_max)
@@ -329,5 +329,5 @@ def test_a_run_stopped_at_the_hit_has_reached_it(d, seed, log10_eps, cap_fractio
             reached = True
         except NotReached:
             reached = False
-    *_, theta_last = calls[0]["steps"][-1]
+    theta_last = calls[0]["steps"][-1]
     assert reached == (_ball_gap(theta_last, target, eta) <= 0.0)
