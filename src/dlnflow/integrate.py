@@ -16,33 +16,28 @@ import numpy as np
 
 from .errors import OutOfRange, StepUnderflow
 
-# Dormand & Prince (1980) tableau; the first weight row propagates (order 5),
-# E is the difference against the embedded order-4 row.
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
-# Weights of the order-4 continuous extension (Hairer, Norsett & Wanner).
-_D = np.array(
-    [
-        -12715105075 / 11282082432,
-        0.0,
-        87487479700 / 32700410799,
-        -10690763975 / 1880347072,
-        701980252875 / 199316789632,
-        -1453857185 / 822651844,
-        69997945 / 29380423,
-    ]
-)
+# Dormand & Prince (1980) tableau, strictly lower-triangular; its last row is
+# the propagating order-5 weights (FSAL).
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
+# Weights, one row each: B propagates (order 5), E is its difference against
+# the embedded order-4 row, D gives the order-4 continuous extension
+# (Hairer, Norsett & Wanner).
+_WEIGHTS = np.array([
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
+    [-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+     -10690763975 / 1880347072, 701980252875 / 199316789632,
+     -1453857185 / 822651844, 69997945 / 29380423],
+])
+_B, _E, _D = _WEIGHTS
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -67,7 +62,8 @@ class DenseOutput:
     A step's row holds w at its start, its increment, and h k = h Q / L of its
     first and last stage and their D-combination; a query forms the quartic
     of the steps it reads. The one query-range rule of a trajectory:
-    [0, s_max], and a relative 1e-12 past s_max, which reads the value there.
+    [0, s_max], and past it a relative 1e-12 plus an absolute 1e-15, up to
+    s_max (1 + 1e-12) + 1e-15, which reads the value at s_max.
     """
 
     def __init__(self, knots: np.ndarray, rows: np.ndarray, stats: IntegratorStats):
@@ -168,6 +164,13 @@ def integrate(
     # Starting at the rows a run at the step cap fills avoids most doublings.
     cap = max(64, int(min(s_end / max_step, 2**16)))
     knots, rows = np.zeros(cap + 1), np.empty((cap, 5, n))
+    # At these sizes a step costs numpy calls, not flops: each attempt scales
+    # the tableau into hA and hW with one call each, and every view a step
+    # reads is bound here.
+    hA, hW = np.empty_like(_A), np.empty_like(_WEIGHTS)
+    stages = [(hA[i, :i], Q[:i], x[i, :n], x[i], Q[i]) for i in range(1, 6)]
+    hb, he, hd, Q_b = hW[0, :6], hW[1], hW[2], Q[:6]
+    theta_new, x_new, Q_new, Q_first, Q_ends = x[6, :n], x[6], Q[6], Q[0], Q[::6]
     steps, rejected, max_h = 0, 0, 0.0
     s = 0.0
     while s < s_stop:
@@ -175,18 +178,20 @@ def integrate(
         if not h >= 1e-14 * max(1.0, s):
             raise StepUnderflow(f"step {h:.3e} underflowed at s={s:.6g}")
 
-        for i in range(1, 6):
-            np.exp(ly + (h * _A[i]).dot(Q[:i]), out=x[i, :n])
-            f(x[i], Q[i])
+        np.multiply(_A, h, out=hA)
+        for a, Q_prev, theta, xi, Qi in stages:
+            np.exp(ly + a.dot(Q_prev), out=theta)
+            f(xi, Qi)
         hl = h / log_eps
-        ydiff = (hl * _B[:6]).dot(Q[:6])
+        np.multiply(_WEIGHTS, hl, out=hW)
+        ydiff = hb.dot(Q_b)
         y_new = y + ydiff
         ly_new = log_eps * y_new
-        np.exp(ly_new, out=x[6, :n])
-        f(x[6], Q[6])
+        np.exp(ly_new, out=theta_new)
+        f(x_new, Q_new)
 
         abs_y_new = np.abs(y_new)
-        q = (hl * _E).dot(Q) / (tol + tol * np.maximum(abs_y, abs_y_new))
+        q = he.dot(Q) / (tol + tol * np.maximum(abs_y, abs_y_new))
         err_norm = math.sqrt(q.dot(q) / n)
 
         # inf and NaN fail too, and max() makes their factor _MIN_FACTOR.
@@ -200,15 +205,15 @@ def integrate(
         row = rows[steps]
         row[0] = y
         row[1] = ydiff
-        np.multiply(Q[::6], hl, out=row[2:4])
-        (hl * _D).dot(Q, out=row[4])
+        np.multiply(Q_ends, hl, out=row[2:4])
+        hd.dot(Q, out=row[4])
         s += h
         steps += 1
         knots[steps] = s
         max_h = max(max_h, h)
         y, ly, abs_y = y_new, ly_new, abs_y_new
-        Q[0] = Q[6]  # FSAL
-        if step_callback is not None and step_callback(x[6, :n].copy()):
+        Q_first[...] = Q_new  # FSAL
+        if step_callback is not None and step_callback(theta_new.copy()):
             break
 
         if err_norm == 0.0:

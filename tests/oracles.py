@@ -242,7 +242,7 @@ def integrate_reference(
             raise StepUnderflow(f"step {h:.3e} underflowed at s={s:.6g}")
 
         for i in range(1, 7):
-            k[i] = f(s + _C[i] * h, y + h * (_A[i] @ k[:i]))
+            k[i] = f(s + _C[i] * h, y + h * (_A[i, :i] @ k[:i]))
         stats.rhs_evaluations += 6
         y_new = y + h * (_B @ k)
 

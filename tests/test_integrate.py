@@ -6,8 +6,8 @@ import pytest
 from conftest import deadline, recorded_integrate, scalar_logistic
 from dlnflow import Initialization, compute_path, dynamics, generate_direct
 from dlnflow.errors import OutOfRange, StepUnderflow
-from dlnflow.integrate import flow_product, integrate
-from oracles import integrate_reference
+from dlnflow.integrate import _A, _B, _D, _E, flow_product, integrate
+from oracles import _C, integrate_reference
 
 
 class LastStep:
@@ -267,3 +267,41 @@ def test_loop_matches_the_reference_bit_for_bit(case):
     # The hook saw as many steps, each with theta = exp(log_eps * w).
     assert len(calls) == len(reference_calls)
     np.testing.assert_array_equal(calls, np.exp(log_eps * res.step_ends[1][1:]))
+
+
+@pytest.mark.parametrize("case", ["rejections", "extreme-d32"])
+def test_a_hook_that_never_stops_changes_nothing(case):
+    """Bit for bit the run without a hook; the theta it keeps from each step
+    is its own copy. The extreme case grows its row buffer."""
+    args, _ = REFERENCE_CASES[case]()
+    kept = []
+    plain = integrate(**args)
+    hooked = integrate(**args, step_callback=lambda theta: kept.append(theta))
+    if case == "extreme-d32":
+        assert plain.stats.steps > max(64, args["s_end"] / args["max_step"])
+    assert hooked.stats == plain.stats
+    for ours, theirs in zip(hooked.step_ends, plain.step_ends):
+        np.testing.assert_array_equal(ours, theirs)
+    np.testing.assert_array_equal(kept, np.exp(args["log_eps"] * plain.step_ends[1][1:]))
+    knots = plain.step_ends[0]
+    s = np.concatenate([knots, (knots[:-1] + knots[1:]) / 2])
+    np.testing.assert_array_equal(hooked(s), plain(s))
+
+
+def test_the_tableau_the_loop_reads():
+    """Row sums of A are the stage abscissae, A is explicit and its last row
+    is the propagating one (FSAL); B is exact on c^k up to order 5 and E on
+    c^k up to order 4, which D is not; all to 4 ulps."""
+    c = np.array(_C)
+    assert np.all(np.abs(_A.sum(axis=1) - c) <= 4 * np.spacing(c))
+    np.testing.assert_array_equal(_A, np.tril(_A, -1))
+    # The loop forms w_new from the first six stages only.
+    np.testing.assert_array_equal(_A[6], _B)
+    # The weights are O(1), so 4 ulps of 1 bound these sums.
+    ulp4 = 4 * np.finfo(float).eps
+    for k in range(5):
+        assert abs(_B.dot(c**k) - 1 / (k + 1)) <= ulp4
+    for k in range(4):
+        assert abs(_E.dot(c**k)) <= ulp4
+    assert abs(_D.sum()) <= ulp4
+    assert abs(_D.dot(c**3)) > 1e-3
