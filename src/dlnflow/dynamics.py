@@ -177,6 +177,13 @@ def _ball_gap(theta: np.ndarray, target: np.ndarray, eta: float):
     return np.sqrt(np.square(diff, out=diff).sum(axis=-1)) - eta
 
 
+def _ball_center(instance: ProblemInstance, eta: float) -> np.ndarray:
+    target = instance.minimizer()
+    if not 0.0 < eta < target.min():
+        raise DomainError(f"eta={eta:g} is outside (0, min(M^-1 r) = {target.min():g})")
+    return target
+
+
 def hitting_time_on(trajectory: Trajectory, eta: float) -> float:
     """First physical time t with ||theta(t) - M^{-1} r||_2 <= eta.
 
@@ -192,7 +199,7 @@ def hitting_time_on(trajectory: Trajectory, eta: float) -> float:
     Any run that takes the same steps up to that end, stopped there or not,
     returns the same time bit for bit.
     """
-    target = trajectory.instance.minimizer()
+    target = _ball_center(trajectory.instance, eta)
     gaps = _ball_gap(trajectory.theta_knots, target, eta)
     j = int(np.argmax(gaps <= 0.0))
     if not gaps[j] <= 0.0:
@@ -232,13 +239,7 @@ def hitting_time(
     if none does. Monotonicity is certified up to the stop's step only: a
     drop after the hit does not raise ``MonotonicityViolated``.
     """
-    target = instance.minimizer()
-    if not eta < float(np.min(target)):
-        raise DomainError(
-            f"eta={eta:g} must be smaller than every minimizer coordinate "
-            f"(min {float(np.min(target)):g})"
-        )
-    trajectory = simulate(instance, init, s_cap, s_grid=np.array([0.0, s_cap]),
-                          tol=tol,
+    target = _ball_center(instance, eta)
+    trajectory = simulate(instance, init, s_cap, np.array([0.0, s_cap]), tol=tol,
                           stop=lambda theta: _ball_gap(theta, target, eta) <= 0.0)
     return hitting_time_on(trajectory, eta)

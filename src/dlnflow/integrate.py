@@ -106,18 +106,18 @@ def _doubled(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _initial_step(f, x, Q, log_eps, y0, ly0, s_end, scale):
-    """Hairer-style starting step guess, clipped to the span. Evaluates the
-    first stage into x[0], Q[0] and a probe stage into x[1], Q[1]."""
+def _initial_step(f, x, Q, log_eps, y0, ly0, s_end, tol):
+    """Hairer-style starting step guess under the absolute weight ``tol``, clipped
+    to the span. Evaluates stage 1 into x[0], Q[0] and a probe into x[1], Q[1]."""
     np.exp(ly0, out=x[0, :-1])
     f(x[0], Q[0])
-    d0 = np.sqrt(np.mean((y0 / scale) ** 2))
-    d1 = np.sqrt(np.mean((Q[0] / log_eps / scale) ** 2))
+    d0 = np.sqrt(np.mean((y0 / tol) ** 2))
+    d1 = np.sqrt(np.mean((Q[0] / log_eps / tol) ** 2))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, s_end)
     np.exp(ly0 + h0 * Q[0], out=x[1, :-1])
     f(x[1], Q[1])
-    d2 = np.sqrt(np.mean(((Q[1] - Q[0]) / log_eps / scale) ** 2)) / h0
+    d2 = np.sqrt(np.mean(((Q[1] - Q[0]) / log_eps / tol) ** 2)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -139,14 +139,14 @@ def integrate(
     ``stats``.
 
     ``f(x, out)`` writes log_eps * (M theta - r) into ``out`` for
-    x = [theta, 1], as ``flow_product`` builds it. Error control is mixed
-    (tol + tol * |w|) and RMS-normed over every component; no step exceeds
-    ``max_step``. If given, ``step_callback(theta_new)`` is called after
-    each accepted step and may return true to end the integration there:
-    the dense output's ``s_max`` is then that step's endpoint. ``theta_new``
-    is a copy of the step's last stage exp(log_eps * w_new), bit for bit
-    exp(log_eps * w) at that end of ``step_ends``. Without it the loop makes
-    no per-step call. A span too short for one step is ``OutOfRange``.
+    x = [theta, 1], as ``flow_product`` builds it. The RMS-normed error weight
+    is an absolute ``tol`` in w, that is a relative ``|log_eps| tol`` in theta;
+    no step exceeds ``max_step``. If given, ``step_callback(theta_new)`` is
+    called after each accepted step and may return true to end the integration
+    there: the dense output's ``s_max`` is then that step's endpoint.
+    ``theta_new`` is a copy of the step's last stage exp(log_eps * w_new), bit
+    for bit exp(log_eps * w) at that end of ``step_ends``. Without it the loop
+    makes no per-step call. A span too short for one step is ``OutOfRange``.
     """
     # The loop's end test, applied at s = 0.
     s_stop = s_end - 1e-14 * max(1.0, s_end)
@@ -157,8 +157,8 @@ def integrate(
 
     # Row i of x is stage i's [theta, 1], and Q[i] its product.
     x, Q = np.ones((7, n + 1)), np.empty((7, n))
-    ly, abs_y = log_eps * y, np.abs(y)
-    h = min(_initial_step(f, x, Q, log_eps, y, ly, s_end, tol + tol * abs_y), max_step)
+    ly = log_eps * y
+    h = min(_initial_step(f, x, Q, log_eps, y, ly, s_end, tol), max_step)
 
     # Accepted steps write their dense rows in place, doubling full buffers.
     # Starting at the rows a run at the step cap fills avoids most doublings.
@@ -190,8 +190,7 @@ def integrate(
         np.exp(ly_new, out=theta_new)
         f(x_new, Q_new)
 
-        abs_y_new = np.abs(y_new)
-        q = he.dot(Q) / (tol + tol * np.maximum(abs_y, abs_y_new))
+        q = he.dot(Q) / tol
         err_norm = math.sqrt(q.dot(q) / n)
 
         # inf and NaN fail too, and max() makes their factor _MIN_FACTOR.
@@ -211,7 +210,7 @@ def integrate(
         steps += 1
         knots[steps] = s
         max_h = max(max_h, h)
-        y, ly, abs_y = y_new, ly_new, abs_y_new
+        y, ly = y_new, ly_new
         Q_first[...] = Q_new  # FSAL
         if step_callback is not None and step_callback(theta_new.copy()):
             break

@@ -229,9 +229,9 @@ class TestDynamicsInvariants:
         # theta(0) = (5, 5) starts outside the invariant region, so the flow
         # genuinely decreases and must be reported rather than continued.
         # The report names the first step that drops too far, whatever the
-        # span: the second step drops theta_0 by 0.297, the run's largest.
+        # span: the second step drops theta_0 by 0.238, the run's largest.
         init = make_init(2, 0.5, C=[10.0, 10.0])
-        message = ("theta_0 decreased by 6.487e-02 over [0, 0.00474903]; "
+        message = ("theta_0 decreased by 5.119e-02 over [0, 0.00373531]; "
                    "epsilon=0.5 is too large for monotone dynamics")
         for s_max in (1.0, 3.0):
             with pytest.raises(MonotonicityViolated, match=f"^{re.escape(message)}$"):
@@ -306,6 +306,18 @@ class TestHittingTime:
         with pytest.raises(DomainError):
             hitting_time(separable_instance, make_init(2, 1e-10), eta=1.5,
                          s_cap=2.0)
+
+    @pytest.mark.parametrize("eta", [-0.1, 0.0, np.nan, 1.0])
+    def test_eta_outside_the_open_interval(self, separable_instance, eta):
+        # Both entry points require 0 < eta < min(M^{-1} r) = 1, and
+        # hitting_time checks it before it integrates.
+        init = make_init(2, 1e-10)
+        traj = simulate(separable_instance, init, 2.0)
+        with pytest.raises(DomainError):
+            hitting_time_on(traj, eta)
+        with recorded_integrate() as calls, pytest.raises(DomainError):
+            hitting_time(separable_instance, init, eta, s_cap=2.0)
+        assert calls == []
 
     def test_not_reached(self, scalar_instance):
         with pytest.raises(NotReached):
@@ -382,7 +394,7 @@ class TestHittingTime:
         # of 0.0283 from theta* = (1, 1); the first step drops theta_0 and
         # ends inside the ball, so the run stops on the step that drops.
         init = make_init(2, 0.5, C=[2.04, 1.96])
-        message = ("theta_0 decreased by 4.040e-04 over [0, 0.00962165]; "
+        message = ("theta_0 decreased by 4.017e-04 over [0, 0.00956706]; "
                    "epsilon=0.5 is too large for monotone dynamics")
         with recorded_integrate() as calls, pytest.raises(
                 MonotonicityViolated, match=f"^{re.escape(message)}$"):

@@ -9,6 +9,9 @@ of summation order does not count as a changed artifact.
 Regenerate the files, after a deliberate change of an artifact, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+It rewrites only the files that a fresh run no longer matches, so drift
+within ``REL_TOL`` leaves the others as committed, and names the ones it kept.
 """
 
 from __future__ import annotations
@@ -132,7 +135,13 @@ def test_golden(name, tmp_path):
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in CASES:
+        path = GOLDEN_DIR / f"{name}.json"
         with tempfile.TemporaryDirectory() as tmp:
             record = run_case(name, Path(tmp))
-        (GOLDEN_DIR / f"{name}.json").write_text(json.dumps(record, indent=1) + "\n")
-        print(f"wrote {GOLDEN_DIR / f'{name}.json'}", file=sys.stderr)
+        try:
+            assert_matches(record, json.loads(path.read_text()), name)
+        except (FileNotFoundError, AssertionError):
+            path.write_text(json.dumps(record, indent=1) + "\n")
+            print(f"wrote {path}", file=sys.stderr)
+        else:
+            print(f"kept {path}", file=sys.stderr)
