@@ -74,18 +74,15 @@ def main(ctx, out_dir):
 @click.option("--offdiag-scale", type=float, default=None,
               help="Off-diagonal magnitude (direct generator); default "
                    "adapts to d.")
-@click.option("--max-attempts", type=int, default=10_000, show_default=True,
-              help="Rejection budget.")
+@click.option("--max-attempts", type=int, default=None,
+              help="Rejection budget (rejection generator); default 10000.")
 @click.option("--out", type=click.Path(), required=True, help="Instance JSON path.")
 def gen(n, d, seed, generator, offdiag_scale, max_attempts, out):
     """Generate a valid instance and write it as JSON."""
-    spec = {"generator": generator, "d": d, "seed": seed}
-    if generator == "direct":
-        spec["offdiag_scale"] = offdiag_scale
-    else:
-        spec["max_attempts"] = max_attempts
-        if n is not None:
-            spec["n"] = n
+    # The spec holds the options given; generate rejects one its generator lacks.
+    options = {"n": n, "offdiag_scale": offdiag_scale, "max_attempts": max_attempts}
+    spec = {"generator": generator, "d": d, "seed": seed,
+            **{key: value for key, value in options.items() if value is not None}}
     instance = problem.generate(spec)
     lambda_min = float(np.linalg.eigvalsh(instance.M)[0])
     problem.save_instance(instance, out)

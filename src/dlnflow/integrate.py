@@ -106,25 +106,6 @@ def _doubled(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _initial_step(f, x, Q, log_eps, y0, ly0, s_end, tol):
-    """Hairer-style starting step guess under the absolute weight ``tol``, clipped
-    to the span. Evaluates stage 1 into x[0], Q[0] and a probe into x[1], Q[1]."""
-    np.exp(ly0, out=x[0, :-1])
-    f(x[0], Q[0])
-    d0 = np.sqrt(np.mean((y0 / tol) ** 2))
-    d1 = np.sqrt(np.mean((Q[0] / log_eps / tol) ** 2))
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, s_end)
-    np.exp(ly0 + h0 * Q[0], out=x[1, :-1])
-    f(x[1], Q[1])
-    d2 = np.sqrt(np.mean(((Q[1] - Q[0]) / log_eps / tol) ** 2)) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, s_end)
-
-
 def integrate(
     f: Callable[[np.ndarray, np.ndarray], object],
     log_eps: float,
@@ -141,9 +122,13 @@ def integrate(
     ``f(x, out)`` writes log_eps * (M theta - r) into ``out`` for
     x = [theta, 1], as ``flow_product`` builds it. The RMS-normed error weight
     is an absolute ``tol`` in w, that is a relative ``|log_eps| tol`` in theta;
-    no step exceeds ``max_step``. If given, ``step_callback(theta_new)`` is
-    called after each accepted step and may return true to end the integration
-    there: the dense output's ``s_max`` is then that step's endpoint.
+    no step exceeds ``max_step``. The first attempt is ``max_step`` clipped to
+    the span, after one evaluation of ``f`` at w0: a stable cap, like
+    ``simulate``'s, needs no guessed start, and the controller shrinks a first
+    attempt that the error estimate rejects. If given,
+    ``step_callback(theta_new)`` is called after each accepted step and may
+    return true to end the integration there: the dense output's ``s_max`` is
+    then that step's endpoint.
     ``theta_new`` is a copy of the step's last stage exp(log_eps * w_new), bit
     for bit exp(log_eps * w) at that end of ``step_ends``. Without it the loop
     makes no per-step call. A span too short for one step is ``OutOfRange``.
@@ -158,7 +143,9 @@ def integrate(
     # Row i of x is stage i's [theta, 1], and Q[i] its product.
     x, Q = np.ones((7, n + 1)), np.empty((7, n))
     ly = log_eps * y
-    h = min(_initial_step(f, x, Q, log_eps, y, ly, s_end, tol), max_step)
+    np.exp(ly, out=x[0, :-1])
+    f(x[0], Q[0])
+    h = max_step
 
     # Accepted steps write their dense rows in place, doubling full buffers.
     # Starting at the rows a run at the step cap fills avoids most doublings.
@@ -221,8 +208,8 @@ def integrate(
             factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm ** _ORDER_EXP))
         h *= factor
 
-    # Six evaluations per attempted step, two before the first one.
-    stats = IntegratorStats(steps, rejected, max_h, 2 + 6 * (steps + rejected))
+    # Six evaluations per attempted step, one before the first one.
+    stats = IntegratorStats(steps, rejected, max_h, 1 + 6 * (steps + rejected))
     return DenseOutput(knots[: steps + 1], rows[:steps], stats)
 
 

@@ -186,21 +186,6 @@ class ReferenceRun:
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 
 
-def _initial_step(f, s0, y0, f0, s_end, scale):
-    """Hairer-style starting step guess, clipped to the span."""
-    d0 = np.sqrt(np.mean((y0 / scale) ** 2))
-    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, s_end - s0)
-    f1 = f(s0 + h0, y0 + h0 * f0)
-    d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, s_end - s0)
-
-
 def integrate_reference(
     f: Callable[[float, np.ndarray], np.ndarray],
     s0: float,
@@ -215,7 +200,9 @@ def integrate_reference(
     """Integrate y' = f(s, y) from s0 to s_end.
 
     Error control is mixed (atol + rtol * |y|) and RMS-normed over every
-    component. After each accepted step
+    component. The first attempt is ``max_step`` clipped to the span, after
+    one evaluation of ``f`` at s0, as in ``integrate.integrate``. After each
+    accepted step
     ``step_callback(s_old, y_old, s_new, y_new)`` may raise to abort with a
     domain-specific diagnosis. Then, if ``stop(y_new)`` is true, integration
     ends there: the result's ``s`` and ``y`` are that step's endpoint.
@@ -228,10 +215,8 @@ def integrate_reference(
     stats = IntegratorStats()
     k = np.empty((7, n))
     k[0] = f(s0, y)
-    stats.rhs_evaluations += 2  # includes the probe in _initial_step
-
-    scale0 = atol + rtol * np.abs(y)
-    h = min(_initial_step(f, s0, y, k[0], s_end, scale0), max_step)
+    stats.rhs_evaluations += 1
+    h = min(max_step, s_end - s0)
 
     s = s0
     lefts, widths, conts = [], [], []

@@ -702,6 +702,14 @@ MALFORMED = {
     "spec with a stray parameter": lambda tmp: (
         _spec_config(tmp, {"generator": "direct", "d": 2, "seed": 1, "n": 3}),
         "error: direct generator spec: got an unexpected keyword argument 'n'"),
+    "gen direct with --n": lambda tmp: (
+        ["gen", "--d", "3", "--seed", "1", "--n", "5", "--out", str(tmp / "inst.json")],
+        "error: direct generator spec: got an unexpected keyword argument 'n'"),
+    "gen rejection with --offdiag-scale": lambda tmp: (
+        ["gen", "--d", "2", "--seed", "1", "--n", "3", "--generator", "rejection",
+         "--offdiag-scale", "0.3", "--out", str(tmp / "inst.json")],
+        "error: rejection generator spec: got an unexpected keyword argument "
+        "'offdiag_scale'"),
     "gen rejection without --n": lambda tmp: (
         ["gen", "--d", "2", "--seed", "1", "--generator", "rejection",
          "--out", str(tmp / "inst.json")],

@@ -24,6 +24,7 @@ from dlnflow.errors import (
     NotReached,
     OutOfRange,
 )
+from dlnflow.integrate import integrate
 from oracles import in_invariant_region, lyapunov
 
 TIGHT_TOL = 1e-11
@@ -226,16 +227,25 @@ class TestDynamicsInvariants:
         assert sups[-1] <= 1.01 * min(sups[:-1])
 
     def test_monotonicity_violation_reported(self, tridiag_instance):
-        # theta(0) = (5, 5) starts outside the invariant region, so the flow
+        # theta(0) = (1, 2.5) starts outside the invariant region, so the flow
         # genuinely decreases and must be reported rather than continued.
         # The report names the first step that drops too far, whatever the
-        # span: the second step drops theta_0 by 0.238, the run's largest.
-        init = make_init(2, 0.5, C=[10.0, 10.0])
-        message = ("theta_0 decreased by 5.119e-02 over [0, 0.00373531]; "
-                   "epsilon=0.5 is too large for monotone dynamics")
+        # span. At this loose tol the attempt at the step cap is rejected, and
+        # the second step, four times as long, drops theta_1 by 0.609: the
+        # run's largest drop is not its first.
+        init = make_init(2, 0.05, C=[20.0, 50.0])
+        message = ("theta_1 decreased by 5.186e-01 over [0, 0.0329139]; "
+                   "epsilon=0.05 is too large for monotone dynamics")
         for s_max in (1.0, 3.0):
-            with pytest.raises(MonotonicityViolated, match=f"^{re.escape(message)}$"):
-                simulate(tridiag_instance, init, s_max=s_max)
+            with recorded_integrate() as calls, pytest.raises(
+                    MonotonicityViolated, match=f"^{re.escape(message)}$"):
+                simulate(tridiag_instance, init, s_max=s_max, tol=1e-2)
+            args = {**calls[0]}
+            del args["steps"]
+            w = integrate(**args).step_ends[1]
+            theta = np.exp(args["log_eps"] * w)
+            drops = (theta[:-1] - theta[1:]).max(axis=1)
+            assert drops[0] < drops.max()
 
 
 class TestInvariantRegion:
@@ -389,7 +399,7 @@ class TestHittingTime:
         # of 0.0283 from theta* = (1, 1); the first step drops theta_0 and
         # ends inside the ball, so the run stops on the step that drops.
         init = make_init(2, 0.5, C=[2.04, 1.96])
-        message = ("theta_0 decreased by 4.017e-04 over [0, 0.00956706]; "
+        message = ("theta_0 decreased by 2.241e-03 over [0, 0.0560586]; "
                    "epsilon=0.5 is too large for monotone dynamics")
         with recorded_integrate() as calls, pytest.raises(
                 MonotonicityViolated, match=f"^{re.escape(message)}$"):

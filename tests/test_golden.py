@@ -11,7 +11,8 @@ Regenerate the files, after a deliberate change of an artifact, with
     PYTHONPATH=src python tests/test_golden.py
 
 It rewrites only the files that a fresh run no longer matches, so drift
-within ``REL_TOL`` leaves the others as committed, and names the ones it kept.
+within ``REL_TOL`` leaves the others as committed. It prints the first
+mismatch beside each file it wrote, and names the ones it kept.
 """
 
 from __future__ import annotations
@@ -140,8 +141,8 @@ if __name__ == "__main__":
             record = run_case(name, Path(tmp))
         try:
             assert_matches(record, json.loads(path.read_text()), name)
-        except (FileNotFoundError, AssertionError):
+        except (FileNotFoundError, AssertionError) as exc:
             path.write_text(json.dumps(record, indent=1) + "\n")
-            print(f"wrote {path}", file=sys.stderr)
+            print(f"wrote {path}: {exc}", file=sys.stderr)
         else:
             print(f"kept {path}", file=sys.stderr)

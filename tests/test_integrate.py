@@ -111,7 +111,17 @@ def test_stats_populated():
     res = integrate(**logistic(1e-8, 25.0, 1e-9))
     assert res.stats.steps > 10
     assert res.stats.max_step > 0
-    assert res.stats.rhs_evaluations == 2 + 6 * (res.stats.steps + res.stats.rejected)
+    assert res.stats.rhs_evaluations == 1 + 6 * (res.stats.steps + res.stats.rejected)
+
+
+@pytest.mark.parametrize("args", [decay(2.0, 1e-6, max_step=0.005), decay(0.01, 1e-6)],
+                         ids=["cap-inside-span", "span-inside-cap"])
+def test_a_run_starts_at_its_step_cap(args):
+    # No step is guessed: the first attempt is the cap clipped to the span,
+    # and these runs accept every attempt.
+    res = integrate(**args)
+    assert res.stats.rejected == 0
+    assert res.step_ends[0][1] == min(args["max_step"], args["s_end"])
 
 
 def test_max_step_respected():
