@@ -7,13 +7,12 @@ clock s = t / log(1/epsilon) and entirely in logarithmic coordinates
 
 so that initializations like theta_i(0) = epsilon^{k_i} with epsilon down
 to 1e-20 and beyond stay exactly representable: epsilon itself is never
-exponentiated, only exp(w_i * log(epsilon)) is formed. The right-hand side
-is bounded along trajectories, so an explicit adaptive pair suffices.
-
-Only w is integrated. Trajectory averages need no extra state: with
-I(s) the integral of theta over [0, s], w - M I + s r is a linear first
-integral of the flow, which every Runge-Kutta method conserves to roundoff,
-so I(s) = M^{-1} (w(s) - w(0) + s r).
+exponentiated: the integrator carries u = log(theta) = L w, L = log(epsilon).
+The right-hand side is bounded along trajectories, so an explicit adaptive
+pair suffices. Averages need no extra state: with I(s) the integral of theta
+over [0, s], u - L (M I - s r) is a linear first integral of the flow, which
+every Runge-Kutta method conserves to roundoff, so
+I(s) = M^{-1} ((u(s) - u(0)) / L + s r).
 """
 
 from __future__ import annotations
@@ -44,14 +43,16 @@ class Trajectory:
         self.stats = dense.stats
         self._dense = dense
         self._log_eps = init.log_epsilon
-        self.knots, w_knots = dense.step_ends
-        self.theta_knots = np.exp(w_knots * self._log_eps)
+        self.knots, u_knots = dense.step_ends
+        self._u0 = u_knots[0]
+        self.theta_knots = np.exp(u_knots)
         self.knots.flags.writeable = self.theta_knots.flags.writeable = False
 
         self.s = np.asarray(s_grid, dtype=float)
-        self.w = dense(self.s)
-        self.theta = np.exp(self.w * self._log_eps)
-        self.averages = self._running_average(self.s, self.w)
+        u = dense(self.s)
+        self.w = u / self._log_eps
+        self.theta = np.exp(u)
+        self.averages = self._running_average(self.s, u)
         self.t = self.s * (-self._log_eps)
 
     @property
@@ -61,25 +62,25 @@ class Trajectory:
     def __len__(self) -> int:
         return self.s.shape[0]
 
-    def _running_average(self, s: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """(1/s) * M^{-1} (w - w(0) + s r) row by row, 0 where s = 0."""
-        shifted = w - self.init.w0 + s[:, None] * self.instance.r
+    def _running_average(self, s: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """(1/s) M^{-1} ((u - u(0)) / log_eps + s r) by row, 0 where s = 0."""
+        shifted = (u - self._u0) / self._log_eps + s[:, None] * self.instance.r
         integral = self.instance.solve(shifted.T).T
         return np.divide(integral, s[:, None], out=np.zeros_like(integral),
                          where=s[:, None] > 0.0)
 
     def w_at(self, s) -> np.ndarray:
-        return self._dense(s)
+        return self._dense(s) / self._log_eps
 
     def theta_at(self, s) -> np.ndarray:
-        return np.exp(self.w_at(s) * self._log_eps)
+        return np.exp(self._dense(s))
 
     def average(self, s) -> np.ndarray:
         """Running trajectory average (1/s) * integral of theta over [0, s].
 
         The integral is read off the flow's linear first integral, so its
-        error is absolute, about u * (|w(0)| + s |r|) * ||M^{-1}|| for unit
-        roundoff u, and the average's error grows like 1/s as s -> 0. It
+        error is absolute, about e * (|w(0)| + s |r|) * ||M^{-1}|| for unit
+        roundoff e, and the average's error grows like 1/s as s -> 0. It
         stays near 1e-13 on the default grid; for ``generate_direct(4, 7)``
         at eps = 1e-12 it is about 1e-11 at s = 1e-6 s* and 2e-8 at
         s = 1e-9 s*, against a true average near 1e-12, so there the value
@@ -88,7 +89,7 @@ class Trajectory:
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         if np.any(s_arr <= 0.0):
             raise OutOfRange("trajectory average requires s > 0")
-        avg = self._running_average(s_arr, self.w_at(s_arr))
+        avg = self._running_average(s_arr, self._dense(s_arr))
         return avg[0] if np.ndim(s) == 0 else avg
 
     def loss_values(self) -> np.ndarray:
@@ -177,6 +178,19 @@ def _ball_gap(theta: np.ndarray, target: np.ndarray, eta: float):
     return np.sqrt(np.square(diff, out=diff).sum(axis=-1)) - eta
 
 
+def _inside_ball(target: np.ndarray, eta: float):
+    """``hitting_time``'s stop: ``_ball_gap(theta, target, eta) <= 0`` read
+    off the same row sum S as S <= t, exact since sqrt is monotone and
+    correctly rounded, for t the largest double with sqrt(t) - eta <= 0."""
+    t = eta * eta
+    while np.sqrt(t) - eta > 0.0:
+        t = np.nextafter(t, 0.0)
+    while np.sqrt(np.nextafter(t, np.inf)) - eta <= 0.0:
+        t = np.nextafter(t, np.inf)
+    diff = np.empty_like(target)
+    return lambda theta: np.square(np.subtract(theta, target, out=diff), out=diff).sum() <= t
+
+
 def _ball_center(instance: ProblemInstance, eta: float) -> np.ndarray:
     target = instance.minimizer()
     if not 0.0 < eta < target.min():
@@ -239,7 +253,6 @@ def hitting_time(
     if none does. Monotonicity is certified up to the stop's step only: a
     drop after the hit does not raise ``MonotonicityViolated``.
     """
-    target = _ball_center(instance, eta)
     trajectory = simulate(instance, init, s_cap, np.array([0.0, s_cap]), tol=tol,
-                          stop=lambda theta: _ball_gap(theta, target, eta) <= 0.0)
+                          stop=_inside_ball(_ball_center(instance, eta), eta))
     return hitting_time_on(trajectory, eta)

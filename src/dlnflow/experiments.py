@@ -113,7 +113,7 @@ def write_limit_path(path: limit_path.LimitPath, out_json, out_csv,
         header = (["s"] + [f"mu_{i + 1}" for i in range(d)]
                   + [f"theta_star_{i + 1}" for i in range(d)])
         written.append(write_csv(out_csv, "limit-path", header,
-                                 np.column_stack([s_grid, mu_vals, theta])))
+                                 np.column_stack([s_grid, mu_vals, theta]).tolist()))
     return written
 
 
@@ -129,7 +129,7 @@ def write_trajectory(path, traj: dynamics.Trajectory) -> Path:
         + [f"avg_{i + 1}" for i in range(d)]
     )
     rows = np.column_stack([traj.s, traj.t, traj.theta, traj.w,
-                            traj.loss_values(), traj.averages])
+                            traj.loss_values(), traj.averages]).tolist()
     return write_csv(path, "trajectory", header, rows)
 
 
@@ -410,7 +410,7 @@ def run_figure1(
     paths = {
         "field": str(write_csv(out_dir / "field.csv", "figure1-field",
                                ["theta_1", "theta_2", "v_1", "v_2"],
-                               np.column_stack([theta, field]))),
+                               np.column_stack([theta, field]).tolist())),
         "fixed_points": str(write_json(out_dir / "fixed_points.json",
                                        fixed_points_json(points))),
     }

@@ -17,7 +17,7 @@ from dlnflow import (
     hitting_time_on,
     simulate,
 )
-from dlnflow.dynamics import DEFAULT_TOL
+from dlnflow.dynamics import DEFAULT_TOL, _ball_gap, _inside_ball
 from dlnflow.errors import (
     DomainError,
     MonotonicityViolated,
@@ -242,8 +242,7 @@ class TestDynamicsInvariants:
                 simulate(tridiag_instance, init, s_max=s_max, tol=1e-2)
             args = {**calls[0]}
             del args["steps"]
-            w = integrate(**args).step_ends[1]
-            theta = np.exp(args["log_eps"] * w)
+            theta = np.exp(integrate(**args).step_ends[1])
             drops = (theta[:-1] - theta[1:]).max(axis=1)
             assert drops[0] < drops.max()
 
@@ -287,6 +286,24 @@ class TestAverage:
             traj.average(0.0)
         with pytest.raises(OutOfRange):
             traj.average(1.5)
+
+
+def theta_at_squared_distance(target, S):
+    """A theta whose sum of squared differences from the 2-vector ``target``,
+    as numpy forms it, is the double ``S``. The first coordinate takes all
+    but about 1e-12 of S; the second is bisected over the doubles above its
+    target, where one ulp moves the sum by far less than an ulp of S."""
+    theta = target + [np.sqrt(S) * (1.0 - 1e-12), 0.0]
+    lo, hi = target[1], target[1] + 4e-6 * np.sqrt(S)
+
+    def sum_at(x):
+        return np.square(np.array([theta[0], x]) - target).sum()
+
+    while np.nextafter(lo, np.inf) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if sum_at(mid) < S else (lo, mid)
+    theta[1] = hi
+    return theta
 
 
 class TestHittingTime:
@@ -338,6 +355,27 @@ class TestHittingTime:
         tau_full = hitting_time(separable_instance, init, 0.05, s_cap=s_cap,
                                 tol=TIGHT_TOL)
         assert tau_scan == tau_full
+
+    @pytest.mark.parametrize("eta, above", [(0.1, 0), (0.7, 1), (1e-3, 1)])
+    def test_the_stop_is_exact_at_the_squared_radius(self, eta, above):
+        # t is the largest double whose sqrt is at most eta, `above` ulps over
+        # eta**2. At sums of squares t and one ulp either side, hitting_time's
+        # stop decides as the gap the scan reads; a stop at eta**2 would err
+        # at t wherever t lies above it.
+        near = [eta * eta]
+        for _ in range(4):
+            near = [np.nextafter(near[0], 0.0)] + near + [np.nextafter(near[-1], np.inf)]
+        inside = [S for S in near if np.sqrt(S) <= eta]
+        t = max(inside)
+        assert t < near[-1] and near.index(t) == 4 + above
+        target = np.array([1.0, 2.0])
+        stop = _inside_ball(target, eta)
+        for S, expected in ((np.nextafter(t, 0.0), True), (t, True),
+                            (np.nextafter(t, np.inf), False)):
+            theta = theta_at_squared_distance(target, S)
+            assert np.square(theta - target).sum() == S
+            gap = _ball_gap(np.array([theta, target, theta]), target, eta)[0]
+            assert bool(stop(theta)) == expected == (gap <= 0.0)
 
     def test_start_inside_the_ball_is_time_zero(self, scalar_instance):
         # theta(0) = 0.96 lies within 0.1 of the minimizer 1.

@@ -42,7 +42,7 @@ def logistic(theta0, t_end, tol, max_step=None, eps=1e-6):
 def theta_error(res, args, theta0, points=257):
     """Largest error of the dense output's theta against the exact logistic."""
     s = np.linspace(0.0, res.s_max, points)
-    theta = np.exp(res(s)[:, 0] * args["log_eps"])
+    theta = np.exp(res(s)[:, 0])
     return np.max(np.abs(theta - scalar_logistic(s * -args["log_eps"], theta0)))
 
 
@@ -55,7 +55,7 @@ def decay(t_end, tol, max_step=np.inf, eps=1e-6):
 def test_exponential_decay():
     args = decay(5.0, 1e-10)
     res = integrate(**args)
-    theta_end = math.exp(res(res.s_max)[0] * args["log_eps"])
+    theta_end = math.exp(res(res.s_max)[0])
     assert theta_end == pytest.approx(math.exp(-5.0), rel=1e-12)
 
 
@@ -95,16 +95,17 @@ def test_dense_output_matches_endpoints():
 
     args = logistic(0.01, 10.0, 1e-9)
     res = integrate(**args, step_callback=record)
-    # step_ends holds 0 and every step end, and reads what a query there reads.
-    s, w = res.step_ends
+    # step_ends holds 0 and every step end in u = log theta, and reads what a
+    # query there reads.
+    s, u = res.step_ends
     assert s[0] == 0.0 and res.s_max == s[-1]
     assert len(thetas) == len(s) - 1 == res.stats.steps
-    np.testing.assert_array_equal(res(res.s_max), w[-1])
-    np.testing.assert_array_equal(res(0.0), args["w0"])
-    np.testing.assert_array_equal(w, res(s))
-    np.testing.assert_array_equal(w[0], args["w0"])
+    np.testing.assert_array_equal(res(res.s_max), u[-1])
+    np.testing.assert_array_equal(res(0.0), args["log_eps"] * args["w0"])
+    np.testing.assert_array_equal(u, res(s))
+    np.testing.assert_array_equal(u[0], args["log_eps"] * args["w0"])
     # The hook's theta is the step's end, bit for bit.
-    np.testing.assert_array_equal(thetas, np.exp(args["log_eps"] * w[1:]))
+    np.testing.assert_array_equal(thetas, np.exp(u[1:]))
 
 
 def test_stats_populated():
@@ -161,11 +162,11 @@ def test_dense_output_out_of_range():
     last = LastStep()
     args = logistic(0.5, 1.0, 1e-8, eps=math.exp(-1.0))
     res = integrate(**args, step_callback=last)
-    s, w = res.step_ends
+    s, u = res.step_ends
     assert res.s_max == s[-1]
-    np.testing.assert_array_equal(last.theta, np.exp(args["log_eps"] * w[-1]))
+    np.testing.assert_array_equal(last.theta, np.exp(u[-1]))
     # A relative 1e-12 past the end reads the value at the end.
-    np.testing.assert_array_equal(res(res.s_max * (1 + 1e-12) + 1e-15), w[-1])
+    np.testing.assert_array_equal(res(res.s_max * (1 + 1e-12) + 1e-15), u[-1])
     for s in (1.5, res.s_max * (1 + 1e-11), -1e-300, np.nan):
         with pytest.raises(OutOfRange):
             res(s)
@@ -198,11 +199,11 @@ def test_callback_returning_true_ends_the_run_at_that_step():
     res = integrate(**args, step_callback=cb)
     assert [theta[0] > 0.5 for theta in seen] == [False] * (len(seen) - 1) + [True]
     assert res.stats.steps == len(seen)
-    s, w = res.step_ends
-    np.testing.assert_array_equal(seen, np.exp(args["log_eps"] * w[1:]))
+    s, u = res.step_ends
+    np.testing.assert_array_equal(seen, np.exp(u[1:]))
     # The dense output covers [0, s] for that step's endpoint s and no further.
     assert res.s_max == s[-1] < args["s_end"]
-    np.testing.assert_array_equal(res(res.s_max), w[-1])
+    np.testing.assert_array_equal(res(res.s_max), u[-1])
     with pytest.raises(OutOfRange):
         res(res.s_max + 1e-6)
 
@@ -269,20 +270,20 @@ def test_loop_matches_the_reference_bit_for_bit(case):
         assert res.stats.max_step == args["max_step"]
     # Step sizes follow the error estimate, a difference of nearly equal
     # stages, so they agree only to about 1e-11; the states on a common
-    # grid agree to roundoff.
+    # grid agree to roundoff. The loop's dense output is in u = log_eps * w.
     assert res.s_max == pytest.approx(ref.s, rel=1e-9)
     s = np.linspace(0.0, min(res.s_max, ref.s), 1001)
     theirs = ref.dense(s)
-    assert np.max(np.abs(res(s) - theirs) / (1.0 + np.abs(theirs))) <= STATE_RTOL
-    # The hook saw as many steps, each with theta = exp(log_eps * w).
+    assert np.max(np.abs(res(s) / log_eps - theirs) / (1.0 + np.abs(theirs))) <= STATE_RTOL
+    # The hook saw as many steps, each with theta = exp(u).
     assert len(calls) == len(reference_calls)
-    np.testing.assert_array_equal(calls, np.exp(log_eps * res.step_ends[1][1:]))
+    np.testing.assert_array_equal(calls, np.exp(res.step_ends[1][1:]))
 
 
 @pytest.mark.parametrize("case", ["rejections", "extreme-d32"])
 def test_a_hook_that_never_stops_changes_nothing(case):
     """Bit for bit the run without a hook; the theta it keeps from each step
-    is its own copy. The extreme case grows its row buffer."""
+    is its own copy, exp(u) at the step's end. The extreme case grows its row buffer."""
     args, _ = REFERENCE_CASES[case]()
     kept = []
     plain = integrate(**args)
@@ -292,7 +293,7 @@ def test_a_hook_that_never_stops_changes_nothing(case):
     assert hooked.stats == plain.stats
     for ours, theirs in zip(hooked.step_ends, plain.step_ends):
         np.testing.assert_array_equal(ours, theirs)
-    np.testing.assert_array_equal(kept, np.exp(args["log_eps"] * plain.step_ends[1][1:]))
+    np.testing.assert_array_equal(kept, np.exp(plain.step_ends[1][1:]))
     knots = plain.step_ends[0]
     s = np.concatenate([knots, (knots[:-1] + knots[1:]) / 2])
     np.testing.assert_array_equal(hooked(s), plain(s))

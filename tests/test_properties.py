@@ -22,6 +22,7 @@ from dlnflow.dynamics import (
     DEFAULT_TOL,
     MONOTONE_RUNTIME_TOL,
     _ball_gap,
+    _inside_ball,
     hitting_time,
     hitting_time_on,
 )
@@ -328,5 +329,26 @@ def test_a_run_stopped_at_the_hit_has_reached_it(d, seed, log10_eps, cap_fractio
             reached = True
         except NotReached:
             reached = False
-    theta_last = calls[0]["steps"][-1]
-    assert reached == (_ball_gap(theta_last, target, eta) <= 0.0)
+    # The stop decides every step as the scan's gap does, so only the last
+    # step may end inside, and a run stopped there has reached the ball.
+    stop, steps = calls[0]["step_callback"], calls[0]["steps"]
+    inside = [bool(stop(theta)) for theta in steps]
+    assert inside == (_ball_gap(np.array(steps), target, eta) <= 0.0).tolist()
+    assert not any(inside[:-1]) and reached == inside[-1]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.integers(1, 32), st.integers(0, 2**32 - 1))
+def test_the_squared_radius_stop_decides_as_the_gap(d, seed):
+    # Rows of theta on rays from a random target, within 8 ulps of eta of
+    # the sphere: hitting_time's stop on each row decides as the gap of that
+    # row in the stack, as hitting_time_on scans the step ends.
+    rng = np.random.default_rng(seed)
+    target = rng.uniform(0.5, 2.0, d)
+    eta = rng.uniform(0.01, 0.9) * float(target.min())
+    rays = rng.standard_normal((17, d))
+    radii = eta + np.arange(-8, 9) * np.spacing(eta)
+    thetas = target + (radii / np.linalg.norm(rays, axis=1))[:, None] * rays
+    stop = _inside_ball(target, eta)
+    inside = [bool(stop(theta)) for theta in thetas]
+    assert inside == (_ball_gap(thetas, target, eta) <= 0.0).tolist()
