@@ -35,17 +35,38 @@ _NON_FINITE = frozenset({"nan", "inf", "-inf"})
 def write_csv(path, kind: str, header: list[str], rows) -> Path:
     """Write a CSV with a version/kind comment header, atomically.
 
-    ``None`` is written as an empty cell, for a value that does not exist;
-    NaN and infinity are rejected.
+    Each cell is ``repr(float(v))``; ``None`` is written as an empty cell,
+    for a value that does not exist. A row whose width differs from the
+    header's, NaN and infinity are rejected. A finite cell whose value
+    equals, bit for bit, the cell directly above it reuses that cell's text,
+    so the bytes are those of formatting every cell.
     """
+    rows = list(rows)
+    width = len(header)
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise DomainError(f"{kind} row {i} has {len(row)} cells, "
+                              f"not the header's {width}")
+    # None reads as NaN here, and a non-finite cell is never reused.
+    table = np.array(rows, dtype=float).reshape(len(rows), width)
+    bits = table.view(np.int64)
+    reuse = np.zeros(table.shape, dtype=bool)
+    np.logical_and(bits[1:] == bits[:-1], np.isfinite(table[:-1]), out=reuse[1:])
+
     def write(fh):
         fh.write(f"# {CSV_SCHEMA} {kind}\n")
         fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            cells = ["" if v is None else repr(float(v)) for v in row]
+        above = []
+        for row, repeats, mask in zip(rows, reuse.any(axis=1).tolist(), reuse):
+            if repeats:
+                cells = [text if same else "" if v is None else repr(float(v))
+                         for v, text, same in zip(row, above, mask.tolist())]
+            else:
+                cells = ["" if v is None else repr(float(v)) for v in row]
             if not _NON_FINITE.isdisjoint(cells):
                 raise DomainError(f"non-finite value in {kind} row: {cells}")
             fh.write(",".join(cells) + "\r\n")
+            above = cells
 
     return _write_atomic(path, write)
 

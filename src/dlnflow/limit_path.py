@@ -12,8 +12,10 @@ q(s) = k - s r: the primal solution z(s) equals s * mu(s) and its support
 I(s) grows with s. On each interval between activation events z and the
 dual w are affine in s, so the whole path is computed exactly by a
 homotopy: follow the affine formulas, find the next dual zero crossing in
-closed form, enlarge the active set, repeat until it saturates. A segment
-that fails its KKT certificate raises ``PathInconsistent``.
+closed form, enlarge the active set, repeat until it saturates. Once the
+homotopy ends, one vectorised pass checks every segment's KKT certificate
+at a probe point, and the first segment that fails it raises
+``PathInconsistent``.
 """
 
 from __future__ import annotations
@@ -92,8 +94,10 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
     so the loop ends after at most d events with the full set; the last
     breakpoint is the convergence time, cross-checked against its closed
     form max_i (M^{-1} k)_i / (M^{-1} r)_i. Activations append rows to one
-    Cholesky factor of M[I, I]; each segment must pass its KKT certificate.
-    A segment's stationary point is its slope M_II^{-1} r_I.
+    Cholesky factor of M[I, I]. A segment's stationary point is its slope
+    M_II^{-1} r_I. After the loop, every segment's KKT certificate is
+    checked in one pass (``_certify_path``), which names the first segment
+    that fails.
     """
     k = _positive_array(k, "k", (instance.d,))
     M, r, d = instance.M, instance.r, instance.d
@@ -142,10 +146,8 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
         else:
             s_next = math.inf
 
-        segment = PathSegment(active=tuple(active), z_intercept=z_int,
-                              theta_star=theta)
-        _verify_segment(instance, k, s_cur, s_next, segment)
-        segments.append(segment)
+        segments.append(PathSegment(active=tuple(active), z_intercept=z_int,
+                                    theta_star=theta))
 
         if math.isinf(s_next):
             break
@@ -154,45 +156,66 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
         inactive[joining] = False
         s_cur = s_next
 
+    path = LimitPath(breakpoints=np.array(breakpoints), segments=tuple(segments))
+    _certify_path(instance, k, path)
     closed_form = float(np.max(instance.solve(k) / instance.minimizer()))
     if abs(s_cur - closed_form) > 1e-9 * closed_form:
         raise PathInconsistent(
             f"path terminal breakpoint {s_cur!r} disagrees with closed form "
             f"{closed_form!r}"
         )
-    return LimitPath(breakpoints=np.array(breakpoints), segments=tuple(segments))
+    return path
 
 
-def _verify_segment(instance, k, s_lo: float, s_hi: float,
-                    segment: PathSegment) -> None:
-    """KKT certificate of a segment's affine primal on [s_lo, s_hi).
+def _certify_path(instance: ProblemInstance, k: np.ndarray,
+                  path: LimitPath) -> None:
+    """KKT certificate of every segment's affine primal, in one pass.
 
-    The probe point is the midpoint, or 2 s_lo on the last, unbounded
-    segment. There z gives the dual w = q + M z, q = k - s r, which is the
-    stationarity ("affine") residual on the active set and is set to 0
-    there. z >= 0, w >= 0 and complementarity are then checked in O(d^2),
-    on z and w divided by the segment's own scale, the largest of |z|, |w|
-    and the terms of q. K-matrix complementarity solutions are unique, so a
-    passing probe is the pointwise solution: a missed activation shows as a
-    negative w, a spurious one as a negative z.
+    Segment j's probe point is the midpoint of [s_{j-1}, s_j), or 2 s_{j-1}
+    on the last, unbounded segment. At the probes, the stacked z give the
+    duals w = q + M z, q = k - s r, from one product with M; w on the
+    active set is the stationarity ("affine") residual and is set to 0
+    there. z >= 0, w >= 0 and complementarity are then checked on z and w
+    divided by each segment's own scale, the largest of |z|, |w| and the
+    terms of q. K-matrix complementarity solutions are unique, so a passing
+    probe is the pointwise solution: a missed activation shows as a
+    negative w, a spurious one as a negative z. The first failing segment
+    raises ``PathInconsistent`` with its five relative residuals.
     """
-    s = 2.0 * s_lo if math.isinf(s_hi) else 0.5 * (s_lo + s_hi)
-    z = segment.z_intercept + s * segment.theta_star
-    w = k - s * instance.r + instance.M @ z
-    active = np.array(segment.active, dtype=int)
-    affine = np.max(np.abs(w[active]), initial=0.0)
+    segments = path.segments
+    s_lo = np.concatenate([[0.0], path.breakpoints])
+    s_hi = np.append(path.breakpoints, math.inf)
+    s = 0.5 * (s_lo + s_hi)
+    s[-1] = 2.0 * s_lo[-1]
+    z = (np.array([seg.z_intercept for seg in segments])
+         + s[:, None] * np.array([seg.theta_star for seg in segments]))
+    # M is symmetric, so the rows of z @ M are the M z of each probe.
+    w = k - s[:, None] * instance.r + z @ instance.M
+    active = np.zeros(z.shape, dtype=bool)
+    for row, seg in zip(active, segments):
+        row[list(seg.active)] = True
+    affine = np.max(np.abs(w), axis=1, where=active, initial=0.0)
     w[active] = 0.0
     # k, r > 0 size the terms of q.
-    scale = max(np.max(np.abs(z)), np.max(np.abs(w)), np.max(k + s * instance.r))
-    w, z = w / scale, z / scale
-    residuals = {"affine": affine / scale, "negative_w": max(0.0, -np.min(w)),
-                 "negative_z": max(0.0, -np.min(z)), "complementarity": abs(w @ z),
-                 "per_coordinate": max(0.0, np.max(np.minimum(w, z)))}
-    if max(residuals.values()) > SEGMENT_CHECK_TOL:
-        detail = ", ".join(f"{name} {err:.3e}" for name, err in residuals.items())
+    scale = np.max([np.max(np.abs(z), axis=1), np.max(np.abs(w), axis=1),
+                    np.max(k + s[:, None] * instance.r, axis=1)], axis=0)
+    w /= scale[:, None]
+    z /= scale[:, None]
+    # Adding 0.0 turns a -0.0 part into 0.0, as max(0.0, x) reports it.
+    residuals = {"affine": affine / scale,
+                 "negative_w": np.maximum(-np.min(w, axis=1), 0.0) + 0.0,
+                 "negative_z": np.maximum(-np.min(z, axis=1), 0.0) + 0.0,
+                 "complementarity": np.abs(np.einsum("ij,ij->i", w, z)),
+                 "per_coordinate": np.maximum(np.max(np.minimum(w, z), axis=1),
+                                              0.0) + 0.0}
+    failing = np.flatnonzero(np.max(list(residuals.values()), axis=0)
+                             > SEGMENT_CHECK_TOL)
+    if failing.size:
+        j = failing[0]
+        detail = ", ".join(f"{name} {err[j]:.3e}" for name, err in residuals.items())
         raise PathInconsistent(
-            f"segment [{s_lo:.6g}, {s_hi:.6g}) fails its KKT certificate at "
-            f"s={s:.6g}, relative to {scale:.3e}: {detail}"
+            f"segment [{s_lo[j]:.6g}, {s_hi[j]:.6g}) fails its KKT certificate at "
+            f"s={s[j]:.6g}, relative to {scale[j]:.3e}: {detail}"
         )
 
 

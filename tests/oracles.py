@@ -8,11 +8,15 @@ parametric problem pointwise instead of following the path homotopy;
 ``lyapunov`` and ``in_invariant_region`` are diagnostics of trajectories;
 ``integrate_reference`` is a generic list-based Dormand-Prince loop, whose
 steps ``integrate.integrate`` must repeat and whose states it must match up
-to roundoff.
+to roundoff. ``verify_path`` certifies a limit path one segment at a time,
+the reference for the one-pass certificate of ``compute_path``, and
+``csv_bytes`` formats every CSV cell on its own, the reference for
+``write_csv``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,8 +28,10 @@ from dlnflow.errors import (
     DomainError,
     NumericalFailure,
     OutOfRange,
+    PathInconsistent,
     StepUnderflow,
 )
+from dlnflow.experiments import CSV_SCHEMA
 from dlnflow.fixed_points import FixedPoint
 from dlnflow.integrate import (
     _A,
@@ -39,6 +45,7 @@ from dlnflow.integrate import (
     IntegratorStats,
 )
 from dlnflow.lcp import STRICT_TOL, LcpSolution, _finite_array
+from dlnflow.limit_path import SEGMENT_CHECK_TOL, LimitPath, PathSegment
 from dlnflow.problem import ProblemInstance, _positive_array
 
 BRUTEFORCE_MAX_DIM = 20
@@ -124,6 +131,53 @@ def solve_limit_lcp(instance: ProblemInstance, k, s: float) -> LcpSolution:
 def mu(instance: ProblemInstance, k, s: float) -> np.ndarray:
     """Minimizer of f + <k, theta>/s over theta >= 0, via z(s) = s mu(s)."""
     return solve_limit_lcp(instance, k, s).z / s
+
+
+def verify_segment(instance: ProblemInstance, k, s_lo: float, s_hi: float,
+                   segment: PathSegment) -> None:
+    """KKT certificate of a segment's affine primal on [s_lo, s_hi).
+
+    The probe point is the midpoint, or 2 s_lo on the last, unbounded
+    segment. There z gives the dual w = q + M z, q = k - s r, which is the
+    stationarity ("affine") residual on the active set and is set to 0
+    there. z >= 0, w >= 0 and complementarity are then checked in O(d^2),
+    on z and w divided by the segment's own scale, the largest of |z|, |w|
+    and the terms of q.
+    """
+    s = 2.0 * s_lo if math.isinf(s_hi) else 0.5 * (s_lo + s_hi)
+    z = segment.z_intercept + s * segment.theta_star
+    w = k - s * instance.r + instance.M @ z
+    active = np.array(segment.active, dtype=int)
+    affine = np.max(np.abs(w[active]), initial=0.0)
+    w[active] = 0.0
+    scale = max(np.max(np.abs(z)), np.max(np.abs(w)), np.max(k + s * instance.r))
+    w, z = w / scale, z / scale
+    residuals = {"affine": affine / scale, "negative_w": max(0.0, -np.min(w)),
+                 "negative_z": max(0.0, -np.min(z)), "complementarity": abs(w @ z),
+                 "per_coordinate": max(0.0, np.max(np.minimum(w, z)))}
+    if max(residuals.values()) > SEGMENT_CHECK_TOL:
+        detail = ", ".join(f"{name} {err:.3e}" for name, err in residuals.items())
+        raise PathInconsistent(
+            f"segment [{s_lo:.6g}, {s_hi:.6g}) fails its KKT certificate at "
+            f"s={s:.6g}, relative to {scale:.3e}: {detail}"
+        )
+
+
+def verify_path(instance: ProblemInstance, k, path: LimitPath) -> None:
+    """``verify_segment`` on each segment in order; the first that fails
+    raises."""
+    bounds = [0.0, *path.breakpoints, math.inf]
+    for s_lo, s_hi, segment in zip(bounds, bounds[1:], path.segments):
+        verify_segment(instance, k, s_lo, s_hi, segment)
+
+
+def csv_bytes(kind: str, header: list[str], rows) -> bytes:
+    """What ``write_csv`` writes, with every cell formatted on its own:
+    ``repr(float(v))``, or an empty cell for ``None``."""
+    lines = [f"# {CSV_SCHEMA} {kind}\n", ",".join(header) + "\r\n"]
+    lines += [",".join("" if v is None else repr(float(v)) for v in row) + "\r\n"
+              for row in rows]
+    return "".join(lines).encode()
 
 
 def lyapunov(theta, fp: FixedPoint) -> float:

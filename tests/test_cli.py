@@ -6,8 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import BAD_DATA_FILES, deadline
-from dlnflow import (dynamics, experiments, generate_direct, lcp, problem,
-                     save_instance)
+from dlnflow import (compute_path, dynamics, experiments, generate_direct, lcp,
+                     problem, save_instance)
 from dlnflow.cli import main
 from dlnflow.errors import (
     BudgetExceeded,
@@ -15,6 +15,7 @@ from dlnflow.errors import (
     StepUnderflow,
     ValidationError,
 )
+from oracles import csv_bytes
 
 
 @pytest.fixture
@@ -260,6 +261,33 @@ class TestLimitPath:
         assert obj["active_sets"][0] == []
         assert obj["active_sets"][-1] == [0, 1]
         assert out_csv.exists()
+
+    def test_d128_artifacts_equal_the_reference_writers(self, runner, tmp_path):
+        # path.csv cell by cell from LimitPath.sample, and path.json as
+        # json.dumps of its documented keys, byte for byte.
+        inst, _ = generate_direct(128, 11)
+        save_instance(inst, tmp_path / "inst.json")
+        k = np.random.default_rng(11).uniform(0.3, 3.0, size=128)
+        out_json, out_csv = tmp_path / "path.json", tmp_path / "path.csv"
+        result = invoke(runner, [
+            "limit-path", "--instance", str(tmp_path / "inst.json"),
+            "--k", ",".join(map(repr, k.tolist())),
+            "--out-json", str(out_json), "--out-csv", str(out_csv)])
+        assert result.exit_code == 0
+        path = compute_path(inst, k)
+        s = np.linspace(0.0, 1.5 * path.s_star, 200)
+        theta, mu = path.sample(s)
+        header = (["s"] + [f"mu_{i + 1}" for i in range(128)]
+                  + [f"theta_star_{i + 1}" for i in range(128)])
+        rows = np.column_stack([s, mu, theta]).tolist()
+        assert out_csv.read_bytes() == csv_bytes("limit-path", header, rows)
+        assert out_json.read_bytes() == json.dumps({
+            "schema": "dlnflow-limit-path v1",
+            "breakpoints": path.breakpoints.tolist(),
+            "s_star": path.s_star,
+            "active_sets": [list(seg.active) for seg in path.segments],
+            "fixed_points": [seg.theta_star.tolist() for seg in path.segments],
+        }).encode()
 
     def test_coordinates_far_below_the_largest(self, runner, tmp_path):
         inst = _instance(tmp_path, {"M": [[1.0, 0.0], [0.0, 1.0]],

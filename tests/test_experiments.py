@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import scalar_logistic
 from dlnflow import (
@@ -20,8 +24,9 @@ from dlnflow import (
 )
 from dlnflow import dynamics, limit_path
 from dlnflow.cli import main
-from dlnflow.errors import DimensionMismatch, DomainError, NonFinite
+from dlnflow.errors import DimensionMismatch, DomainError, NonFinite, exit_code
 from dlnflow.experiments import write_csv
+from oracles import csv_bytes
 
 ONES2 = np.ones(2)
 
@@ -322,3 +327,66 @@ class TestWriters:
         p = write_csv(tmp_path / "t.csv", "test-kind",
                       [f"c{i}" for i in range(7)], rows)
         assert p.read_bytes() == expected.getvalue().encode()
+
+    def test_ragged_row_rejected(self, tmp_path):
+        with pytest.raises(DomainError, match="row 0 has 1 cells") as err:
+            write_csv(tmp_path / "t.csv", "test-kind", ["a", "b"],
+                      [[1.0], [1.0, 2.0, 3.0]])
+        assert exit_code(err.value) == 2
+        assert list(tmp_path.iterdir()) == []
+
+
+_ABOVE = object()
+# Values that compare equal while their bits or types differ, subnormals,
+# and None, beside arbitrary finite floats.
+_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0, False, 1.0, 1, True, None, 5e-324, -5e-324,
+                     2.5e-310, 2**53 + 1, -(2**63), 1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_NON_FINITE = [np.nan, np.inf, -np.inf]
+_writer_properties = settings(derandomize=True, deadline=None, database=None,
+                              max_examples=60)
+
+
+@st.composite
+def csv_tables(draw, min_rows=0):
+    """A header and rows in which each cell is drawn anew or, often, is the
+    cell directly above it, so that columns hold runs of equal values."""
+    width = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(min_rows, 12))):
+        fresh = [draw(st.one_of(st.just(_ABOVE), _CELLS) if rows else _CELLS)
+                 for _ in range(width)]
+        rows.append([rows[-1][j] if v is _ABOVE else v for j, v in enumerate(fresh)])
+    return [f"c{j}" for j in range(width)], rows
+
+
+@_writer_properties
+@given(csv_tables())
+@example((["a", "b"], [[0.0, -0.0], [-0.0, 0.0], [0, False], [None, None],
+                         [None, 1.0], [1.0, None]]))
+@example((["a"], [[True], [1], [1.0], [5e-324], [5e-324], [-5e-324]]))
+def test_write_csv_bytes_equal_the_cellwise_reference(table):
+    header, rows = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_csv(Path(tmp) / "t.csv", "test-kind", header, rows)
+        assert path.read_bytes() == csv_bytes("test-kind", header, rows)
+
+
+@_writer_properties
+@given(csv_tables(min_rows=1), st.sampled_from(_NON_FINITE),
+       st.sampled_from(["as drawn", "equal", "None"]), st.data())
+def test_write_csv_rejects_non_finite_anywhere(table, bad, above, data):
+    # NaN and +-inf raise in any cell: under an equal non-finite cell, under
+    # an empty one, or under whatever was drawn; no file is left behind.
+    header, rows = table
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, len(header) - 1))
+    rows[i][j] = bad
+    if i and above != "as drawn":
+        rows[i - 1][j] = bad if above == "equal" else None
+    with tempfile.TemporaryDirectory() as tmp:
+        with pytest.raises(DomainError, match="non-finite value"):
+            write_csv(Path(tmp) / "t.csv", "test-kind", header, rows)
+        assert list(Path(tmp).iterdir()) == []

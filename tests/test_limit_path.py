@@ -1,5 +1,5 @@
 import dataclasses
-import math
+import re
 
 import numpy as np
 import pytest
@@ -23,9 +23,9 @@ from dlnflow.errors import (
     PathInconsistent,
     ValidationError,
 )
-from dlnflow.limit_path import _verify_segment
+from dlnflow.limit_path import _certify_path
 from dlnflow.problem import loss
-from oracles import mu, solve_limit_lcp
+from oracles import mu, solve_limit_lcp, verify_path
 
 ONES = np.ones(2)
 
@@ -233,32 +233,40 @@ class TestSegmentCertificate:
         return [(inst, c * ONES, compute_path(inst, c * ONES))
                 for c in (1.0, 1e-200, 1e200)]
 
+    @staticmethod
+    def with_segment(path, j, segment):
+        segments = list(path.segments)
+        segments[j] = segment
+        return dataclasses.replace(path, segments=tuple(segments))
+
     def test_exact_segments_pass(self, paths):
         for inst, k, path in paths:
             assert [seg.active for seg in path.segments] == [(), (1,), (0, 1)]
-            bounds = [0.0, *path.breakpoints, math.inf]
-            for s_lo, s_hi, seg in zip(bounds, bounds[1:], path.segments):
-                _verify_segment(inst, k, s_lo, s_hi, seg)
+            _certify_path(inst, k, path)
+            verify_path(inst, k, path)
 
     def test_perturbed_slope_rejected(self, paths):
         for inst, k, path in paths:
             seg = path.segments[1]
             bad = dataclasses.replace(seg, theta_star=seg.theta_star + [0.0, 1e-6])
-            with pytest.raises(PathInconsistent, match="affine [1-9]"):
-                _verify_segment(inst, k, *path.breakpoints, bad)
+            lo, hi = path.breakpoints
+            segment = re.escape(f"segment [{lo:.6g}, {hi:.6g})")
+            with pytest.raises(PathInconsistent, match=segment + ".* affine [1-9]"):
+                _certify_path(inst, k, self.with_segment(path, 1, bad))
 
     def test_missed_activation_rejected(self, paths):
         # The affine pieces of (1,) carried past s = 3c/4, where 0 joins.
         for inst, k, path in paths:
-            with pytest.raises(PathInconsistent, match="negative_w [1-9]"):
-                _verify_segment(inst, k, path.s_star, math.inf, path.segments[1])
+            segment = re.escape(f"segment [{path.s_star:.6g}, inf)")
+            with pytest.raises(PathInconsistent, match=segment + ".* negative_w [1-9]"):
+                _certify_path(inst, k, self.with_segment(path, 2, path.segments[1]))
 
     def test_negative_primal_rejected(self, paths):
         for inst, k, path in paths:
             seg = path.segments[1]
             bad = dataclasses.replace(seg, z_intercept=seg.z_intercept - 10.0 * k)
             with pytest.raises(PathInconsistent, match="negative_z [1-9]"):
-                _verify_segment(inst, k, *path.breakpoints, bad)
+                _certify_path(inst, k, self.with_segment(path, 1, bad))
 
     def test_singular_instance_rejected(self):
         # Construction certifies M, so no singular instance reaches the path.

@@ -2,6 +2,8 @@
 invariants over generated instances, with fixed (derandomized) example
 sequences."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -26,8 +28,9 @@ from dlnflow.dynamics import (
     hitting_time,
     hitting_time_on,
 )
-from dlnflow.errors import NotReached
-from oracles import solve_lcp_bruteforce
+from dlnflow.errors import NotReached, PathInconsistent
+from dlnflow.limit_path import SEGMENT_CHECK_TOL, _certify_path
+from oracles import solve_lcp_bruteforce, verify_path
 
 AGREE_TOL = 1e-8
 
@@ -159,6 +162,58 @@ def test_lcp_solution_scales_with_q(d, seed, exponent):
     base, scaled = solve_lcp(q, M), solve_lcp(c * q, M)
     assert scaled.support == base.support
     assert np.max(np.abs(scaled.z - c * base.z)) <= 1e-12 * c * np.max(base.z)
+
+
+@st.composite
+def corrupted_paths(draw):
+    """An instance and k from ``instances_and_k`` or ``generate_direct(64, .)``,
+    its path, and the path with one random segment corrupted: its slope or
+    intercept moved along one coordinate by 1e-10 to 1e-1 of the path's
+    largest, or its pieces replaced by the previous segment's (a missed
+    activation)."""
+    if draw(st.booleans()):
+        inst, k = draw(instances_and_k())
+    else:
+        inst, _ = generate_direct(64, draw(st.integers(0, 2**32 - 1)))
+        k = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(
+            0.3, 3.0, size=64)
+    path = compute_path(inst, k)
+    segments = list(path.segments)
+    kind = draw(st.sampled_from(["theta_star", "z_intercept", "missed"]))
+    j = draw(st.integers(kind == "missed", len(segments) - 1))
+    if kind == "missed":
+        segments[j] = segments[j - 1]
+    else:
+        largest = max(np.max(np.abs(getattr(seg, kind))) for seg in segments)
+        moved = getattr(segments[j], kind).copy()
+        moved[draw(st.integers(0, inst.d - 1))] += (
+            draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-10.0, -1.0))
+            * largest)
+        segments[j] = dataclasses.replace(segments[j], **{kind: moved})
+    return inst, k, path, dataclasses.replace(path, segments=tuple(segments))
+
+
+def first_failure(certify, inst, k, path):
+    """The failing segment and probe point that ``certify`` names, with the
+    names of the residuals above tolerance; None when the path passes."""
+    try:
+        certify(inst, k, path)
+    except PathInconsistent as exc:
+        where, rest = str(exc).split(", relative to ")
+        residuals = (item.split() for item in rest.split(": ")[1].split(", "))
+        return where, {name for name, err in residuals
+                       if float(err) > SEGMENT_CHECK_TOL}
+    return None
+
+
+@properties
+@given(corrupted_paths())
+def test_one_pass_certificate_names_the_reference_failure(case):
+    inst, k, path, corrupted = case
+    assert first_failure(_certify_path, inst, k, path) is None
+    assert first_failure(verify_path, inst, k, path) is None
+    assert (first_failure(_certify_path, inst, k, corrupted)
+            == first_failure(verify_path, inst, k, corrupted))
 
 
 def test_tie_joins_in_one_event():
