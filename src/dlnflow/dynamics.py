@@ -171,24 +171,19 @@ def simulate(
 
 
 def _ball_gap(theta: np.ndarray, target: np.ndarray, eta: float):
-    """||theta - target||_2 - eta of each row of theta, <= 0 exactly inside
+    """||theta - target||_2^2 - eta * eta of each row of theta, <= 0 inside
     the closed ball. A row's gap is bit for bit the gap of that row alone, so
     a scan of step ends and a stop at one agree on which end is inside."""
     diff = theta - target
-    return np.sqrt(np.square(diff, out=diff).sum(axis=-1)) - eta
+    return np.square(diff, out=diff).sum(axis=-1) - eta * eta
 
 
 def _inside_ball(target: np.ndarray, eta: float):
-    """``hitting_time``'s stop: ``_ball_gap(theta, target, eta) <= 0`` read
-    off the same row sum S as S <= t, exact since sqrt is monotone and
-    correctly rounded, for t the largest double with sqrt(t) - eta <= 0."""
-    t = eta * eta
-    while np.sqrt(t) - eta > 0.0:
-        t = np.nextafter(t, 0.0)
-    while np.sqrt(np.nextafter(t, np.inf)) - eta <= 0.0:
-        t = np.nextafter(t, np.inf)
+    """``hitting_time``'s stop: ``_ball_gap(theta, target, eta) <= 0`` on
+    one preallocated buffer."""
     diff = np.empty_like(target)
-    return lambda theta: np.square(np.subtract(theta, target, out=diff), out=diff).sum() <= t
+    return lambda theta: np.square(np.subtract(theta, target, out=diff),
+                                   out=diff).sum() - eta * eta <= 0.0
 
 
 def _ball_center(instance: ProblemInstance, eta: float) -> np.ndarray:

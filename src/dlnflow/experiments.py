@@ -35,20 +35,23 @@ _NON_FINITE = frozenset({"nan", "inf", "-inf"})
 def write_csv(path, kind: str, header: list[str], rows) -> Path:
     """Write a CSV with a version/kind comment header, atomically.
 
-    Each cell is ``repr(float(v))``; ``None`` is written as an empty cell,
-    for a value that does not exist. A row whose width differs from the
-    header's, NaN and infinity are rejected. A finite cell whose value
+    ``rows`` is a 2-D float array, or a list of rows whose cells may be
+    ``None``, written as an empty cell, for a value that does not exist.
+    Each other cell is ``repr(float(v))``. A row whose width differs from
+    the header's, NaN and infinity are rejected. A finite cell whose value
     equals, bit for bit, the cell directly above it reuses that cell's text,
     so the bytes are those of formatting every cell.
     """
-    rows = list(rows)
+    table = rows if isinstance(rows, np.ndarray) else None
+    rows = list(rows) if table is None else table.tolist()
     width = len(header)
     for i, row in enumerate(rows):
         if len(row) != width:
             raise DomainError(f"{kind} row {i} has {len(row)} cells, "
                               f"not the header's {width}")
-    # None reads as NaN here, and a non-finite cell is never reused.
-    table = np.array(rows, dtype=float).reshape(len(rows), width)
+    if table is None:
+        # None reads as NaN here, and a non-finite cell is never reused.
+        table = np.array(rows, dtype=float).reshape(len(rows), width)
     bits = table.view(np.int64)
     reuse = np.zeros(table.shape, dtype=bool)
     np.logical_and(bits[1:] == bits[:-1], np.isfinite(table[:-1]), out=reuse[1:])
@@ -134,7 +137,7 @@ def write_limit_path(path: limit_path.LimitPath, out_json, out_csv,
         header = (["s"] + [f"mu_{i + 1}" for i in range(d)]
                   + [f"theta_star_{i + 1}" for i in range(d)])
         written.append(write_csv(out_csv, "limit-path", header,
-                                 np.column_stack([s_grid, mu_vals, theta]).tolist()))
+                                 np.column_stack([s_grid, mu_vals, theta])))
     return written
 
 
@@ -150,7 +153,7 @@ def write_trajectory(path, traj: dynamics.Trajectory) -> Path:
         + [f"avg_{i + 1}" for i in range(d)]
     )
     rows = np.column_stack([traj.s, traj.t, traj.theta, traj.w,
-                            traj.loss_values(), traj.averages]).tolist()
+                            traj.loss_values(), traj.averages])
     return write_csv(path, "trajectory", header, rows)
 
 
@@ -431,7 +434,7 @@ def run_figure1(
     paths = {
         "field": str(write_csv(out_dir / "field.csv", "figure1-field",
                                ["theta_1", "theta_2", "v_1", "v_2"],
-                               np.column_stack([theta, field]).tolist())),
+                               np.column_stack([theta, field]))),
         "fixed_points": str(write_json(out_dir / "fixed_points.json",
                                        fixed_points_json(points))),
     }

@@ -88,23 +88,22 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
 
     The empty active set is valid on (0, min_i k_i / r_i). With active set
     I, the inactive dual coordinates are affine in s; the next breakpoint
-    is the smallest root beyond the current one, and every coordinate tied
-    at that root activates simultaneously; a root within tolerance of the
-    current breakpoint joins that breakpoint. Coordinates never deactivate,
-    so the loop ends after at most d events with the full set; the last
-    breakpoint is the convergence time, cross-checked against its closed
-    form max_i (M^{-1} k)_i / (M^{-1} r)_i. Activations append rows to one
-    Cholesky factor of M[I, I]. A segment's stationary point is its slope
-    M_II^{-1} r_I. After the loop, every segment's KKT certificate is
-    checked in one pass (``_certify_path``), which names the first segment
-    that fails.
+    is the smallest root beyond the current one, and only its coordinate
+    activates there; a root within tolerance of the current breakpoint,
+    such as the rest of a tie, joins it on the next pass. Coordinates never
+    deactivate, so the loop ends at the first segment with the full set;
+    the last breakpoint is the convergence time, cross-checked against its
+    closed form max_i (M^{-1} k)_i / (M^{-1} r)_i. Activations append rows
+    to one Cholesky factor of M[I, I], whose order is the active set. A
+    segment's stationary point is its slope M_II^{-1} r_I. After the loop,
+    every segment's KKT certificate is checked in one pass
+    (``_certify_path``), which names the first segment that fails.
     """
     k = _positive_array(k, "k", (instance.d,))
     M, r, d = instance.M, instance.r, instance.d
 
     rhs = np.column_stack([-k, r])
     factor = lcp.ActiveSetCholesky(M, rhs)
-    inactive = np.ones(d, dtype=bool)
     # M_II^{-1} >= diag(M_II)^{-1} entrywise, so theta_i >= r_i / M_ii on I.
     positivity_floor = POSITIVITY_TOL * r / np.diag(M)
     s_cur = 0.0
@@ -112,49 +111,39 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
     segments: list[PathSegment] = []
 
     while True:
-        active = np.flatnonzero(~inactive).tolist()
+        active = sorted(factor.order)
         lines = factor.solve()
         z_int, theta = lines.T
         # Both dual lines, w = w_int + s w_slp, from one product with M.
         w_int, w_slp = (M @ lines - rhs).T
-        if np.any((theta <= positivity_floor) & ~inactive):
+        if np.any(theta[active] <= positivity_floor[active]):
             raise PositivityViolation(
                 f"stationary point on {active} not positive: {theta[active]}"
             )
 
-        if inactive.any():
-            # Next event: earliest upcoming zero of an inactive dual line.
-            roots = np.full(d, np.inf)
-            cand = inactive & (w_slp < 0.0)
-            roots[cand] = -w_int[cand] / w_slp[cand]
-            # A root within a relative tolerance of s_cur joins at s_cur: joins
-            # only pull the other roots earlier, so a skipped one never returns.
-            late = np.flatnonzero(roots <= s_cur + BREAKPOINT_TOL * s_cur)
-            if late.size:
-                factor.append(late)
-                inactive[late] = False
-                continue
-            s_next = float(np.min(roots))
-            if not np.isfinite(s_next):
-                raise PathInconsistent(
-                    f"no upcoming activation from active set {active}; "
-                    f"the full set must eventually activate"
-                )
-            joining = np.flatnonzero(
-                np.abs(roots - s_next) <= BREAKPOINT_TOL * s_next
-            )
-        else:
-            s_next = math.inf
+        # The upcoming zeros of the inactive dual lines.
+        roots = np.divide(-w_int, w_slp, out=np.full(d, np.inf), where=w_slp < 0.0)
+        roots[active] = np.inf
+        # A root within a relative tolerance of s_cur joins at s_cur: joins
+        # only pull the other roots earlier, so a skipped one never returns.
+        late = np.flatnonzero(roots <= s_cur + BREAKPOINT_TOL * s_cur)
+        if late.size:
+            factor.append(late)
+            continue
 
         segments.append(PathSegment(active=tuple(active), z_intercept=z_int,
                                     theta_star=theta))
-
-        if math.isinf(s_next):
+        if len(active) == d:
             break
-        breakpoints.append(s_next)
-        factor.append(joining)
-        inactive[joining] = False
-        s_cur = s_next
+        j = int(np.argmin(roots))
+        s_cur = float(roots[j])
+        if not np.isfinite(s_cur):
+            raise PathInconsistent(
+                f"no upcoming activation from active set {active}; "
+                f"the full set must eventually activate"
+            )
+        breakpoints.append(s_cur)
+        factor.append([j])
 
     path = LimitPath(breakpoints=np.array(breakpoints), segments=tuple(segments))
     _certify_path(instance, k, path)

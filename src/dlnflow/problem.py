@@ -171,6 +171,8 @@ def generate_rejection(
     """
     if n < 1 or d < 1:
         raise DimensionMismatch("need n >= 1 and d >= 1")
+    if max_attempts < 1:
+        raise DomainError(f"max_attempts must be at least 1, got {max_attempts}")
     rng = np.random.default_rng(seed)
     for attempt in range(1, max_attempts + 1):
         X = rng.standard_normal((n, d))

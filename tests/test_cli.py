@@ -104,6 +104,17 @@ class TestGen:
         ])
         assert result.exit_code == 4
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_nonpositive_budget_exit_code(self, runner, tmp_path, budget):
+        out = tmp_path / "x.json"
+        result = runner.invoke(main, [
+            "gen", "--generator", "rejection", "--n", "3", "--d", "2",
+            "--seed", "7", "--max-attempts", budget, "--out", str(out),
+        ])
+        assert result.exit_code == 2
+        assert "max_attempts must be at least 1" in result.output
+        assert not out.exists()
+
     def test_failed_write_leaves_no_temp_file(self, runner, tmp_path):
         # --out names an existing directory, so the final rename fails.
         out = tmp_path / "taken"

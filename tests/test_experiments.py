@@ -368,10 +368,15 @@ def csv_tables(draw, min_rows=0):
                          [None, 1.0], [1.0, None]]))
 @example((["a"], [[True], [1], [1.0], [5e-324], [5e-324], [-5e-324]]))
 def test_write_csv_bytes_equal_the_cellwise_reference(table):
+    # A table without None is also written from its float array.
     header, rows = table
+    tables = [rows]
+    if not any(v is None for row in rows for v in row):
+        tables.append(np.array(rows, dtype=float).reshape(len(rows), len(header)))
     with tempfile.TemporaryDirectory() as tmp:
-        path = write_csv(Path(tmp) / "t.csv", "test-kind", header, rows)
-        assert path.read_bytes() == csv_bytes("test-kind", header, rows)
+        for given_rows in tables:
+            path = write_csv(Path(tmp) / "t.csv", "test-kind", header, given_rows)
+            assert path.read_bytes() == csv_bytes("test-kind", header, rows)
 
 
 @_writer_properties

@@ -127,6 +127,50 @@ class TestComputePath:
             path = compute_path(ProblemInstance(M=M, r=r), np.ones(d))
             assert path.segments[-1].active == tuple(range(d))
 
+    @pytest.mark.parametrize("d", [6, 16])
+    @pytest.mark.parametrize("delta, head, late, breakpoints", [
+        # Roots within a relative 1e-12 of the earliest join its breakpoint.
+        (0.0, 1.0, "none", [1.0]),
+        (1e-15, 1.0, "none", [1.0]),
+        (1e-13, 1.0, "none", [1.0]),
+        # Coordinate 0's root lies beyond that, so it joins alone, later.
+        (1e-11, 1.0, "coordinate 0", None),
+        (1e-9, 1.0, "coordinate 0", None),
+        # Two equal blocks: the first half joins at 1 + 0.8 / 1.1.
+        (0.0, 2.0, "first half", [1.0, 1.7272727272727273]),
+    ])
+    def test_exchangeable_tie_table(self, d, delta, head, late, breakpoints):
+        # M = 1.1 I - (0.6 / d) 11^T with r = 1, k = head on the first half
+        # and 1 on the second, and k_0 scaled by 1 + delta. Permuting the
+        # coordinates permutes the active sets and keeps every breakpoint
+        # bit for bit.
+        M = 1.1 * np.eye(d) - (0.6 / d) * np.ones((d, d))
+        k = np.where(np.arange(d) < d // 2, head, 1.0)
+        k[0] *= 1.0 + delta
+        path = compute_path(ProblemInstance(M=M, r=np.ones(d)), k)
+        n_late = {"none": 0, "coordinate 0": 1, "first half": d // 2}[late]
+        actives = [(), tuple(range(n_late, d)), tuple(range(d))]
+        assert [seg.active for seg in path.segments] == (
+            actives if n_late else actives[::2])
+        if breakpoints is None:
+            # Past s = 1, w_0 = delta - (s - 1) (1 + c) exactly.
+            c = 0.6 * (d - 1) / (0.5 * d + 0.6)
+            np.testing.assert_allclose(path.breakpoints,
+                                       [1.0, 1.0 + delta / (1.0 + c)],
+                                       rtol=1e-15, atol=1e-15)
+        else:
+            np.testing.assert_array_equal(path.breakpoints, breakpoints)
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            perm = rng.permutation(d)
+            where = np.argsort(perm)
+            permuted = compute_path(ProblemInstance(M=M[perm][:, perm],
+                                                    r=np.ones(d)), k[perm])
+            np.testing.assert_array_equal(permuted.breakpoints, path.breakpoints)
+            assert [seg.active for seg in permuted.segments] == [
+                tuple(sorted(where[list(seg.active)].tolist()))
+                for seg in path.segments]
+
     def test_nestedness_and_segment_count(self, rng):
         for _ in range(15):
             d = int(rng.integers(1, 7))

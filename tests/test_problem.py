@@ -444,6 +444,13 @@ class TestGenerateSpec:
         with pytest.raises(DomainError, match="generator spec: bad "):
             generate(spec)
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_nonpositive_rejection_budget_rejected(self, budget):
+        spec = {"generator": "rejection", "n": 3, "d": 2, "seed": 7,
+                "max_attempts": budget}
+        with pytest.raises(DomainError, match="max_attempts must be at least 1"):
+            generate(spec)
+
     @pytest.mark.parametrize("scale", [None, 0, 0.1])
     def test_offdiag_scale_may_be_any_number_or_absent(self, scale):
         spec = {"generator": "direct", "d": 3, "seed": 1, "offdiag_scale": scale}
