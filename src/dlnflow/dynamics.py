@@ -178,14 +178,6 @@ def _ball_gap(theta: np.ndarray, target: np.ndarray, eta: float):
     return np.square(diff, out=diff).sum(axis=-1) - eta * eta
 
 
-def _inside_ball(target: np.ndarray, eta: float):
-    """``hitting_time``'s stop: ``_ball_gap(theta, target, eta) <= 0`` on
-    one preallocated buffer."""
-    diff = np.empty_like(target)
-    return lambda theta: np.square(np.subtract(theta, target, out=diff),
-                                   out=diff).sum() - eta * eta <= 0.0
-
-
 def _ball_center(instance: ProblemInstance, eta: float) -> np.ndarray:
     target = instance.minimizer()
     if not 0.0 < eta < target.min():
@@ -243,11 +235,13 @@ def hitting_time(
     """Simulate and return the physical hitting time of the eta-ball
     around the unconstrained minimizer.
 
-    Integration stops at the first accepted step that ends inside the
-    closed ball, the step ``hitting_time_on`` roots; ``NotReached`` is raised
-    if none does. Monotonicity is certified up to the stop's step only: a
-    drop after the hit does not raise ``MonotonicityViolated``.
+    Integration stops at the first accepted step whose end row has
+    ``_ball_gap`` <= 0, the step ``hitting_time_on``'s scan roots: a row
+    sums as it does in the scan. ``NotReached`` is raised if none does.
+    Monotonicity is certified up to the stop's step only: a drop after the
+    hit does not raise ``MonotonicityViolated``.
     """
+    target = _ball_center(instance, eta)
     trajectory = simulate(instance, init, s_cap, np.array([0.0, s_cap]), tol=tol,
-                          stop=_inside_ball(_ball_center(instance, eta), eta))
+                          stop=lambda theta: _ball_gap(theta, target, eta) <= 0.0)
     return hitting_time_on(trajectory, eta)

@@ -30,7 +30,6 @@ _A = np.array([
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
 ])
-_B = _A[6]
 # E is B's difference against the embedded order-4 weights, and D gives the
 # order-4 continuous extension (Hairer, Norsett & Wanner).
 _E, _D = np.array([

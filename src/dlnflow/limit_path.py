@@ -98,6 +98,10 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
     segment's stationary point is its slope M_II^{-1} r_I. After the loop,
     every segment's KKT certificate is checked in one pass
     (``_certify_path``), which names the first segment that fails.
+    Against the exact rational path of its float data, the path merges each
+    cluster of roots within a relative ``BREAKPOINT_TOL`` of its earliest
+    there: active sets are then equal, breakpoints within a few ulps of the
+    exact ones, and the exact s* is its closed form.
     """
     k = _positive_array(k, "k", (instance.d,))
     M, r, d = instance.M, instance.r, instance.d

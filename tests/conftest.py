@@ -5,7 +5,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from dlnflow import ProblemInstance, dynamics, generate_direct
+from dlnflow import Initialization, ProblemInstance, dynamics, generate_direct
 from dlnflow.errors import DimensionMismatch, DomainError
 from dlnflow.integrate import integrate
 from dlnflow.problem import to_json_dict
@@ -120,3 +120,16 @@ def recorded_integrate(run: bool = True):
             yield calls
         except _NotIntegrated:
             pass
+
+
+def hitting_stop(target: np.ndarray, eta: float):
+    """The stop ``hitting_time`` hands ``integrate`` for the eta-ball around
+    ``target``, on the instance M = I, r = target, whose M^{-1} r is
+    ``target`` bit for bit."""
+    instance = ProblemInstance(M=np.eye(target.size), r=target)
+    assert np.array_equal(instance.minimizer(), target)
+    init = Initialization(C=np.ones(target.size), k=np.ones(target.size),
+                          epsilon=1e-12)
+    with recorded_integrate(run=False) as calls:
+        dynamics.hitting_time(instance, init, eta, s_cap=1.0)
+    return calls[0]["step_callback"]

@@ -11,13 +11,15 @@ steps ``integrate.integrate`` must repeat and whose states it must match up
 to roundoff. ``verify_path`` certifies a limit path one segment at a time,
 the reference for the one-pass certificate of ``compute_path``, and
 ``csv_bytes`` formats every CSV cell on its own, the reference for
-``write_csv``.
+``write_csv``. ``exact_path`` and ``exact_s_star`` follow the limit path's
+homotopy and its closed-form convergence time in rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -35,7 +37,6 @@ from dlnflow.experiments import CSV_SCHEMA
 from dlnflow.fixed_points import FixedPoint
 from dlnflow.integrate import (
     _A,
-    _B,
     _D,
     _E,
     _MAX_FACTOR,
@@ -171,6 +172,64 @@ def verify_path(instance: ProblemInstance, k, path: LimitPath) -> None:
         verify_segment(instance, k, s_lo, s_hi, segment)
 
 
+def _solve_exact(A: list, B: list) -> list:
+    """Rows of A^{-1} B in rationals, for a positive definite A, by Gaussian
+    elimination without pivoting: each pivot is a ratio of leading minors of
+    A, so positive."""
+    n = len(A)
+    rows = [A[i] + B[i] for i in range(n)]
+    for p in range(n):
+        for i in range(p + 1, n):
+            f = rows[i][p] / rows[p][p]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[p])]
+    x = [None] * n
+    for i in reversed(range(n)):
+        x[i] = [(rhs - sum(rows[i][j] * x[j][c] for j in range(i + 1, n))) / rows[i][i]
+                for c, rhs in enumerate(rows[i][n:])]
+    return x
+
+
+def _exact_data(instance: ProblemInstance, k) -> tuple[list, list, list]:
+    """M, r and k with every double converted to a ``Fraction`` exactly."""
+    return ([[Fraction(x) for x in row] for row in instance.M.tolist()],
+            [Fraction(x) for x in instance.r.tolist()],
+            [Fraction(x) for x in np.asarray(k, dtype=float).tolist()])
+
+
+def exact_path(instance: ProblemInstance, k) -> tuple[list, list]:
+    """The limit path of the float data in exact rational arithmetic: its
+    breakpoints, as ``Fraction``s, and the sorted active set from each.
+
+    Each segment re-eliminates M_II for the intercept -M_II^{-1} k_I and the
+    slope M_II^{-1} r_I; the inactive dual lines w = k - s r + M z then give
+    their roots, and every coordinate whose root is the earliest joins
+    there, so an exact tie is one breakpoint."""
+    M, r, k = _exact_data(instance, k)
+    d, active = len(r), []
+    breakpoints, sets = [], []
+    while len(active) < d:
+        lines = _solve_exact([[M[i][j] for j in active] for i in active],
+                             [[-k[i], r[i]] for i in active])
+        roots = {}
+        for i in sorted(set(range(d)) - set(active)):
+            w_int = k[i] + sum(M[i][j] * z for j, (z, _) in zip(active, lines))
+            w_slp = -r[i] + sum(M[i][j] * t for j, (_, t) in zip(active, lines))
+            if w_slp < 0:
+                roots[i] = -w_int / w_slp
+        s = min(roots.values())
+        assert not breakpoints or s > breakpoints[-1]
+        active = sorted(active + [i for i, root in roots.items() if root == s])
+        breakpoints.append(s)
+        sets.append(tuple(active))
+    return breakpoints, sets
+
+
+def exact_s_star(instance: ProblemInstance, k) -> Fraction:
+    """The closed form max_i (M^{-1} k)_i / (M^{-1} r)_i in rationals."""
+    M, r, k = _exact_data(instance, k)
+    return max(a / b for a, b in _solve_exact(M, [[ki, ri] for ki, ri in zip(k, r)]))
+
+
 def csv_bytes(kind: str, header: list[str], rows) -> bytes:
     """What ``write_csv`` writes, with every cell formatted on its own:
     ``repr(float(v))``, or an empty cell for ``None``."""
@@ -283,7 +342,7 @@ def integrate_reference(
         for i in range(1, 7):
             k[i] = f(s + _C[i] * h, y + h * (_A[i, :i] @ k[:i]))
         stats.rhs_evaluations += 6
-        y_new = y + h * (_B @ k)
+        y_new = y + h * (_A[6] @ k)
 
         err_vec = h * (_E @ k)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from conftest import random_instance, recorded_integrate, scalar_logistic
+from conftest import hitting_stop, random_instance, recorded_integrate, scalar_logistic
 from dlnflow import (
     Initialization,
     ProblemInstance,
@@ -17,7 +17,7 @@ from dlnflow import (
     hitting_time_on,
     simulate,
 )
-from dlnflow.dynamics import DEFAULT_TOL, _ball_gap, _inside_ball
+from dlnflow.dynamics import DEFAULT_TOL, _ball_gap
 from dlnflow.errors import (
     DomainError,
     MonotonicityViolated,
@@ -362,7 +362,7 @@ class TestHittingTime:
         # stop decides as the gap the scan reads: the radius is inside.
         t = eta * eta
         target = np.array([1.0, 2.0])
-        stop = _inside_ball(target, eta)
+        stop = hitting_stop(target, eta)
         for S, expected in ((np.nextafter(t, 0.0), True), (t, True),
                             (np.nextafter(t, np.inf), False)):
             theta = theta_at_squared_distance(target, S)

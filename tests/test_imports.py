@@ -1,7 +1,10 @@
-"""Every top-level import of the package and of the tests is used.
+"""Every top-level import of the package and of the tests is used, and
+every private top-level name the package defines is read by the package.
 
 A name counts as used when the module reads it or lists it in ``__all__``;
-an import statement marked ``# noqa: F401`` is exempt.
+an import statement marked ``# noqa: F401`` is exempt. A private name is
+read when some package module loads it as a name or an attribute: one that
+only the tests read is dead code.
 """
 
 import ast
@@ -10,7 +13,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*ROOT.glob("src/dlnflow/*.py"), *ROOT.glob("tests/*.py")])
+PACKAGE = sorted(ROOT.glob("src/dlnflow/*.py"))
+MODULES = sorted([*PACKAGE, *ROOT.glob("tests/*.py")])
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -34,3 +38,34 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_import(path):
     assert unused_imports(path) == []
+
+
+def private_names(tree: ast.Module) -> dict[str, int]:
+    """The module's top-level ``_name`` definitions, dunders aside."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+        else:
+            continue
+        names.update((name, node.lineno) for name in targets
+                     if name.startswith("_") and not name.startswith("__"))
+    return names
+
+
+def test_every_private_name_is_read_in_the_package():
+    read, unread = set(), []
+    trees = {path: ast.parse(path.read_text()) for path in PACKAGE}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    for path, tree in trees.items():
+        unread += [f"{path.name}: {name} (line {line})"
+                   for name, line in private_names(tree).items() if name not in read]
+    assert unread == []

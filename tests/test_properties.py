@@ -3,14 +3,15 @@ invariants over generated instances, with fixed (derandomized) example
 sequences."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from conftest import random_instance, random_k_matrix, recorded_integrate
+from conftest import hitting_stop, random_instance, random_k_matrix, recorded_integrate
 from dlnflow import (
     Initialization,
     ProblemInstance,
@@ -24,13 +25,12 @@ from dlnflow.dynamics import (
     DEFAULT_TOL,
     MONOTONE_RUNTIME_TOL,
     _ball_gap,
-    _inside_ball,
     hitting_time,
     hitting_time_on,
 )
 from dlnflow.errors import NotReached, PathInconsistent
 from dlnflow.limit_path import SEGMENT_CHECK_TOL, _certify_path
-from oracles import solve_lcp_bruteforce, verify_path
+from oracles import exact_path, exact_s_star, solve_lcp_bruteforce, verify_path
 
 AGREE_TOL = 1e-8
 
@@ -107,6 +107,74 @@ def exchangeable_blocks(draw):
 def test_near_ties_give_a_consistent_path(case):
     # compute_path raises PathInconsistent where near-tied roots fail to join.
     assert_nested_path_with_closed_form_s_star(*case)
+
+
+# The relative merge tolerance compute_path documents, written out rather
+# than imported, so that a changed BREAKPOINT_TOL breaks the contract.
+MERGE_TOL = Fraction(1e-12)
+
+
+@st.composite
+def planted_ties(draw):
+    """K-matrices on d <= 8 coordinates in up to 3 symmetric blocks: M_ij,
+    r_i and k_i depend only on the blocks of i and j, so a block's
+    coordinates tie exactly, and coordinates 0 and 1 share a block. Then
+    k_0 is scaled by 1 + delta, with delta 0 or of size 10^[-17, -13] or
+    10^[-11, -6], either sign: never within a factor 10 of MERGE_TOL."""
+    d = draw(st.integers(2, 8))
+    m = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = rng.integers(0, m, size=d)
+    blocks[1] = blocks[0]
+    off = np.triu(rng.uniform(0.0, 1.0, size=(m, m)))
+    off = off + np.triu(off, 1).T
+    sizes = np.bincount(blocks, minlength=m)
+    # A row's off-diagonal mass, formed once per block so that equal rows
+    # get equal diagonals.
+    diag = off @ sizes - np.diag(off) + rng.uniform(0.2, 1.5, size=m)
+    M = -off[blocks][:, blocks]
+    np.fill_diagonal(M, diag[blocks])
+    r, k = rng.uniform(0.3, 2.0, size=m)[blocks], rng.uniform(0.3, 3.0, size=m)[blocks]
+    exponent = draw(st.one_of(st.floats(-17.0, -13.0), st.floats(-11.0, -6.0)))
+    delta = draw(st.sampled_from([0.0, 1.0, -1.0])) * 10.0 ** exponent
+    k[0] *= 1.0 + delta
+    return ProblemInstance(M=M, r=r), k
+
+
+def merge_clusters(breakpoints, sets):
+    """The exact path with each cluster of breakpoints within MERGE_TOL of
+    its earliest, relative to it, merged there into that breakpoint and the
+    cluster's last active set; and each relative gap the merge compared."""
+    merged, merged_sets, gaps = breakpoints[:1], list(sets[:1]), []
+    for s, active in zip(breakpoints[1:], sets[1:]):
+        gaps.append((s - merged[-1]) / merged[-1])
+        if gaps[-1] <= MERGE_TOL:
+            merged_sets[-1] = active
+        else:
+            merged.append(s)
+            merged_sets.append(active)
+    return merged, merged_sets, gaps
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(st.one_of(instances_and_k(), planted_ties()))
+def test_the_float_path_is_the_exact_path_with_near_ties_merged(case):
+    # compute_path's contract against the rational homotopy of its float
+    # data: the active sets are the exact ones with every cluster of roots
+    # within MERGE_TOL of its earliest merged there, and each breakpoint is
+    # within 4 ulps of its exact cluster's earliest. The exact s* is its
+    # closed form.
+    inst, k = case
+    breakpoints, sets = exact_path(inst, k)
+    assert breakpoints[-1] == exact_s_star(inst, k)
+    merged, merged_sets, gaps = merge_clusters(breakpoints, sets)
+    # Away from the merge threshold the contract decides every cluster.
+    assume(not any(MERGE_TOL / 10 <= gap <= 10 * MERGE_TOL for gap in gaps))
+    path = compute_path(inst, k)
+    assert [seg.active for seg in path.segments] == [(), *merged_sets]
+    assert len(path.breakpoints) == len(merged)
+    for s, exact in zip(path.breakpoints.tolist(), merged):
+        assert abs(Fraction(s) - exact) <= 4 * Fraction(np.spacing(s))
 
 
 @properties
@@ -404,6 +472,6 @@ def test_the_squared_radius_stop_decides_as_the_gap(d, seed):
     rays = rng.standard_normal((17, d))
     radii = eta + np.arange(-8, 9) * np.spacing(eta)
     thetas = target + (radii / np.linalg.norm(rays, axis=1))[:, None] * rays
-    stop = _inside_ball(target, eta)
+    stop = hitting_stop(target, eta)
     inside = [bool(stop(theta)) for theta in thetas]
     assert inside == (_ball_gap(thetas, target, eta) <= 0.0).tolist()
