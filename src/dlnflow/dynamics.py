@@ -11,7 +11,8 @@ exponentiated: the integrator carries u = log(theta) = L w, L = log(epsilon).
 The right-hand side is bounded along trajectories, so an explicit adaptive
 pair suffices. Averages need no extra state: with I(s) the integral of theta
 over [0, s], u - L (M I - s r) is a linear first integral of the flow, which
-every Runge-Kutta method conserves to roundoff, so
+every Runge-Kutta method conserves to roundoff, and a jump over a quiet
+stretch of length dt only up to (d + 1) QUIET_DELTA dt max r in w, so
 I(s) = M^{-1} ((u(s) - u(0)) / L + s r).
 """
 
@@ -24,6 +25,7 @@ from .integrate import DenseOutput, flow_product, integrate
 from .problem import Initialization, ProblemInstance, loss
 
 MONOTONE_RUNTIME_TOL = 1e-8
+QUIET_DELTA = 1e-15
 DEFAULT_TOL = 1e-9
 DEFAULT_GRID_POINTS = 400
 
@@ -34,7 +36,8 @@ class Trajectory:
     Immutable once returned; ``theta_at``/``w_at``/``average`` evaluate the
     dense output anywhere inside the integrated range, under its rule.
     ``averages`` holds the running averages on the grid, 0 at s = 0.
-    ``knots`` and ``theta_knots`` hold s and theta at 0 and every step end.
+    ``knots`` and ``theta_knots`` hold s and theta at 0 and every step end,
+    a jump's end included.
     """
 
     def __init__(self, instance, init, s_grid, dense: DenseOutput):
@@ -112,6 +115,18 @@ def simulate(
     accepted step's endpoint, integration ends there: the trajectory's
     ``s_max`` is then that endpoint, sampled only on the grid points up to it.
 
+    Quiet stretches are jumped in closed form (``integrate``'s ``quiet``),
+    with ``QUIET_DELTA`` = delta: a coordinate matters when
+    ``theta_i max|M| > delta min r``, and a stretch is quiet while each that
+    matters has ``|r - M theta|_i <= delta r_i`` and the theta of the others
+    sum below ``delta min r / max|M|``. A jump's end is a step end to the
+    stop and to the checks below. As M is a K-matrix, theta*_i >= r_i / M_ii
+    >= min r / max|M|, so a coordinate that does not matter is below delta
+    theta*_i; the coordinates that matter are frozen. So along a jump theta
+    either stays as at its start or has a coordinate below delta theta*_i,
+    and a stop that needs every theta_i above that, as ``hitting_time``'s
+    does, is false inside a jump whenever it is false at its start.
+
     Once the run ends, a coordinate decreasing from one step end to the next
     by more than 1e-8 times its cap max(theta*_i, theta_i(0)) raises
     ``MonotonicityViolated`` on the first such step. Trajectories are
@@ -148,8 +163,10 @@ def simulate(
     rate = float(np.linalg.eigvalsh(root[:, None] * instance.M * root)[-1])
     h_stab = 2.8 / (abs(log_eps) * rate)
 
-    dense = integrate(flow_product(instance.M, instance.r, log_eps), log_eps,
-                      init.w0, s_max, tol, h_stab, stop)
+    M, r = instance.M, instance.r
+    quiet = (QUIET_DELTA * abs(log_eps) * r, QUIET_DELTA * r.min() / np.abs(M).max())
+    dense = integrate(flow_product(M, r, log_eps), log_eps, init.w0, s_max, tol, h_stab,
+                      stop, quiet)
     if stop is not None:
         s_grid = s_grid[s_grid <= dense.s_max]
     trajectory = Trajectory(instance, init, s_grid, dense)
@@ -238,6 +255,12 @@ def hitting_time(
     Integration stops at the first accepted step whose end row has
     ``_ball_gap`` <= 0, the step ``hitting_time_on``'s scan roots: a row
     sums as it does in the scan. ``NotReached`` is raised if none does.
+    A hit never falls inside one of ``simulate``'s jumps: inside a jump
+    either theta stays as at the jump's start, where the stop was false, or
+    a coordinate stays below delta theta*_i, so its gap alone exceeds
+    (1 - delta) theta*_i > eta for any eta below (1 - delta) min theta*. In
+    the last 1e-15 of eta's range a hit inside a jump is caught at its end
+    and rooted on its linear row.
     Monotonicity is certified up to the stop's step only: a drop after the
     hit does not raise ``MonotonicityViolated``.
     """

@@ -6,7 +6,9 @@ Q = du/ds = L (M theta - r), with u in the row above the Q's, so a stage is
 three calls: one dot of [1, h a] with those rows for its exponent
 u + h (a . Q), one exp and one product (the last stage adds the step's
 increment to u instead). The right-hand side is bounded along
-trajectories, so plain explicit adaptive stepping suffices.
+trajectories, so plain explicit adaptive stepping suffices. Quiet stretches,
+where the coordinates that matter sit at a stationary point and the others
+grow log-linearly, are stepped over in one closed-form row each.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ORDER_EXP = -1.0 / 5.0
+# The quiet test runs only after a step at the cap whose RMS error estimate
+# in w is below this, the roundoff of an O(1) state: the stages of a step
+# in a quiet stretch differ by roundoff, and no other step pays the test.
+_QUIET_ERR = 1e-15
 
 
 @dataclass
@@ -53,6 +59,7 @@ class IntegratorStats:
     rejected: int = 0
     max_step: float = 0.0
     rhs_evaluations: int = 0
+    jumps: int = 0
 
 
 class DenseOutput:
@@ -61,9 +68,11 @@ class DenseOutput:
 
     A step's row holds u at its start, its increment, and h Q of its first
     and last stage and their D-combination; a query forms the quartic of the
-    steps it reads. The one query-range rule of a trajectory: [0, s_max],
-    and past it a relative 1e-12 plus an absolute 1e-15, up to
-    s_max (1 + 1e-12) + 1e-15, which reads the value at s_max.
+    steps it reads. A jump's row holds u, its increment three times and 0,
+    which that quartic reads as the line between its ends. The one
+    query-range rule of a trajectory: [0, s_max], and past it a relative
+    1e-12 plus an absolute 1e-15, up to s_max (1 + 1e-12) + 1e-15, which
+    reads the value at s_max.
     """
 
     def __init__(self, knots: np.ndarray, rows: np.ndarray, stats: IntegratorStats):
@@ -107,6 +116,7 @@ def integrate(
     tol: float,
     max_step: float,
     step_callback: Callable[[np.ndarray], bool] | None = None,
+    quiet: tuple[np.ndarray, float] | None = None,
 ) -> DenseOutput:
     """Integrate u = log_eps * w from w(0) = w0 at s = 0 to s_end and return
     its dense output, which carries the run's ``stats``.
@@ -116,10 +126,28 @@ def integrate(
     is ``tol |log_eps|`` in u: an absolute ``tol`` in w, a relative
     ``|log_eps| tol`` in theta. No step exceeds ``max_step``, and the first
     attempt is ``max_step`` clipped to the span. If given,
-    ``step_callback(theta_new)`` is called after each accepted step and may
-    return true to end the run there, at the dense output's ``s_max``;
-    ``theta_new`` is a copy of the step's last stage, bit for bit exp(u) at
-    that end of ``step_ends``. A span too short for one step is ``OutOfRange``.
+    ``step_callback(theta_new)`` is called after each accepted step and each
+    jump, and may return true to end the run there, at the dense output's
+    ``s_max``; ``theta_new`` is a copy of the stage at that end, bit for bit
+    exp(u) at that end of ``step_ends``. A span too short for one step is
+    ``OutOfRange``.
+
+    ``quiet = (q_max, theta_min)`` steps over quiet stretches in closed form.
+    A coordinate matters when its theta exceeds ``theta_min``. A step end is
+    quiet when every coordinate that matters has ``|Q_i| <= q_max_i`` and the
+    theta of the others sum below ``theta_min``. The test runs only after an
+    accepted step of ``max_step`` whose RMS error estimate in w,
+    ``err_norm * tol``, is below ``_QUIET_ERR``. From a quiet end the run
+    jumps to the s at which the first coordinate that does not matter
+    reaches ``theta_min``, or to ``s_end``, if that is more than ``max_step``
+    away. The coordinates that matter are frozen, every other u_i moves by
+    its Q_i times the jump's length, and the dense output stores the jump as
+    one linear row. One evaluation of ``f`` at the jump's end refreshes the
+    first stage, the hook is called there, and stepping resumes at
+    ``max_step``. A stop never becomes true inside a jump unless it is true
+    at one of its ends or holds with some theta_i <= ``theta_min``: inside,
+    the frozen coordinates keep their values, and the others stay at or
+    below ``theta_min``.
     """
     # The loop's end test, applied at s = 0.
     s_stop = s_end - 1e-14 * max(1.0, s_end)
@@ -137,8 +165,9 @@ def integrate(
     f(x[0], Q[0])
     h = max_step
 
-    # Accepted steps write their dense rows in place, doubling full buffers.
-    # Starting at the rows a run at the step cap fills avoids most doublings.
+    # Accepted steps and jumps write their dense rows in place, doubling full
+    # buffers. Starting at the rows a run at the step cap fills avoids most
+    # doublings.
     cap = max(64, int(min(s_end / max_step, 2**16)))
     knots, rows = np.zeros(cap + 1), np.empty((cap, 5, n))
     # At these sizes a step costs numpy calls, not flops: each attempt scales
@@ -149,53 +178,88 @@ def integrate(
     stages = [(hA[i, :i + 1], R[:i + 1], x[i, :n], x[i], Q[i]) for i in range(1, 6)]
     hb, he, hd, Q_b = hA[6, 1:7], hW[0], hW[1], Q[:6]
     u_new, theta_new, x_new, Q_new, Q_ends = np.empty(n), x[6, :n], x[6], Q[6], Q[::6]
-    steps, rejected, max_h, s, row = 0, 0, 0.0, 0.0, rows[0]
+    steps, rejected, jumps, max_h, s, row, jump = 0, 0, 0, 0.0, 0.0, rows[0], None
     while s < s_stop:
-        h = min(h, s_end - s, max_step)
-        if not h >= 1e-14 * max(1.0, s):
-            raise StepUnderflow(f"step {h:.3e} underflowed at s={s:.6g}")
+        if jump is None:
+            h = min(h, s_end - s, max_step)
+            if not h >= 1e-14 * max(1.0, s):
+                raise StepUnderflow(f"step {h:.3e} underflowed at s={s:.6g}")
 
-        np.multiply(_A, h, out=hA_h)
-        np.multiply(W, h, out=hW)
-        for a, R_prev, theta, xi, Qi in stages:
-            np.exp(a.dot(R_prev), out=theta)
-            f(xi, Qi)
-        # The last stage is at u + increment, as the step's dense row reads.
-        hb.dot(Q_b, out=row[1])
-        np.add(u, row[1], out=u_new)
-        np.exp(u_new, out=theta_new)
-        f(x_new, Q_new)
+            np.multiply(_A, h, out=hA_h)
+            np.multiply(W, h, out=hW)
+            for a, R_prev, theta, xi, Qi in stages:
+                np.exp(a.dot(R_prev), out=theta)
+                f(xi, Qi)
+            # The last stage is at u + increment, as the step's dense row reads.
+            hb.dot(Q_b, out=row[1])
+            np.add(u, row[1], out=u_new)
+            np.exp(u_new, out=theta_new)
+            f(x_new, Q_new)
 
-        q = he.dot(Q)
-        err_norm = math.sqrt(q.dot(q) / n)
+            q = he.dot(Q)
+            err_norm = math.sqrt(q.dot(q) / n)
 
-        # inf and NaN fail too, and max() makes their factor _MIN_FACTOR.
-        if not err_norm <= 1.0:
-            rejected += 1
-            h *= max(_MIN_FACTOR, _SAFETY * err_norm ** _ORDER_EXP)
-            continue
+            # inf and NaN fail too, and max() makes their factor _MIN_FACTOR.
+            if not err_norm <= 1.0:
+                rejected += 1
+                h *= max(_MIN_FACTOR, _SAFETY * err_norm ** _ORDER_EXP)
+                continue
 
+            np.multiply(Q_ends, h, out=row[2:4])
+            hd.dot(Q, out=row[4])
+            ds = h
+            steps += 1
+            max_h = max(max_h, h)
+        else:
+            # A linear row: the coordinates that matter stay, the others
+            # move at the rate of the step end the jump starts from.
+            ds, frozen = jump
+            np.multiply(Q_new, ds, out=row[1])
+            row[1, frozen] = 0.0
+            row[2:4] = row[1]
+            row[4] = 0.0
+            np.add(u, row[1], out=u_new)
+            np.exp(u_new, out=theta_new)
+            f(x_new, Q_new)
+            jumps += 1
         row[0] = u
-        np.multiply(Q_ends, h, out=row[2:4])
-        hd.dot(Q, out=row[4])
-        s += h
-        steps += 1
-        knots[steps] = s
-        max_h = max(max_h, h)
+        s += ds
+        knots[steps + jumps] = s
         u[...] = u_new
         Q[0] = Q_new  # FSAL
-        if steps == len(rows):
-            knots, rows = np.resize(knots, 2 * steps + 1), np.resize(rows, (2 * steps, 5, n))
-        row = rows[steps]
+        if steps + jumps == len(rows):
+            knots = np.resize(knots, 2 * len(rows) + 1)
+            rows = np.resize(rows, (2 * len(rows), 5, n))
+        row = rows[steps + jumps]
         if step_callback is not None and step_callback(theta_new.copy()):
             break
 
+        if jump is not None:
+            jump, h = None, max_step
+            continue
+        if quiet is not None and h == max_step and err_norm * tol < _QUIET_ERR:
+            jump = _quiet_jump(u, theta_new, Q_new, *quiet, s_end - s, max_step)
         h *= (_MAX_FACTOR if err_norm == 0.0
               else min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm ** _ORDER_EXP)))
 
-    # Six evaluations per attempted step, one before the first one.
-    stats = IntegratorStats(steps, rejected, max_h, 1 + 6 * (steps + rejected))
-    return DenseOutput(knots[: steps + 1], rows[:steps], stats)
+    # Six evaluations per attempted step, one before the first one and one
+    # at the end of each jump.
+    stats = IntegratorStats(steps, rejected, max_h, 1 + 6 * (steps + rejected) + jumps, jumps)
+    return DenseOutput(knots[: steps + jumps + 1], rows[:steps + jumps], stats)
+
+
+def _quiet_jump(u, theta, Q, q_max, theta_min, span, max_step):
+    """The jump from a step end at (u, theta, Q), or None if that end is not
+    quiet or the jump would be no longer than ``max_step``: its length, up
+    to the first s at which a coordinate that does not matter reaches
+    ``theta_min``, or ``span``, and the mask of the coordinates that matter."""
+    matters = theta > theta_min
+    rest = ~matters
+    if (np.abs(Q) > q_max)[matters].any() or not theta.sum(where=rest) < theta_min:
+        return None
+    grows = rest & (Q > 0.0)
+    ds = min(span, float(((math.log(theta_min) - u[grows]) / Q[grows]).min(initial=math.inf)))
+    return (ds, matters) if ds > max_step else None
 
 
 def flow_product(M: np.ndarray, r: np.ndarray, log_eps: float):

@@ -122,6 +122,32 @@ def recorded_integrate(run: bool = True):
             pass
 
 
+@contextmanager
+def step_budget(ends: int):
+    """Inside the block, each run of ``dynamics.integrate`` fails the test
+    once its hook has been called more than ``ends`` times, at step and jump
+    ends, so that a run that would not end fails by count, not by hanging.
+    The hook returns what the run's own hook returns, so the run is the
+    same bit for bit."""
+    signature = inspect.signature(integrate)
+
+    def budgeted(*args, **kwargs):
+        arguments = signature.bind(*args, **kwargs).arguments
+        callback, calls = arguments.get("step_callback"), [0]
+
+        def hook(theta):
+            calls[0] += 1
+            if calls[0] > ends:
+                pytest.fail(f"integrate passed {ends} step and jump ends")
+            return callback is not None and callback(theta)
+
+        return integrate(**{**arguments, "step_callback": hook})
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dynamics, "integrate", budgeted)
+        yield
+
+
 def hitting_stop(target: np.ndarray, eta: float):
     """The stop ``hitting_time`` hands ``integrate`` for the eta-ball around
     ``target``, on the instance M = I, r = target, whose M^{-1} r is

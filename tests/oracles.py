@@ -42,6 +42,7 @@ from dlnflow.integrate import (
     _MAX_FACTOR,
     _MIN_FACTOR,
     _ORDER_EXP,
+    _QUIET_ERR,
     _SAFETY,
     IntegratorStats,
 )
@@ -309,16 +310,28 @@ def integrate_reference(
     max_step: float = np.inf,
     step_callback: Callable[[float, np.ndarray, float, np.ndarray], None] | None = None,
     stop: Callable[[np.ndarray], bool] | None = None,
+    quiet: tuple[float, np.ndarray, np.ndarray, float] | None = None,
 ) -> ReferenceRun:
     """Integrate y' = f(s, y) from s0 to s_end.
 
     Error control is mixed (atol + rtol * |y|) and RMS-normed over every
     component. The first attempt is ``max_step`` clipped to the span, after
     one evaluation of ``f`` at s0, as in ``integrate.integrate``. After each
-    accepted step
+    accepted step and each jump
     ``step_callback(s_old, y_old, s_new, y_new)`` may raise to abort with a
     domain-specific diagnosis. Then, if ``stop(y_new)`` is true, integration
     ends there: the result's ``s`` and ``y`` are that step's endpoint.
+
+    ``quiet = (delta, M, r, log_eps)`` says that y is w of the flow
+    ``w' = M exp(log_eps w) - r`` and jumps over its quiet stretches. With
+    theta = exp(log_eps w), a coordinate matters when
+    ``theta_i max|M| > delta min r``. After a step at ``max_step`` whose
+    RMS error estimate ``err_norm * atol`` is below ``_QUIET_ERR``, the end
+    is quiet when each coordinate that matters has ``|w'_i| <= delta r_i``
+    and the theta of the others sum below ``delta min r / max|M|``. Then
+    the run goes, in one linear row, to the first s at which another w_i,
+    moving at its w'_i, reaches that bound, or to s_end, if that is further
+    than ``max_step``; the coordinates that matter do not move.
     """
     y = np.array(y0, dtype=float)
     n = y.size
@@ -377,6 +390,36 @@ def integrate_reference(
         k[0] = k[6]  # FSAL
         if stop is not None and stop(y):
             break
+
+        if quiet is not None and h == max_step and err_norm * atol < _QUIET_ERR:
+            delta, M_q, r_q, log_eps = quiet
+            m_max, r_min = np.max(np.abs(M_q)), np.min(r_q)
+            theta = np.exp(log_eps * y)
+            matters = theta * m_max > delta * r_min
+            slope = k[0]
+            if (np.all(np.abs(slope[matters]) <= delta * r_q[matters])
+                    and np.sum(theta[~matters]) < delta * r_min / m_max):
+                w_edge = math.log(delta * r_min / m_max) / log_eps
+                dt = s_end - s
+                for i in np.flatnonzero(~matters & (slope < 0.0)):
+                    dt = min(dt, (w_edge - y[i]) / slope[i])
+                if dt > max_step:
+                    dw = np.where(matters, 0.0, dt * slope)
+                    zero = np.zeros(n)
+                    lefts.append(s)
+                    widths.append(dt)
+                    conts.append(np.stack([y, dw, zero, zero, zero]))
+                    if step_callback is not None:
+                        step_callback(s, y, s + dt, y + dw)
+                    s += dt
+                    y = y + dw
+                    k[0] = f(s, y)
+                    stats.rhs_evaluations += 1
+                    stats.jumps += 1
+                    if stop is not None and stop(y):
+                        break
+                    h = max_step
+                    continue
 
         if err_norm == 0.0:
             factor = _MAX_FACTOR

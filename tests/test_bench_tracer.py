@@ -46,7 +46,8 @@ def test_install_restores_every_attribute(tracer):
 def test_integrator_counters_match_its_stats(tracer):
     # The tracer binds integrate's f and step_callback by name and reads the
     # result's stats; its counters must agree with what the integrator says.
-    # Only a run with a stop has a step callback; one without makes no call.
+    # Only a run with a stop has a step callback, called at every step and
+    # jump end; one without makes no call.
     instance, _ = generate_direct(4, 7)
     init = Initialization(C=np.ones(4), k=np.ones(4), epsilon=1e-12)
     recorder = tracer.Tracer()
@@ -59,7 +60,7 @@ def test_integrator_counters_match_its_stats(tracer):
     assert counts["integrate.steps"] == stats.steps
     assert counts["integrate.rejected"] == stats.rejected
     assert counts["integrate.rhs.calls"] == stats.rhs_evaluations
-    assert counts["integrate.callback.calls"] == stats.steps
+    assert counts["integrate.callback.calls"] == stats.steps + stats.jumps
     assert recorder.counts[1]["integrate.steps"] == stats.steps
     assert recorder.counts[1]["integrate.callback.calls"] == 0
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import BAD_DATA_FILES, deadline
+from conftest import BAD_DATA_FILES, deadline, step_budget
 from dlnflow import (compute_path, dynamics, experiments, generate_direct, lcp,
                      problem, save_instance)
 from dlnflow.cli import main
@@ -364,6 +364,18 @@ class TestExperimentsCommands:
         assert not (tmp_path / "compare.partial.json").exists()
         partial = json.loads((out_dir / "compare.partial.json").read_text())
         assert [row["epsilon"] for row in partial["rows"]] == [1e-6]
+
+    def test_compare_to_the_largest_span(self, runner, tmp_path):
+        # Past s* every run is one jump to s_max, however far that is.
+        inst = tmp_path / "inst.json"
+        save_instance(generate_direct(4, 7)[0], inst)
+        with step_budget(1000):
+            result = invoke(runner, [
+                "--out-dir", str(tmp_path), "compare", "--instance", str(inst),
+                "--epsilons", "1e-8,1e-12,1e-300", "--s-max", "1e300"])
+        assert result.exit_code == 0
+        rows = json.loads((tmp_path / "compare.json").read_text())["rows"]
+        assert len(rows) == 3 and all(row["hitting_reached"] for row in rows)
 
     def test_hitting_time_flags(self, runner, tmp_path):
         inst = tmp_path / "inst.json"

@@ -6,11 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from conftest import hitting_stop, random_instance, recorded_integrate, scalar_logistic
+from conftest import (
+    hitting_stop,
+    random_instance,
+    recorded_integrate,
+    scalar_logistic,
+    step_budget,
+)
 from dlnflow import (
     Initialization,
     ProblemInstance,
     compute_path,
+    dynamics,
     fixed_point,
     generate_direct,
     hitting_time,
@@ -24,7 +31,7 @@ from dlnflow.errors import (
     NotReached,
     OutOfRange,
 )
-from dlnflow.integrate import integrate
+from dlnflow.integrate import flow_product, integrate
 from oracles import in_invariant_region, lyapunov
 
 TIGHT_TOL = 1e-11
@@ -193,10 +200,50 @@ class TestTrajectoryStructure:
         with pytest.raises(DomainError):
             simulate(separable_instance, make_init(3, 1e-8), 1.0)
 
-    def test_stats_exposed(self, separable_instance):
-        traj = simulate(separable_instance, make_init(2, 1e-8), 1.5)
-        assert traj.stats.steps > 0
-        assert traj.stats.max_step > 0
+    def test_stats_exposed(self, separable_instance, monkeypatch):
+        # rhs_evaluations counts every product with the flow: one before the
+        # first step, six per attempted step and one at each jump's end. The
+        # run to s = 15 jumps over its converged tail.
+        products = []
+
+        def counted(*args):
+            f = flow_product(*args)
+            return lambda x, out: products.append(x) or f(x, out)
+
+        monkeypatch.setattr(dynamics, "flow_product", counted)
+        for s_max, jumps in ((1.5, 0), (15.0, 1)):
+            products.clear()
+            stats = simulate(separable_instance, make_init(2, 1e-8), s_max).stats
+            assert stats.steps > 0
+            assert stats.max_step > 0
+            assert stats.jumps == jumps
+            assert stats.rhs_evaluations == len(products) == (
+                1 + 6 * (stats.steps + stats.rejected) + stats.jumps)
+
+
+class TestQuietStretches:
+    """simulate jumps over the quiet stretches of a run in closed form."""
+
+    def test_the_converged_tail_is_one_jump(self):
+        # `gen --d 4 --seed 7` at eps = 1e-300 has converged by s = 10, so
+        # longer runs take the same steps and end on M^{-1} r. Without jumps
+        # the run to s = 1000 takes 294,913 steps.
+        inst, _ = generate_direct(4, 7)
+        with step_budget(1000):
+            runs = [simulate(inst, make_init(4, 1e-300), s_max)
+                    for s_max in (10.0, 100.0, 1000.0)]
+        assert len({(t.stats.steps, t.stats.rejected, t.stats.jumps) for t in runs}) == 1
+        for traj in runs:
+            assert np.max(np.abs(traj.theta[-1] - inst.minimizer())) <= 1e-12
+
+    def test_a_drop_on_the_first_step_raises_after_a_short_run(self, tridiag_instance):
+        # theta(0) = (5, 5) lies outside the invariant region, so the first
+        # step drops. The certificate reads the run once its span is
+        # integrated, and the converged tail to s = 1000 is one jump.
+        init = make_init(2, 0.5, C=[10.0, 10.0])
+        with step_budget(1000), pytest.raises(MonotonicityViolated,
+                                              match=r"^theta_0 decreased .* over \[0, "):
+            simulate(tridiag_instance, init, 1e3)
 
 
 class TestDynamicsInvariants:
@@ -397,9 +444,10 @@ class TestHittingTime:
     @pytest.mark.parametrize("d, eps", [(8, 1e-12), (32, 1e-300)])
     def test_step_theta_is_the_trajectory_theta(self, d, eps):
         # simulate hands its stop to integrate, which calls it with the
-        # step's last stage as theta; hitting_time_on then scans the
-        # trajectory's theta at the step ends for the first inside the ball,
-        # so the two must agree bit for bit. A run without a stop has no hook.
+        # step's last stage as theta, at every step end and jump end;
+        # hitting_time_on then scans the trajectory's theta at those ends for
+        # the first inside the ball, so the two must agree bit for bit. A run
+        # without a stop has no hook.
         inst, _ = generate_direct(d, 5)
         C, k = np.random.default_rng(d).uniform(0.5, 2.0, size=(2, d))
         init = Initialization(C=C, k=k, epsilon=eps)
@@ -411,7 +459,8 @@ class TestHittingTime:
                             stop=lambda theta: np.linalg.norm(theta - target) <= eta)
             simulate(inst, init, s_max)
         steps = calls[0]["steps"]
-        assert traj.s_max < s_max and len(steps) == traj.stats.steps
+        assert traj.s_max < s_max
+        assert len(steps) == traj.stats.steps + traj.stats.jumps
         np.testing.assert_array_equal(steps, traj.theta_knots[1:])
         np.testing.assert_array_equal(traj.theta_at(traj.knots), traj.theta_knots)
         assert not (traj.knots.flags.writeable or traj.theta_knots.flags.writeable)

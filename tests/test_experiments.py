@@ -10,11 +10,12 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import scalar_logistic
+from conftest import scalar_logistic, step_budget
 from dlnflow import (
     ProblemInstance,
     compute_path,
     from_data,
+    generate_direct,
     generate_rejection,
     loss,
     run_compare,
@@ -138,6 +139,17 @@ class TestRunHitting:
             exact = 2 * np.log(9.0) / np.log(1.0 / eps)
             assert gaps[eps] == pytest.approx(exact, rel=1e-4)
         assert gaps[1e-20] < gaps[1e-8]
+
+    @pytest.mark.parametrize("k_last", [1e4, 1e8])
+    def test_a_late_coordinate_is_reached_after_one_long_jump(self, k_last):
+        # With k = (1, 1, 1, k_last) on `gen --d 4 --seed 7`, s* grows like
+        # k_last, and the plateau before the last activation is one jump.
+        # Without jumps k_last = 1e4 takes 13 s, and 1e8 does not end.
+        inst, _ = generate_direct(4, 7)
+        with step_budget(2000):
+            table = run_hitting(inst, np.ones(4), [1.0, 1.0, 1.0, k_last], [1e-12])
+        row, = table.rows
+        assert row.reached and row.relative_error <= 1e-5
 
     def test_not_reached_flagged(self, scalar_instance):
         table = run_hitting(scalar_instance, [1.0], [1.0], [1e-8],

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import deadline, recorded_integrate, scalar_logistic
 from dlnflow import Initialization, compute_path, dynamics, generate_direct
+from dlnflow.dynamics import QUIET_DELTA
 from dlnflow.errors import OutOfRange, StepUnderflow
 from dlnflow.integrate import _A, _D, _E, flow_product, integrate
 from oracles import _C, integrate_reference
@@ -252,22 +253,28 @@ def test_loop_matches_the_reference_bit_for_bit(case):
 
     res = integrate(**args, step_callback=callback)
     M, r = np.asarray(M, dtype=float), np.asarray(r, dtype=float)
+    # simulate's runs jump over quiet stretches; the reference is handed the
+    # flow and delta and forms its own thresholds, in w.
+    quiet = (QUIET_DELTA, M, r, log_eps) if "quiet" in args else None
     ref = integrate_reference(lambda s, y: M @ np.exp(y * log_eps) - r, 0.0,
                               args["w0"], args["s_end"], rtol=0.0,
                               atol=args["tol"], max_step=args["max_step"],
                               step_callback=lambda *step: reference_calls.append(step),
-                              stop=reference_stop)
-    # The same steps, accepted and rejected.
-    assert (res.stats.steps, res.stats.rejected, res.stats.rhs_evaluations) == (
-        ref.stats.steps, ref.stats.rejected, ref.stats.rhs_evaluations)
+                              stop=reference_stop, quiet=quiet)
+    # The same steps, accepted and rejected, and the same jumps.
+    assert (res.stats.steps, res.stats.rejected, res.stats.jumps,
+            res.stats.rhs_evaluations) == (ref.stats.steps, ref.stats.rejected,
+                                           ref.stats.jumps, ref.stats.rhs_evaluations)
     assert res.stats.max_step == pytest.approx(ref.stats.max_step, rel=1e-9)
     if case == "rejections":
         assert res.stats.rejected > 0
     if case == "extreme-d32":
         # More steps than a run at the h_stab cap, which sizes the dense
-        # buffer, so the buffer grew; the longest steps are at the cap.
+        # buffer, so the buffer grew; the longest steps are at the cap, and
+        # quiet stretches were jumped.
         assert res.stats.steps > args["s_end"] / args["max_step"] > 64
         assert res.stats.max_step == args["max_step"]
+        assert res.stats.jumps > 0
     # Step sizes follow the error estimate, a difference of nearly equal
     # stages, so they agree only to about 1e-11; the states on a common
     # grid agree to roundoff. The loop's dense output is in u = log_eps * w.
@@ -278,6 +285,31 @@ def test_loop_matches_the_reference_bit_for_bit(case):
     # The hook saw as many steps, each with theta = exp(u).
     assert len(calls) == len(reference_calls)
     np.testing.assert_array_equal(calls, np.exp(res.step_ends[1][1:]))
+
+
+@pytest.mark.parametrize("d, seed", [(4, 7), (16, 3)])
+def test_a_jump_over_the_converged_tail_keeps_w_within_delta(d, seed):
+    """At eps = 1e-12 the one quiet stretch is the converged tail, so the
+    run takes the steps of the jump-free run up to it, then one jump to
+    s_end. The jump starts where every coordinate matters and the computed
+    |r - M theta| <= delta r. Its true value is within the roundoff
+    gamma (|M| theta* + r) of that, gamma = (d + 1) e for unit roundoff e
+    (the product with [M, -r]), and M^{-1} >= 0, so
+    |theta - theta*| <= M^{-1} (delta r + gamma (|M| theta* + r)) =: b theta*.
+    The jump-free run stays in that band of theta*, which it tends to, so
+    the two differ in w by at most 2 log(1 / (1 - b)) / |log eps|."""
+    args, (M, r) = simulated(d, seed, 1e-12, s_end=20.0)
+    jumping = integrate(**args)
+    free = integrate(**{key: value for key, value in args.items() if key != "quiet"})
+    assert (jumping.stats.jumps, free.stats.jumps) == (1, 0)
+    assert jumping.stats.steps < free.stats.steps
+    theta_star = np.linalg.solve(M, r)
+    gamma = (d + 1) * np.finfo(float).eps / 2
+    b = np.max(np.linalg.solve(M, QUIET_DELTA * r + gamma * (np.abs(M) @ theta_star + r))
+               / theta_star)
+    s = np.linspace(0.0, args["s_end"], 2001)
+    gap = np.abs(jumping(s) - free(s)) / -args["log_eps"]
+    assert np.max(gap) <= -2.0 * math.log1p(-b) / -args["log_eps"]
 
 
 @pytest.mark.parametrize("case", ["rejections", "extreme-d32"])
