@@ -4,11 +4,13 @@ Given q and such a matrix M (a K-matrix), find (w, z) with
 
     w = q + M z,    w >= 0,    z >= 0,    w^T z = 0.
 
-K-matrices make the solution unique and monotone in q, which the pivoting
-solver exploits: inverses of principal submatrices have nonnegative entries,
-so growing the active set never pushes a primal coordinate negative; one
-Cholesky factor, extended a row per activation, serves every solve. A
-projected-gradient bound-constrained QP solver is an independent
+K-matrices make the solution unique and antitone in q, and the solution
+z(s) of LCP(k - s r, M) for k, r >= 0 is a homotopy whose support only
+grows: inverses of principal submatrices have nonnegative entries, so
+growing the active set never pushes a primal coordinate negative, and one
+Cholesky factor, extended a row per activation, serves every segment.
+``solve_lcp`` follows that homotopy to s = 1 and the limit path to its end.
+A projected-gradient bound-constrained QP solver is an independent
 cross-check; the test suite keeps a brute-force support enumerator as a
 second one (``tests/oracles.py``).
 """
@@ -26,12 +28,13 @@ from .errors import (
     MaxIterations,
     NonFinite,
     NotKMatrix,
-    PositivityViolation,
     SingularSubmatrix,
 )
 
 # Strict-inequality threshold, relative to the scale of what it bounds.
 STRICT_TOL = 1e-12
+# A dual root within this relative distance of a breakpoint joins there.
+BREAKPOINT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -133,42 +136,65 @@ class ActiveSetCholesky:
         return x.T.reshape(self._shape)
 
 
-def solve_lcp(q, M) -> LcpSolution:
-    """Solve the complementarity problem by Chandrasekaran's method.
+def homotopy(M: np.ndarray, k: np.ndarray, r: np.ndarray, s_end: float):
+    """Follow z(s), the solution of LCP(k - s r, M), from s = 0 to ``s_end``.
 
-    Starting from z = 0, the coordinate with the most negative dual value
-    joins the active set, its row is appended to the Cholesky factor and
-    the principal system is re-solved. For K-matrices the primal iterates
-    are monotone, so no coordinate leaves and at most d additions are
-    needed; a primal value below -STRICT_TOL * max|z| raises
-    ``PositivityViolation``. No threshold is absolute, so ``(c q, M)`` has
-    the solution ``c z``, with the same support, at any scale c > 0.
+    On an active set I, z and the dual w = k - s r + M z are affine in s,
+    z_I solving M_II z_I = (s r - k)_I. An inactive dual line falling to 0
+    has a root; the earliest one is the next breakpoint and only its
+    coordinate joins there, and a root within a relative ``BREAKPOINT_TOL``
+    of the current breakpoint, such as the rest of a tie, joins it on the
+    next pass. Coordinates never leave, and a root at or past ``s_end``
+    does not join. Yields each segment as its starting breakpoint, its
+    active set in join order, and z's intercept and slope on it.
+    """
+    rhs = np.column_stack([-k, r])
+    factor = ActiveSetCholesky(M, rhs)
+    s_cur = 0.0
+    while True:
+        lines = factor.solve()
+        # Both dual lines, w = w_int + s w_slp, from one product with M.
+        w_int, w_slp = (M @ lines - rhs).T
+        # The upcoming zeros of the inactive dual lines.
+        roots = np.divide(-w_int, w_slp, out=np.full(len(M), np.inf),
+                          where=w_slp < 0.0)
+        roots[factor.order] = np.inf
+        # A root within a relative tolerance of s_cur joins at s_cur: joins
+        # only pull the other roots earlier, so a skipped one never returns.
+        late = np.flatnonzero(roots <= s_cur + BREAKPOINT_TOL * s_cur)
+        if late.size:
+            factor.append(late)
+            continue
+        yield s_cur, tuple(factor.order), *lines.T
+        j = int(np.argmin(roots))
+        s_cur = float(roots[j])
+        if not s_cur < s_end:
+            return
+        factor.append([j])
+
+
+def solve_lcp(q, M) -> LcpSolution:
+    """Solve the complementarity problem as the :func:`homotopy` at s = 1.
+
+    With k = max(q, 0) and r = max(-q, 0), k - r = q exactly, so z(1)
+    solves LCP(q, M). Every coordinate with q_i < 0 has its root at 0 and
+    joins at once; a root at s = 1 does not join, so a degenerate
+    coordinate (w_i = z_i = 0) stays out of the support. The join rule is
+    the only threshold, relative, and k and r scale exactly with q, so
+    ``(c q, M)`` has the solution ``c z``, with the same support, at any
+    scale c > 0.
     """
     q = _finite_array(q, "q", (None,))
     M = _finite_array(M, "M", (q.size, q.size))
     check_k_matrix(M)
-    factor = ActiveSetCholesky(M, -q)
-    while True:
-        z = factor.solve()
-        if np.min(z) < -STRICT_TOL * np.max(np.abs(z)):
-            raise PositivityViolation(
-                f"primal value {np.min(z):.3e} on active set {factor.order}"
-            )
-        z = np.maximum(z, 0.0)
-        Mz = M @ z
-        w = q + Mz
-        # w is zero on the active set, so only inactive coordinates violate;
-        # there M z <= 0, and a violation stands out from |q| + |M z|.
-        w[factor.order] = 0.0
-        violated = np.flatnonzero(w < -STRICT_TOL * (np.abs(q) + np.abs(Mz)))
-        if violated.size == 0:
-            break
-        factor.append([violated[np.argmin(w[violated])]])
-
-    # A coordinate joins with a violation, which makes its z positive.
+    for _, order, z_int, theta in homotopy(M, np.maximum(q, 0.0), np.maximum(-q, 0.0),
+                                           1.0):
+        pass
+    z = np.maximum(z_int + theta, 0.0)
+    w = q + M @ z
+    w[list(order)] = 0.0
     support = tuple(np.flatnonzero(z > 0.0).tolist())
-    w = np.maximum(w, 0.0)
-    return LcpSolution(w=w, z=z, support=support)
+    return LcpSolution(w=np.maximum(w, 0.0), z=z, support=support)
 
 
 def solve_qp_nonneg(q, M, tol: float = 1e-10, max_iter: int = 500_000) -> np.ndarray:
@@ -176,7 +202,7 @@ def solve_qp_nonneg(q, M, tol: float = 1e-10, max_iter: int = 500_000) -> np.nda
 
     Projected gradient descent with the fixed step 1/lambda_max(M), run
     until the unit-step projected-gradient residual drops below ``tol``.
-    Deliberately independent of the pivoting code path.
+    Deliberately independent of the homotopy code path.
     """
     q = _finite_array(q, "q", (None,))
     M = _finite_array(M, "M", (q.size, q.size))

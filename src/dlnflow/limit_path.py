@@ -35,9 +35,9 @@ from .errors import (
     PositivityViolation,
 )
 from .fixed_points import POSITIVITY_TOL, fixed_point  # noqa: F401
+from .lcp import BREAKPOINT_TOL
 from .problem import ProblemInstance, _positive_array
 
-BREAKPOINT_TOL = 1e-12
 SEGMENT_CHECK_TOL = 1e-9
 
 
@@ -84,77 +84,48 @@ class LimitPath:
 
 
 def compute_path(instance: ProblemInstance, k) -> LimitPath:
-    """Exact homotopy in s.
+    """Exact homotopy in s, :func:`lcp.homotopy` run to s = infinity.
 
-    The empty active set is valid on (0, min_i k_i / r_i). With active set
-    I, the inactive dual coordinates are affine in s; the next breakpoint
-    is the smallest root beyond the current one, and only its coordinate
-    activates there; a root within tolerance of the current breakpoint,
-    such as the rest of a tie, joins it on the next pass. Coordinates never
-    deactivate, so the loop ends at the first segment with the full set;
-    the last breakpoint is the convergence time, cross-checked against its
-    closed form max_i (M^{-1} k)_i / (M^{-1} r)_i. Activations append rows
-    to one Cholesky factor of M[I, I], whose order is the active set. A
-    segment's stationary point is its slope M_II^{-1} r_I. After the loop,
-    every segment's KKT certificate is checked in one pass
-    (``_certify_path``), which names the first segment that fails.
+    The empty active set is valid on (0, min_i k_i / r_i). Each breakpoint
+    activates the coordinate with the earliest root; coordinates never
+    deactivate, so the last segment must carry the full set, and the last
+    breakpoint is the convergence time, cross-checked against its closed
+    form max_i (M^{-1} k)_i / (M^{-1} r)_i. A segment's stationary point is
+    its slope M_II^{-1} r_I. After the loop, every segment's KKT
+    certificate is checked in one pass (``_certify_path``), which names
+    the first segment that fails.
     Against the exact rational path of its float data, the path merges each
     cluster of roots within a relative ``BREAKPOINT_TOL`` of its earliest
     there: active sets are then equal, breakpoints within a few ulps of the
     exact ones, and the exact s* is its closed form.
     """
     k = _positive_array(k, "k", (instance.d,))
-    M, r, d = instance.M, instance.r, instance.d
-
-    rhs = np.column_stack([-k, r])
-    factor = lcp.ActiveSetCholesky(M, rhs)
+    M, r = instance.M, instance.r
     # M_II^{-1} >= diag(M_II)^{-1} entrywise, so theta_i >= r_i / M_ii on I.
     positivity_floor = POSITIVITY_TOL * r / np.diag(M)
-    s_cur = 0.0
-    breakpoints: list[float] = []
+    starts: list[float] = []
     segments: list[PathSegment] = []
-
-    while True:
-        active = sorted(factor.order)
-        lines = factor.solve()
-        z_int, theta = lines.T
-        # Both dual lines, w = w_int + s w_slp, from one product with M.
-        w_int, w_slp = (M @ lines - rhs).T
+    for s, order, z_int, theta in lcp.homotopy(M, k, r, math.inf):
+        active = sorted(order)
         if np.any(theta[active] <= positivity_floor[active]):
             raise PositivityViolation(
                 f"stationary point on {active} not positive: {theta[active]}"
             )
-
-        # The upcoming zeros of the inactive dual lines.
-        roots = np.divide(-w_int, w_slp, out=np.full(d, np.inf), where=w_slp < 0.0)
-        roots[active] = np.inf
-        # A root within a relative tolerance of s_cur joins at s_cur: joins
-        # only pull the other roots earlier, so a skipped one never returns.
-        late = np.flatnonzero(roots <= s_cur + BREAKPOINT_TOL * s_cur)
-        if late.size:
-            factor.append(late)
-            continue
-
+        starts.append(s)
         segments.append(PathSegment(active=tuple(active), z_intercept=z_int,
                                     theta_star=theta))
-        if len(active) == d:
-            break
-        j = int(np.argmin(roots))
-        s_cur = float(roots[j])
-        if not np.isfinite(s_cur):
-            raise PathInconsistent(
-                f"no upcoming activation from active set {active}; "
-                f"the full set must eventually activate"
-            )
-        breakpoints.append(s_cur)
-        factor.append([j])
+    if len(active) < instance.d:
+        raise PathInconsistent(
+            f"no upcoming activation from active set {active}; "
+            f"the full set must eventually activate"
+        )
 
-    path = LimitPath(breakpoints=np.array(breakpoints), segments=tuple(segments))
+    path = LimitPath(breakpoints=np.array(starts[1:]), segments=tuple(segments))
     _certify_path(instance, k, path)
     closed_form = float(np.max(instance.solve(k) / instance.minimizer()))
-    if abs(s_cur - closed_form) > 1e-9 * closed_form:
+    if abs(path.s_star - closed_form) > 1e-9 * closed_form:
         raise PathInconsistent(
-            f"path terminal breakpoint {s_cur!r} disagrees with closed form "
+            f"path terminal breakpoint {path.s_star!r} disagrees with closed form "
             f"{closed_form!r}"
         )
     return path

@@ -1,10 +1,11 @@
 """Test oracles: routes to the package's answers that do not go through the
 code they check.
 
-``solve_lcp_bruteforce`` enumerates every support instead of pivoting on
-the incremental Cholesky kernel, and ``residuals`` measures how far a pair
-is from solving its problem; ``solve_limit_lcp`` and ``mu`` solve the
-parametric problem pointwise instead of following the path homotopy;
+``solve_lcp_bruteforce`` enumerates every support instead of following the
+homotopy on the incremental Cholesky kernel that both ``solve_lcp`` and
+``compute_path`` run, and ``residuals`` measures how far a pair is from
+solving its problem; ``solve_limit_lcp`` and ``mu`` solve the parametric
+problem pointwise by that enumeration, so d <= 20;
 ``lyapunov`` and ``in_invariant_region`` are diagnostics of trajectories;
 ``integrate_reference`` is a generic list-based Dormand-Prince loop, whose
 steps ``integrate.integrate`` must repeat and whose states it must match up
@@ -24,7 +25,6 @@ from typing import Callable
 
 import numpy as np
 
-from dlnflow import lcp
 from dlnflow.errors import (
     DimensionTooLarge,
     DomainError,
@@ -79,7 +79,7 @@ def residuals(sol: LcpSolution, q: np.ndarray, M: np.ndarray) -> dict[str, float
 
 
 def solve_lcp_bruteforce(q, M) -> LcpSolution:
-    """Solve by enumerating all 2^d supports; oracle for the pivoting path.
+    """Solve by enumerating all 2^d supports; oracle for the homotopy.
 
     A support I passes when z_I = -(M_II)^{-1} q_I is strictly positive and
     the induced dual vector is nonnegative. Uniqueness of the passing
@@ -123,11 +123,12 @@ def solve_lcp_bruteforce(q, M) -> LcpSolution:
 
 
 def solve_limit_lcp(instance: ProblemInstance, k, s: float) -> LcpSolution:
-    """Pointwise solve of the parametric problem at rescaled time s."""
+    """Pointwise solve of the parametric problem at rescaled time s, by
+    support enumeration."""
     k = _positive_array(k, "k", (instance.d,))
     if s <= 0.0:
         raise OutOfRange("s must be positive")
-    return lcp.solve_lcp(k - s * instance.r, instance.M)
+    return solve_lcp_bruteforce(k - s * instance.r, instance.M)
 
 
 def mu(instance: ProblemInstance, k, s: float) -> np.ndarray:

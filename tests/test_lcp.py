@@ -53,9 +53,14 @@ class TestSolveLcp:
 
     def test_degenerate_boundary_is_inactive(self):
         # Coordinate 0 has w_0 = z_0 = 0 exactly; it must not join the support.
-        sol = solve_lcp([0.0, -1.0], np.eye(2))
-        assert sol.support == (1,)
-        assert sol.z[0] == 0.0 and sol.w[0] == 0.0
+        # Uncoupled, its dual line stays flat; coupled, its root lands at
+        # exactly s = 1, the end of the homotopy.
+        for q, M in [([0.0, -1.0], np.eye(2)),
+                     ([1.0, -1.0], np.array([[2.0, -1.0], [-1.0, 1.0]]))]:
+            sol = solve_lcp(q, M)
+            assert sol.support == (1,)
+            np.testing.assert_array_equal(sol.z, [0.0, 1.0])
+            np.testing.assert_array_equal(sol.w, [0.0, 0.0])
 
     @pytest.mark.parametrize(
         "M",
@@ -196,8 +201,8 @@ class TestQpNonneg:
 
 class TestAgreementAndAntitonicity:
     def test_three_way_agreement(self, rng):
-        # Pivoting, enumeration and projected gradient are three independent
-        # routes to the same unique solution.
+        # The homotopy, enumeration and projected gradient are three
+        # independent routes to the same unique solution.
         for _ in range(60):
             d = int(rng.integers(1, 9))
             M = random_k_matrix(rng, d)

@@ -120,7 +120,9 @@ def planted_ties(draw):
     r_i and k_i depend only on the blocks of i and j, so a block's
     coordinates tie exactly, and coordinates 0 and 1 share a block. Then
     k_0 is scaled by 1 + delta, with delta 0 or of size 10^[-17, -13] or
-    10^[-11, -6], either sign: never within a factor 10 of MERGE_TOL."""
+    10^[-11, -6], either sign: never within a factor 10 of MERGE_TOL. A
+    third band, 10^[-14, -13], puts gaps just below that factor, where a
+    merge tolerance too small by 100 already splits the cluster."""
     d = draw(st.integers(2, 8))
     m = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -135,7 +137,8 @@ def planted_ties(draw):
     M = -off[blocks][:, blocks]
     np.fill_diagonal(M, diag[blocks])
     r, k = rng.uniform(0.3, 2.0, size=m)[blocks], rng.uniform(0.3, 3.0, size=m)[blocks]
-    exponent = draw(st.one_of(st.floats(-17.0, -13.0), st.floats(-11.0, -6.0)))
+    exponent = draw(st.one_of(st.floats(-17.0, -13.0), st.floats(-11.0, -6.0),
+                              st.floats(-14.0, -13.0)))
     delta = draw(st.sampled_from([0.0, 1.0, -1.0])) * 10.0 ** exponent
     k[0] *= 1.0 + delta
     return ProblemInstance(M=M, r=r), k
@@ -202,21 +205,24 @@ def test_rescaled_instance_gives_the_rescaled_path(d, seed, log10_b, log10_c_b,
 
 
 @properties
-@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(0.1, 5.0))
-def test_three_lcp_routes_agree(d, seed, scale):
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(0.1, 5.0),
+       st.sets(st.integers(0, 7)))
+def test_three_lcp_routes_agree(d, seed, scale, zeros):
     rng = np.random.default_rng(seed)
     M = random_k_matrix(rng, d)
     q = scale * rng.normal(size=d)
-    pivoting = solve_lcp(q, M)
+    # Exact zeros in q split into k_i = r_i = 0 for the homotopy.
+    q[[i for i in zeros if i < d]] = 0.0
+    homotopy = solve_lcp(q, M)
     exact = solve_lcp_bruteforce(q, M)
     theta = solve_qp_nonneg(q, M)
-    assert pivoting.support == exact.support
-    np.testing.assert_allclose(pivoting.z, exact.z, atol=AGREE_TOL)
-    np.testing.assert_allclose(pivoting.w, exact.w, atol=AGREE_TOL)
-    np.testing.assert_allclose(pivoting.z, theta, atol=AGREE_TOL)
+    assert homotopy.support == exact.support
+    np.testing.assert_allclose(homotopy.z, exact.z, atol=AGREE_TOL)
+    np.testing.assert_allclose(homotopy.w, exact.w, atol=AGREE_TOL)
+    np.testing.assert_allclose(homotopy.z, theta, atol=AGREE_TOL)
     # K-matrices make the solution antitone in q: raising q lowers z.
     q_up = q + np.abs(scale * rng.normal(size=d))
-    assert np.all(solve_lcp(q_up, M).z <= pivoting.z + AGREE_TOL)
+    assert np.all(solve_lcp(q_up, M).z <= homotopy.z + AGREE_TOL)
 
 
 @properties
