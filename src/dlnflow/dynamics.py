@@ -125,7 +125,11 @@ def simulate(
     theta*_i; the coordinates that matter are frozen. So along a jump theta
     either stays as at its start or has a coordinate below delta theta*_i,
     and a stop that needs every theta_i above that, as ``hitting_time``'s
-    does, is false inside a jump whenever it is false at its start.
+    does, is false inside a jump whenever it is false at its start. The
+    quiet thresholds also set ``integrate``'s floor: a run with some
+    theta_i(0) below exp(-650), so epsilon below about 5e-283 for C_i = k_i = 1,
+    starts its stage exponents from max(u, floor), which keeps subnormal
+    theta out of the products with M and changes no step (``integrate``).
 
     Once the run ends, a coordinate decreasing from one step end to the next
     by more than 1e-8 times its cap max(theta*_i, theta_i(0)) raises
@@ -255,6 +259,12 @@ def hitting_time(
     Integration stops at the first accepted step whose end row has
     ``_ball_gap`` <= 0, the step ``hitting_time_on``'s scan roots: a row
     sums as it does in the scan. ``NotReached`` is raised if none does.
+    The stop first tests the squared gap of one coordinate j, the last to
+    join the limit path (largest (M^{-1} k)_j / (M^{-1} r)_j), and forms the
+    whole gap only when that term minus eta * eta is at most 0. A rounded
+    sum of nonnegative squares is never below one of its terms, and
+    rounding is monotone, so a row that fails the pre-check has a gap > 0
+    too: the pre-check skips the sum on most steps and flips no decision.
     A hit never falls inside one of ``simulate``'s jumps: inside a jump
     either theta stays as at the jump's start, where the stop was false, or
     a coordinate stays below delta theta*_i, so its gap alone exceeds
@@ -265,6 +275,13 @@ def hitting_time(
     hit does not raise ``MonotonicityViolated``.
     """
     target = _ball_center(instance, eta)
-    trajectory = simulate(instance, init, s_cap, np.array([0.0, s_cap]), tol=tol,
-                          stop=lambda theta: _ball_gap(theta, target, eta) <= 0.0)
+    # The coordinate that joins the limit path last, at s*.
+    j = int(np.argmax(instance.solve(init.k) / target))
+    target_j, eta2 = float(target[j]), eta * eta
+
+    def stop(theta):
+        gap_j = theta.item(j) - target_j
+        return gap_j * gap_j - eta2 <= 0.0 and _ball_gap(theta, target, eta) <= 0.0
+
+    trajectory = simulate(instance, init, s_cap, np.array([0.0, s_cap]), tol=tol, stop=stop)
     return hitting_time_on(trajectory, eta)

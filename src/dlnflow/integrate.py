@@ -5,7 +5,9 @@ The state is u = L w = log theta. Each stage is kept as its theta and
 Q = du/ds = L (M theta - r), with u in the row above the Q's, so a stage is
 three calls: one dot of [1, h a] with those rows for its exponent
 u + h (a . Q), one exp and one product (the last stage adds the step's
-increment to u instead). The right-hand side is bounded along
+increment to u instead). A run that starts below a floor far under the
+roundoff of Q takes max(u, floor) for that row, which keeps subnormal
+theta out of the products. The right-hand side is bounded along
 trajectories, so plain explicit adaptive stepping suffices. Quiet stretches,
 where the coordinates that matter sit at a stationary point and the others
 grow log-linearly, are stepped over in one closed-form row each.
@@ -49,6 +51,11 @@ _ORDER_EXP = -1.0 / 5.0
 # in w is below this, the roundoff of an O(1) state: the stages of a step
 # in a quiet stretch differ by roundoff, and no other step pays the test.
 _QUIET_ERR = 1e-15
+# Stage exponents of a floored run start no lower than this, 58 above the
+# band where exp(u) is subnormal (u < -708.4) and a product with it runs
+# several times slower; the floor also stays below theta_min times the unit
+# roundoff over n.
+_FLOOR = -650.0
 
 
 @dataclass
@@ -128,8 +135,8 @@ def integrate(
     attempt is ``max_step`` clipped to the span. If given,
     ``step_callback(theta_new)`` is called after each accepted step and each
     jump, and may return true to end the run there, at the dense output's
-    ``s_max``; ``theta_new`` is a copy of the stage at that end, bit for bit
-    exp(u) at that end of ``step_ends``. A span too short for one step is
+    ``s_max``; ``theta_new`` is an array of its own, bit for bit exp(u) at
+    that end of ``step_ends``. A span too short for one step is
     ``OutOfRange``.
 
     ``quiet = (q_max, theta_min)`` steps over quiet stretches in closed form.
@@ -148,6 +155,21 @@ def integrate(
     at one of its ends or holds with some theta_i <= ``theta_min``: inside,
     the frozen coordinates keep their values, and the others stay at or
     below ``theta_min``.
+
+    Given ``quiet``, a run whose u0 has an entry below
+    ``floor = min(-650, log(theta_min e / n))``, e the unit roundoff, is
+    floored: each stage's exponent starts from max(u, floor) instead of u.
+    Below u = -708.4 exp(u) is subnormal, and a product with a subnormal
+    theta runs several times slower; a coordinate climbing from far below,
+    as at epsilon = 1e-300, passes through that band. Its stages climb from
+    exp(floor) instead, 58 above the band. The dense rows keep the true u,
+    and the hook and the quiet test get exp(u). A floored theta_j is at
+    most e theta_min / n at a step's start, so in ``simulate``'s flow,
+    where theta_min = delta min r / max|M|, the floored coordinates move
+    any (M theta)_i by at most e delta min r, delta = 1e-15 times the
+    roundoff of its r_i term, and Q, the steps and the dense output come
+    out as without the floor. Other runs take u itself and pay nothing; a
+    run that starts above the floor and grows never meets the band.
     """
     # The loop's end test, applied at s = 0.
     s_stop = s_end - 1e-14 * max(1.0, s_end)
@@ -155,13 +177,19 @@ def integrate(
         raise OutOfRange(f"span [0, {s_end:g}] is too short for one integration step")
     u0 = log_eps * np.asarray(w0, dtype=float)
     n = u0.size
+    floor = -math.inf
+    if quiet is not None and quiet[1] > 0.0:
+        floor = min(_FLOOR, math.log(quiet[1]) + math.log(np.finfo(float).eps / 2 / n))
+    floored = u0.min() < floor
 
-    # Row i of x is stage i's [theta, 1]. R = [u, Q_0 ... Q_6], so stage i's
-    # exponent is [1, h A[i, :i]] . R[:i + 1].
+    # Row i of x is stage i's [theta, 1]. R = [base, Q_0 ... Q_6], so stage
+    # i's exponent is [1, h A[i, :i]] . R[:i + 1]. The base is max(u, floor):
+    # u itself unless the run is floored, which keeps u in its own array.
     x, R = np.ones((7, n + 1)), np.empty((8, n))
-    u, Q = R[0], R[1:]
-    u[...] = u0
-    np.exp(u, out=x[0, :n])
+    base, Q = R[0], R[1:]
+    np.maximum(u0, floor, out=base)
+    u = u0 if floored else base
+    np.exp(base, out=x[0, :n])
     f(x[0], Q[0])
     h = max_step
 
@@ -170,11 +198,12 @@ def integrate(
     # doublings.
     cap = max(64, int(min(s_end / max_step, 2**16)))
     knots, rows = np.zeros(cap + 1), np.empty((cap, 5, n))
-    # At these sizes a step costs numpy calls, not flops: each attempt scales
-    # the tableau (behind hA's column of ones) and the error and dense
-    # weights with one call each, and every view a step reads is bound here.
+    # At these sizes a step costs numpy calls, not flops: an attempt whose h
+    # differs from the last one's scales the tableau (behind hA's column of
+    # ones) and the error and dense weights with one call each, and every
+    # view a step reads is bound here.
     hA, W = np.ones((7, 8)), np.array([_E / (tol * abs(log_eps)), _D])
-    hA_h, hW = hA[:, 1:], np.empty_like(W)
+    hA_h, hW, h_scaled = hA[:, 1:], np.empty_like(W), 0.0
     stages = [(hA[i, :i + 1], R[:i + 1], x[i, :n], x[i], Q[i]) for i in range(1, 6)]
     hb, he, hd, Q_b = hA[6, 1:7], hW[0], hW[1], Q[:6]
     u_new, theta_new, x_new, Q_new, Q_ends = np.empty(n), x[6, :n], x[6], Q[6], Q[::6]
@@ -185,17 +214,29 @@ def integrate(
             if not h >= 1e-14 * max(1.0, s):
                 raise StepUnderflow(f"step {h:.3e} underflowed at s={s:.6g}")
 
-            np.multiply(_A, h, out=hA_h)
-            np.multiply(W, h, out=hW)
+            if h != h_scaled:
+                np.multiply(_A, h, out=hA_h)
+                np.multiply(W, h, out=hW)
+                h_scaled = h
             for a, R_prev, theta, xi, Qi in stages:
                 np.exp(a.dot(R_prev), out=theta)
                 f(xi, Qi)
-            # The last stage is at u + increment, as the step's dense row reads.
             hb.dot(Q_b, out=row[1])
-            np.add(u, row[1], out=u_new)
-            np.exp(u_new, out=theta_new)
-            f(x_new, Q_new)
+        else:
+            # A linear row: the coordinates that matter stay, the others
+            # move at the rate of the step end the jump starts from.
+            ds, frozen = jump
+            np.multiply(Q_new, ds, out=row[1])
+            row[1, frozen] = 0.0
+            row[2:4] = row[1]
+            row[4] = 0.0
+        # The last stage, or the jump's end, is at u + increment, as the
+        # dense row reads.
+        np.add(u, row[1], out=u_new)
+        np.exp(np.maximum(u_new, floor, out=theta_new) if floored else u_new, out=theta_new)
+        f(x_new, Q_new)
 
+        if jump is None:
             q = he.dot(Q)
             err_norm = math.sqrt(q.dot(q) / n)
 
@@ -211,34 +252,30 @@ def integrate(
             steps += 1
             max_h = max(max_h, h)
         else:
-            # A linear row: the coordinates that matter stay, the others
-            # move at the rate of the step end the jump starts from.
-            ds, frozen = jump
-            np.multiply(Q_new, ds, out=row[1])
-            row[1, frozen] = 0.0
-            row[2:4] = row[1]
-            row[4] = 0.0
-            np.add(u, row[1], out=u_new)
-            np.exp(u_new, out=theta_new)
-            f(x_new, Q_new)
             jumps += 1
         row[0] = u
         s += ds
         knots[steps + jumps] = s
         u[...] = u_new
+        if floored:
+            np.maximum(u, floor, out=base)
         Q[0] = Q_new  # FSAL
         if steps + jumps == len(rows):
             knots = np.resize(knots, 2 * len(rows) + 1)
             rows = np.resize(rows, (2 * len(rows), 5, n))
         row = rows[steps + jumps]
-        if step_callback is not None and step_callback(theta_new.copy()):
+        # A floored run's last stage need not be exp(u), so the hook and the
+        # quiet test read exp(u) of their own.
+        if step_callback is not None and step_callback(
+                np.exp(u) if floored else theta_new.copy()):
             break
 
         if jump is not None:
             jump, h = None, max_step
             continue
         if quiet is not None and h == max_step and err_norm * tol < _QUIET_ERR:
-            jump = _quiet_jump(u, theta_new, Q_new, *quiet, s_end - s, max_step)
+            jump = _quiet_jump(u, np.exp(u) if floored else theta_new, Q_new, *quiet,
+                               s_end - s, max_step)
         h *= (_MAX_FACTOR if err_norm == 0.0
               else min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm ** _ORDER_EXP)))
 

@@ -82,7 +82,11 @@ def solve_lcp_bruteforce(q, M) -> LcpSolution:
     """Solve by enumerating all 2^d supports; oracle for the homotopy.
 
     A support I passes when z_I = -(M_II)^{-1} q_I is strictly positive and
-    the induced dual vector is nonnegative. Uniqueness of the passing
+    the induced dual vector is nonnegative. Both signs are tested against
+    ``STRICT_TOL`` times each coordinate's own scale, (|M_II^{-1}| |q_I|)_i
+    for z_i and |q_i| + (|M| z)_i for w_i, so that ``(c q, M)`` passes the
+    support of ``(q, M)`` at any scale c > 0, and a coordinate far below
+    the largest is judged on its own. Uniqueness of the passing
     support is part of the contract: zero passes mean the problem is
     infeasible for this matrix class, several mean M is not a K-matrix or
     the data sits on a degenerate boundary.
@@ -100,14 +104,15 @@ def solve_lcp_bruteforce(q, M) -> LcpSolution:
         if idx.size:
             try:
                 z_active = np.linalg.solve(M[np.ix_(idx, idx)], -q[idx])
+                scale = np.abs(np.linalg.inv(M[np.ix_(idx, idx)])) @ np.abs(q[idx])
             except np.linalg.LinAlgError:
                 continue
-            if np.any(z_active <= STRICT_TOL):
+            if np.any(z_active <= STRICT_TOL * scale):
                 continue
             z[idx] = z_active
         w = q + M @ z
         w[idx] = 0.0
-        if np.any(w < -STRICT_TOL):
+        if np.any(w < -STRICT_TOL * (np.abs(q) + np.abs(M) @ z)):
             continue
         winners.append(
             LcpSolution(w=np.maximum(w, 0.0), z=z, support=tuple(idx.tolist()))

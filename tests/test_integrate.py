@@ -7,7 +7,7 @@ from conftest import deadline, recorded_integrate, scalar_logistic
 from dlnflow import Initialization, compute_path, dynamics, generate_direct
 from dlnflow.dynamics import QUIET_DELTA
 from dlnflow.errors import OutOfRange, StepUnderflow
-from dlnflow.integrate import _A, _D, _E, flow_product, integrate
+from dlnflow.integrate import _A, _D, _E, _FLOOR, flow_product, integrate
 from oracles import _C, integrate_reference
 
 
@@ -329,6 +329,26 @@ def test_a_hook_that_never_stops_changes_nothing(case):
     knots = plain.step_ends[0]
     s = np.concatenate([knots, (knots[:-1] + knots[1:]) / 2])
     np.testing.assert_array_equal(hooked(s), plain(s))
+
+
+@pytest.mark.parametrize("case", ["extreme-d32", "eps-5e-324"])
+def test_no_stage_theta_is_subnormal(case):
+    """Both runs start every coordinate below the floor, at u = log eps, and
+    at eps = 5e-324 inside the subnormal band. Each stage starts from
+    max(u, floor), and a coordinate that tiny has Q > 0 (M's off-diagonal
+    entries are nonpositive), so every theta f sees is exp(floor) or more."""
+    args, _ = (REFERENCE_CASES["extreme-d32"]() if case == "extreme-d32"
+               else simulated(8, 3, 5e-324))
+    assert args["log_eps"] * args["w0"].max() < _FLOOR
+    f, smallest = args["f"], []
+
+    def spy(x, out):
+        smallest.append(x[:-1].min())
+        f(x, out)
+
+    res = integrate(**{**args, "f": spy})
+    assert len(smallest) == res.stats.rhs_evaluations
+    assert min(smallest) >= math.exp(_FLOOR) > np.finfo(float).tiny
 
 
 def test_the_tableau_the_loop_reads():

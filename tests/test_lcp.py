@@ -154,6 +154,17 @@ class TestBruteforce:
             q = rng.normal(size=d)
             assert_valid_solution(solve_lcp_bruteforce(q, M), q, M)
 
+    @pytest.mark.parametrize("q, z", [((-1e-13, -1.0), (1e-13, 1.0)),
+                                      ((-2e-13, -3e-13), (2e-13, 3e-13))],
+                             ids=["far-below-the-largest", "all-below-1e-12"])
+    def test_thresholds_follow_each_coordinates_scale(self, q, z):
+        # With M = I the solution is z = -q on the full support; an absolute
+        # 1e-12 threshold dropped the coordinates of q below it.
+        sol = solve_lcp_bruteforce(q, np.eye(2))
+        assert sol.support == (0, 1)
+        np.testing.assert_array_equal(sol.z, z)
+        np.testing.assert_array_equal(sol.w, [0.0, 0.0])
+
     def test_multiple_solutions_detected(self):
         # w = 1 - z admits both (z, w) = (0, 1) and (1, 0).
         with pytest.raises(MultipleSolutions):

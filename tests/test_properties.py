@@ -481,3 +481,42 @@ def test_the_squared_radius_stop_decides_as_the_gap(d, seed):
     stop = hitting_stop(target, eta)
     inside = [bool(stop(theta)) for theta in thetas]
     assert inside == (_ball_gap(thetas, target, eta) <= 0.0).tolist()
+
+
+def hit_or_not_reached(hit, *args):
+    try:
+        return hit(*args)
+    except NotReached:
+        return "not reached"
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=12)
+@given(st.integers(1, 32), st.integers(0, 2**32 - 1), st.floats(-300.0, -6.0),
+       st.booleans(), st.floats(0.01, 0.9))
+def test_the_stopped_run_roots_the_hit_of_the_full_run(d, seed, log10_eps, tie,
+                                                       eta_fraction):
+    # hitting_time's stop tests the squared gap of the coordinate that joins
+    # last before the whole gap. A rounded sum of nonnegative squares is
+    # never below one of its terms, so that test flips no decision, and the
+    # stopped run roots the step the scan of the unstopped run roots, bit
+    # for bit. A planted tie has two coordinates reach s* together, so the
+    # one tested first can enter the ball while the other is still outside.
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, d)
+    target = inst.minimizer()
+    if tie and d > 1:
+        # (M^{-1} k)_i / target_i = rho_i, largest at 1 on coordinates 0 and
+        # 1. Off-diagonal entries of M are nonpositive, so
+        # k_i >= r_i - M_ii target_i (1 - rho_i) >= r_i / 2.
+        rho = 1.0 - rng.uniform(0.0, 0.5, d) * inst.r / (np.diag(inst.M) * target)
+        rho[:2] = 1.0
+        k = inst.M @ (rho * target)
+        k *= rng.uniform(0.5, 2.0) / k.min()
+    else:
+        k = rng.uniform(0.5, 2.0, d)
+    init = Initialization(C=rng.uniform(0.5, 2.0, d), k=k, epsilon=10.0 ** log10_eps)
+    eta = eta_fraction * float(target.min())
+    s_cap = 2.0 * compute_path(inst, k).s_star
+    full = simulate(inst, init, s_cap, np.array([0.0, s_cap]))
+    assert (hit_or_not_reached(hitting_time, inst, init, eta, s_cap)
+            == hit_or_not_reached(hitting_time_on, full, eta))
