@@ -6,11 +6,12 @@ Q = du/ds = L (M theta - r), with u in the row above the Q's, so a stage is
 three calls: one dot of [1, h a] with those rows for its exponent
 u + h (a . Q), one exp and one product (the last stage adds the step's
 increment to u instead). A run that starts below a floor far under the
-roundoff of Q takes max(u, floor) for that row, which keeps subnormal
-theta out of the products. The right-hand side is bounded along
-trajectories, so plain explicit adaptive stepping suffices. Quiet stretches,
-where the coordinates that matter sit at a stationary point and the others
-grow log-linearly, are stepped over in one closed-form row each.
+roundoff of Q takes max(u, floor) for that row until every coordinate has
+climbed to the floor, which keeps subnormal theta out of the products. The
+right-hand side is bounded along trajectories, so plain explicit adaptive
+stepping suffices. Quiet stretches, where the coordinates that matter sit
+at a stationary point and the others grow log-linearly, are stepped over
+in one closed-form row each.
 """
 
 from __future__ import annotations
@@ -169,7 +170,13 @@ def integrate(
     any (M theta)_i by at most e delta min r, delta = 1e-15 times the
     roundoff of its r_i term, and Q, the steps and the dense output come
     out as without the floor. Other runs take u itself and pay nothing; a
-    run that starts above the floor and grows never meets the band.
+    run that starts above the floor and grows never meets the band. A
+    floored run tests its lowest coordinate at each step end and jump end,
+    and from the first at which every u_i is at the floor or above, where
+    max(u, floor) is u, it takes u itself too. A coordinate below the floor
+    has Q > 0, as the off-diagonal entries of M are nonpositive, and along
+    ``simulate``'s flow no coordinate falls back below it, so the lift
+    changes no step either.
     """
     # The loop's end test, applied at s = 0.
     s_stop = s_end - 1e-14 * max(1.0, s_end)
@@ -180,7 +187,9 @@ def integrate(
     floor = -math.inf
     if quiet is not None and quiet[1] > 0.0:
         floor = min(_FLOOR, math.log(quiet[1]) + math.log(np.finfo(float).eps / 2 / n))
-    floored = u0.min() < floor
+    # A floored run watches its lowest coordinate, to lift the floor.
+    low = int(u0.argmin())
+    floored = u0[low] < floor
 
     # Row i of x is stage i's [theta, 1]. R = [base, Q_0 ... Q_6], so stage
     # i's exponent is [1, h A[i, :i]] . R[:i + 1]. The base is max(u, floor):
@@ -259,6 +268,10 @@ def integrate(
         u[...] = u_new
         if floored:
             np.maximum(u, floor, out=base)
+            if u.item(low) >= floor:
+                low = int(u.argmin())
+                if u.item(low) >= floor:
+                    floored, u = False, base
         Q[0] = Q_new  # FSAL
         if steps + jumps == len(rows):
             knots = np.resize(knots, 2 * len(rows) + 1)

@@ -94,38 +94,49 @@ class ActiveSetCholesky:
     """Lower Cholesky factor L of M[I, I] for a growing active set I, with
     the forward substitution L^{-1} b[I] of a fixed vector or columns b.
 
-    L's rows sit in activation order, one after another in a buffer that
-    BLAS reads, uncopied, as the packed upper triangle of L^T. An append
-    costs one O(|I|^2) triangular solve and one forward-substitution row; a
-    solve costs one back substitution per column of b.
+    ``order`` is I in join order, a read-only integer view of the first
+    |I| entries of a preallocated buffer; an append writes past them, so a
+    view taken earlier keeps its set. L's rows sit in that order, one after
+    another in a buffer that BLAS reads, uncopied, as the packed upper
+    triangle of L^T. An append costs one O(|I|^2) triangular solve and one
+    forward-substitution row; a solve costs one back substitution per
+    column of b.
     """
 
     def __init__(self, M: np.ndarray, b: np.ndarray):
         self.M = M
-        self.order: list[int] = []
+        self._joined = np.empty(len(M), dtype=np.intp)
+        self.order = self._view(0)
         self._shape = np.shape(b)
         # One row per column of b.
         self._rhs = np.reshape(b, (len(M), -1)).T
         self._forward = np.zeros(self._rhs.shape)
         self._packed = np.zeros(len(M) * (len(M) + 1) // 2)
 
+    def _view(self, m: int) -> np.ndarray:
+        view = self._joined[:m]
+        view.flags.writeable = False
+        return view
+
     def append(self, joining) -> None:
         """Add the coordinates in ``joining`` to I, one row each."""
         for j in joining:
             n = len(self.order)
+            self._joined[n] = j
             # BLAS reads the first n entries and rejects an empty vector.
-            column = self.M[self.order + [j], j]
+            column = self.M[self._joined[:n + 1], j]
             row = dtpsv(n, self._packed, column, trans=1)[:n]
             pivot = column[n] - row @ row
             if not pivot > 0.0:
                 raise SingularSubmatrix(
-                    f"pivot {pivot:.3e} adding coordinate {j} to {self.order}"
+                    f"pivot {pivot:.3e} adding coordinate {j} to {self.order.tolist()}"
                 )
             start, diagonal = n * (n + 1) // 2, np.sqrt(pivot)
-            self._packed[start:start + n + 1] = np.append(row, diagonal)
+            self._packed[start:start + n] = row
+            self._packed[start + n] = diagonal
             forward = self._forward
             forward[:, n] = (self._rhs[:, j] - forward[:, :n] @ row) / diagonal
-            self.order.append(int(j))
+            self.order = self._view(n + 1)
 
     def solve(self) -> np.ndarray:
         """x with M[I, I] x_I = b_I and x = 0 off I."""
@@ -146,7 +157,8 @@ def homotopy(M: np.ndarray, k: np.ndarray, r: np.ndarray, s_end: float):
     of the current breakpoint, such as the rest of a tie, joins it on the
     next pass. Coordinates never leave, and a root at or past ``s_end``
     does not join. Yields each segment as its starting breakpoint, its
-    active set in join order, and z's intercept and slope on it.
+    active set in join order (the kernel's read-only ``order`` view, which
+    later joins leave as it is), and z's intercept and slope on it.
     """
     rhs = np.column_stack([-k, r])
     factor = ActiveSetCholesky(M, rhs)
@@ -159,15 +171,16 @@ def homotopy(M: np.ndarray, k: np.ndarray, r: np.ndarray, s_end: float):
         roots = np.divide(-w_int, w_slp, out=np.full(len(M), np.inf),
                           where=w_slp < 0.0)
         roots[factor.order] = np.inf
+        j = int(roots.argmin())
+        root = roots.item(j)
         # A root within a relative tolerance of s_cur joins at s_cur: joins
         # only pull the other roots earlier, so a skipped one never returns.
-        late = np.flatnonzero(roots <= s_cur + BREAKPOINT_TOL * s_cur)
-        if late.size:
-            factor.append(late)
+        late = s_cur + BREAKPOINT_TOL * s_cur
+        if root <= late:
+            factor.append(np.flatnonzero(roots <= late))
             continue
-        yield s_cur, tuple(factor.order), *lines.T
-        j = int(np.argmin(roots))
-        s_cur = float(roots[j])
+        yield s_cur, factor.order, *lines.T
+        s_cur = root
         if not s_cur < s_end:
             return
         factor.append([j])
@@ -192,7 +205,7 @@ def solve_lcp(q, M) -> LcpSolution:
         pass
     z = np.maximum(z_int + theta, 0.0)
     w = q + M @ z
-    w[list(order)] = 0.0
+    w[order] = 0.0
     support = tuple(np.flatnonzero(z > 0.0).tolist())
     return LcpSolution(w=np.maximum(w, 0.0), z=z, support=support)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 # cho_factor and fixed_point are unused here; bench/tracer.py wraps them by name.
@@ -106,8 +107,8 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
     starts: list[float] = []
     segments: list[PathSegment] = []
     for s, order, z_int, theta in lcp.homotopy(M, k, r, math.inf):
-        active = sorted(order)
-        if np.any(theta[active] <= positivity_floor[active]):
+        active = sorted(order.tolist())
+        if (theta[order] <= positivity_floor[order]).any():
             raise PositivityViolation(
                 f"stationary point on {active} not positive: {theta[active]}"
             )
@@ -155,9 +156,11 @@ def _certify_path(instance: ProblemInstance, k: np.ndarray,
          + s[:, None] * np.array([seg.theta_star for seg in segments]))
     # M is symmetric, so the rows of z @ M are the M z of each probe.
     w = k - s[:, None] * instance.r + z @ instance.M
+    sizes = [len(seg.active) for seg in segments]
     active = np.zeros(z.shape, dtype=bool)
-    for row, seg in zip(active, segments):
-        row[list(seg.active)] = True
+    active[np.repeat(np.arange(len(segments)), sizes),
+           np.fromiter(chain.from_iterable(seg.active for seg in segments),
+                       dtype=np.intp, count=sum(sizes))] = True
     affine = np.max(np.abs(w), axis=1, where=active, initial=0.0)
     w[active] = 0.0
     # k, r > 0 size the terms of q.

@@ -209,11 +209,12 @@ def test_callback_returning_true_ends_the_run_at_that_step():
         res(res.s_max + 1e-6)
 
 
-def simulated(d, seed, eps, s_end=None):
+def simulated(d, seed, eps, s_end=None, k=None):
     """The flow ``simulate`` integrates for ``generate_direct(d, seed)`` from
-    C = k = 1, with its h_stab cap, up to ``s_end`` (default s*)."""
+    C = 1 and k (default 1), with its h_stab cap, up to ``s_end`` (default
+    s*)."""
     inst, _ = generate_direct(d, seed)
-    init = Initialization(C=np.ones(d), k=np.ones(d), epsilon=eps)
+    init = Initialization(C=np.ones(d), k=np.ones(d) if k is None else k, epsilon=eps)
     if s_end is None:
         s_end = compute_path(inst, init.k).s_star
     with recorded_integrate(run=False) as calls:
@@ -331,14 +332,26 @@ def test_a_hook_that_never_stops_changes_nothing(case):
     np.testing.assert_array_equal(hooked(s), plain(s))
 
 
-@pytest.mark.parametrize("case", ["extreme-d32", "eps-5e-324"])
+SUBNORMAL_CASES = {
+    "extreme-d32": REFERENCE_CASES["extreme-d32"],
+    "eps-5e-324": lambda: simulated(8, 3, 5e-324),
+    "spread-k": lambda: simulated(8, 3, 1e-300,
+                                  k=np.linspace(0.5, 2.0, 8)[[0, 1, 6, 3, 4, 5, 2, 7]]),
+}
+
+
+@pytest.mark.parametrize("case", SUBNORMAL_CASES)
 def test_no_stage_theta_is_subnormal(case):
-    """Both runs start every coordinate below the floor, at u = log eps, and
+    """Each run starts a coordinate below the floor, at u = k log eps, and
     at eps = 5e-324 inside the subnormal band. Each stage starts from
-    max(u, floor), and a coordinate that tiny has Q > 0 (M's off-diagonal
-    entries are nonpositive), so every theta f sees is exp(floor) or more."""
-    args, _ = (REFERENCE_CASES["extreme-d32"]() if case == "extreme-d32"
-               else simulated(8, 3, 5e-324))
+    max(u, floor) until every coordinate has climbed to the floor, and a
+    coordinate that tiny has Q > 0 (M's off-diagonal entries are
+    nonpositive), so every theta f sees is exp(floor) or more. With k
+    spread over [0.5, 2], coordinates 3, 7 and 2 reach the floor at three
+    different step ends, and 7 starts lowest, so a floor lifted when the
+    first coordinate reaches it, or when the one lowest at the start does,
+    fails."""
+    args, _ = SUBNORMAL_CASES[case]()
     assert args["log_eps"] * args["w0"].max() < _FLOOR
     f, smallest = args["f"], []
 
@@ -349,6 +362,10 @@ def test_no_stage_theta_is_subnormal(case):
     res = integrate(**{**args, "f": spy})
     assert len(smallest) == res.stats.rhs_evaluations
     assert min(smallest) >= math.exp(_FLOOR) > np.finfo(float).tiny
+    if case == "spread-k":
+        u = res.step_ends[1]
+        crossed = np.argmax(u >= _FLOOR, axis=0)
+        assert u[0].argmin() == 7 and 0 < crossed[3] < crossed[7] < crossed[2]
 
 
 def test_the_tableau_the_loop_reads():

@@ -13,7 +13,7 @@ from dlnflow.errors import (
     NotKMatrix,
     SingularSubmatrix,
 )
-from dlnflow.lcp import ActiveSetCholesky
+from dlnflow.lcp import ActiveSetCholesky, homotopy
 from oracles import MultipleSolutions, NoSolution, residuals, solve_lcp_bruteforce
 
 TRIDIAG = np.array([[2.0, -1.0], [-1.0, 2.0]])
@@ -100,8 +100,41 @@ class TestActiveSetCholesky:
         # 1 - (-2)^2 = -3: the 2x2 matrix is indefinite.
         factor = ActiveSetCholesky(np.array([[1.0, -2.0], [-2.0, 1.0]]), np.ones(2))
         factor.append([0])
-        with pytest.raises(SingularSubmatrix, match="pivot -3.000e"):
+        with pytest.raises(SingularSubmatrix,
+                           match=r"pivot -3.000e\+00 adding coordinate 1 to \[0\]$"):
             factor.append([1])
+        assert factor.order.tolist() == [0]
+
+    def test_a_failed_join_prints_the_set_as_a_list(self):
+        # The third pivot is 1 - 2 (0.8)^2 = -0.28; the set prints with commas.
+        M = np.array([[1.0, 0.0, -0.8], [0.0, 1.0, -0.8], [-0.8, -0.8, 1.0]])
+        factor = ActiveSetCholesky(M, np.ones(3))
+        factor.append([0, 1])
+        with pytest.raises(SingularSubmatrix, match=r"adding coordinate 2 to \[0, 1\]$"):
+            factor.append([2])
+
+    def test_order_is_the_join_order_and_earlier_views_keep_their_set(self):
+        factor = ActiveSetCholesky(random_k_matrix(np.random.default_rng(3), 5), np.ones(5))
+        views = [factor.order]
+        for joining in ([3], np.array([0, 4]), [2]):
+            factor.append(joining)
+            views.append(factor.order)
+        assert [view.tolist() for view in views] == [[], [3], [3, 0, 4], [3, 0, 4, 2]]
+        assert factor.order.dtype == np.intp
+        with pytest.raises(ValueError, match="read-only"):
+            factor.order[0] = 1
+
+    def test_homotopy_yields_nested_join_orders(self):
+        # Each segment's set is the one it was yielded with, after every
+        # later join: a prefix of the last one, one coordinate longer than
+        # the one before (no ties here).
+        rng = np.random.default_rng(5)
+        M = random_k_matrix(rng, 6)
+        k, r = rng.uniform(0.5, 2.0, 6), rng.uniform(0.5, 2.0, 6)
+        orders = [order for _, order, _, _ in homotopy(M, k, r, np.inf)]
+        last = orders[-1].tolist()
+        assert sorted(last) == list(range(6))
+        assert [order.tolist() for order in orders] == [last[:m] for m in range(7)]
 
     def test_solves_on_the_active_set(self):
         factor = ActiveSetCholesky(TRIDIAG, np.array([1.0, 1.0]))
