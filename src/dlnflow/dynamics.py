@@ -139,9 +139,7 @@ def simulate(
     for the asymptotic regime (or the integration broke down). The dense
     output between step ends is not certified (README, numerical notes).
     """
-    if init.C.shape[0] != instance.d:
-        raise DomainError(f"initialization has dimension {init.C.shape[0]}, "
-                          f"instance has {instance.d}")
+    _check_dimension(instance, init)
     if not 0.0 < s_max < np.inf:
         raise OutOfRange(f"s_max must be positive and finite, got {s_max}")
     if not np.finfo(float).eps <= tol < np.inf:
@@ -189,6 +187,12 @@ def simulate(
             f"epsilon={init.epsilon:g} is too large for monotone dynamics"
         )
     return trajectory
+
+
+def _check_dimension(instance: ProblemInstance, init: Initialization) -> None:
+    if init.C.shape[0] != instance.d:
+        raise DomainError(f"initialization has dimension {init.C.shape[0]}, "
+                          f"instance has {instance.d}")
 
 
 def _ball_gap(theta: np.ndarray, target: np.ndarray, eta: float):
@@ -274,6 +278,7 @@ def hitting_time(
     Monotonicity is certified up to the stop's step only: a drop after the
     hit does not raise ``MonotonicityViolated``.
     """
+    _check_dimension(instance, init)
     target = _ball_center(instance, eta)
     # The coordinate that joins the limit path last, at s*.
     j = int(np.argmax(instance.solve(init.k) / target))

@@ -35,6 +35,7 @@ from .errors import (
 STRICT_TOL = 1e-12
 # A dual root within this relative distance of a breakpoint joins there.
 BREAKPOINT_TOL = 1e-12
+QP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -210,11 +211,11 @@ def solve_lcp(q, M) -> LcpSolution:
     return LcpSolution(w=np.maximum(w, 0.0), z=z, support=support)
 
 
-def solve_qp_nonneg(q, M, tol: float = 1e-10, max_iter: int = 500_000) -> np.ndarray:
+def solve_qp_nonneg(q, M, max_iter: int = 500_000) -> np.ndarray:
     """Minimize <q, theta> + 0.5 <theta, M theta> over theta >= 0.
 
     Projected gradient descent with the fixed step 1/lambda_max(M), run
-    until the unit-step projected-gradient residual drops below ``tol``.
+    until the unit-step projected-gradient residual is at most ``QP_TOL``.
     Deliberately independent of the homotopy code path.
     """
     q = _finite_array(q, "q", (None,))
@@ -229,7 +230,7 @@ def solve_qp_nonneg(q, M, tol: float = 1e-10, max_iter: int = 500_000) -> np.nda
     for _ in range(max_iter):
         grad = q + M @ theta
         residual = float(np.max(np.abs(theta - np.maximum(theta - grad, 0.0))))
-        if residual <= tol:
+        if residual <= QP_TOL:
             return theta
         theta = np.maximum(theta - step * grad, 0.0)
     raise MaxIterations(residual=residual, iterations=max_iter)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 # cho_factor and fixed_point are unused here; bench/tracer.py wraps them by name.
@@ -46,14 +45,19 @@ SEGMENT_CHECK_TOL = 1e-9
 class PathSegment:
     """One constancy interval of the active set, between two breakpoints.
 
-    The primal path is affine on it, z(s) = z_intercept + s * theta_star and
-    zero off the active set I; theta_star = M_II^{-1} r_I is the stationary
-    point the trajectory plateaus at. The dual follows as w = k - s r + M z.
+    The primal path is affine on it, z(s) = z_intercept + s * theta_star,
+    and the dual is w = k - s r + M z. theta_star = M_II^{-1} r_I, the
+    stationary point the trajectory plateaus at, is positive on the active
+    set I and exactly 0 off it, so I is its support and is not stored.
     """
 
-    active: tuple[int, ...]
     z_intercept: np.ndarray
     theta_star: np.ndarray
+
+    @property
+    def active(self) -> tuple[int, ...]:
+        """The active set I, sorted: the support of theta_star."""
+        return tuple(np.flatnonzero(self.theta_star).tolist())
 
 
 @dataclass(frozen=True)
@@ -107,17 +111,16 @@ def compute_path(instance: ProblemInstance, k) -> LimitPath:
     starts: list[float] = []
     segments: list[PathSegment] = []
     for s, order, z_int, theta in lcp.homotopy(M, k, r, math.inf):
-        active = sorted(order.tolist())
         if (theta[order] <= positivity_floor[order]).any():
+            active = sorted(order.tolist())
             raise PositivityViolation(
                 f"stationary point on {active} not positive: {theta[active]}"
             )
         starts.append(s)
-        segments.append(PathSegment(active=tuple(active), z_intercept=z_int,
-                                    theta_star=theta))
-    if len(active) < instance.d:
+        segments.append(PathSegment(z_intercept=z_int, theta_star=theta))
+    if len(order) < instance.d:
         raise PathInconsistent(
-            f"no upcoming activation from active set {active}; "
+            f"no upcoming activation from active set {sorted(order.tolist())}; "
             f"the full set must eventually activate"
         )
 
@@ -152,15 +155,11 @@ def _certify_path(instance: ProblemInstance, k: np.ndarray,
     s_hi = np.append(path.breakpoints, math.inf)
     s = 0.5 * (s_lo + s_hi)
     s[-1] = 2.0 * s_lo[-1]
-    z = (np.array([seg.z_intercept for seg in segments])
-         + s[:, None] * np.array([seg.theta_star for seg in segments]))
+    theta = np.array([seg.theta_star for seg in segments])
+    z = np.array([seg.z_intercept for seg in segments]) + s[:, None] * theta
     # M is symmetric, so the rows of z @ M are the M z of each probe.
     w = k - s[:, None] * instance.r + z @ instance.M
-    sizes = [len(seg.active) for seg in segments]
-    active = np.zeros(z.shape, dtype=bool)
-    active[np.repeat(np.arange(len(segments)), sizes),
-           np.fromiter(chain.from_iterable(seg.active for seg in segments),
-                       dtype=np.intp, count=sum(sizes))] = True
+    active = theta != 0.0  # each segment's active set, as PathSegment.active
     affine = np.max(np.abs(w), axis=1, where=active, initial=0.0)
     w[active] = 0.0
     # k, r > 0 size the terms of q.

@@ -905,6 +905,18 @@ MALFORMED = {
         _spec_config(tmp, {"generator": "direct", "d": 3, "seed": 1,
                            "offdiag_scale": float("nan")}),
         "error: offdiag_scale must be finite and nonnegative, got nan"),
+    **{f"{command} --instance without --epsilons": lambda tmp, command=command: (
+        ["--out-dir", str(tmp / "out"), command, "--instance",
+         _instance(tmp, TRIDIAG_JSON)],
+        "provide --config or both --instance and --epsilons")
+       for command in ("compare", "hitting-time", "figure1")},
+    "gen --d 0": lambda tmp: (
+        ["gen", "--d", "0", "--seed", "1", "--out", str(tmp / "inst.json")],
+        "error: need d >= 1"),
+    "gen rejection --n 0": lambda tmp: (
+        ["gen", "--generator", "rejection", "--n", "0", "--d", "2", "--seed", "1",
+         "--out", str(tmp / "inst.json")],
+        "error: need n >= 1 and d >= 1"),
     **{f"{command} on an instance file with {case}":
        lambda tmp, command=command, case=case: (
            _on_instance(tmp, command, BAD_DATA_FILES[case][0]),

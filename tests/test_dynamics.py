@@ -196,9 +196,16 @@ class TestTrajectoryStructure:
         with pytest.raises(error):
             simulate(separable_instance, init, s_max, s_grid=[0.0, 0.5], tol=tol)
 
-    def test_dimension_mismatch(self, separable_instance):
-        with pytest.raises(DomainError):
-            simulate(separable_instance, make_init(3, 1e-8), 1.0)
+    # hitting_time once solved with the initialization's k before any check,
+    # and raised scipy's ValueError.
+    @pytest.mark.parametrize("run", [
+        lambda instance, init: simulate(instance, init, 1.0),
+        lambda instance, init: hitting_time(instance, init, 0.1, 1.0),
+    ], ids=["simulate", "hitting_time"])
+    def test_dimension_mismatch(self, separable_instance, run):
+        with pytest.raises(DomainError,
+                           match="initialization has dimension 3, instance has 2"):
+            run(separable_instance, make_init(3, 1e-8))
 
     def test_stats_exposed(self, separable_instance, monkeypatch):
         # rhs_evaluations counts every product with the flow: one before the

@@ -11,7 +11,12 @@ from dlnflow import (
     generate_rejection,
     from_data,
 )
-from dlnflow.errors import DimensionMismatch, DimensionTooLarge, SingularSubmatrix
+from dlnflow.errors import (
+    DimensionMismatch,
+    DimensionTooLarge,
+    PositivityViolation,
+    SingularSubmatrix,
+)
 
 
 class TestFixedPoint:
@@ -43,6 +48,14 @@ class TestFixedPoint:
 
         monkeypatch.setattr(fixed_points, "cho_factor", fail)
         with pytest.raises(SingularSubmatrix):
+            fixed_point(tridiag_instance, [0, 1])
+
+    def test_nonpositive_solution_rejected(self, tridiag_instance, monkeypatch):
+        # M_II^{-1} r_I is positive on every certified instance, so a solve
+        # that returns a nonpositive vector is injected to reach the guard.
+        monkeypatch.setattr(fixed_points, "cho_solve", lambda factor, b: -b)
+        with pytest.raises(PositivityViolation,
+                           match="computed active coordinates not strictly positive"):
             fixed_point(tridiag_instance, [0, 1])
 
     def test_support_is_exact(self, rng):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
+from dlnflow import lcp
 from dlnflow import (
     ProblemInstance,
     compute_path,
@@ -21,6 +22,7 @@ from dlnflow.errors import (
     NotKMatrix,
     OutOfRange,
     PathInconsistent,
+    PositivityViolation,
     ValidationError,
 )
 from dlnflow.limit_path import _certify_path
@@ -353,6 +355,24 @@ class TestConvergenceTime:
                             lambda self, b: 1.01 * solve(self, b))
         with pytest.raises(PathInconsistent, match="closed form"):
             compute_path(tridiag_instance, ONES)
+
+    @pytest.mark.parametrize("theta, error, message", [
+        ([1.0, 0.0, 2.0], PathInconsistent,
+         "no upcoming activation from active set [0, 2]"),
+        ([1.0, 0.0, 0.0], PositivityViolation,
+         "stationary point on [0, 2] not positive"),
+    ], ids=["stalled", "nonpositive"])
+    def test_homotopy_failures_name_the_sorted_set(self, monkeypatch, theta,
+                                                   error, message):
+        # No certified instance stalls or loses positivity, so a stubbed
+        # homotopy ends on the join order [2, 0] of a d = 3 instance.
+        def homotopy(M, k, r, s_end):
+            yield 0.0, np.array([], dtype=np.intp), np.zeros(3), np.zeros(3)
+            yield 1.0, np.array([2, 0]), np.zeros(3), np.array(theta)
+
+        monkeypatch.setattr(lcp, "homotopy", homotopy)
+        with pytest.raises(error, match=re.escape(message)):
+            compute_path(ProblemInstance(M=np.eye(3), r=np.ones(3)), np.ones(3))
 
     @pytest.mark.parametrize("k", [[np.inf, 1.0], [1.0, np.nan], [1.0], "ab"])
     def test_malformed_k_rejected(self, tridiag_instance, k):
