@@ -43,6 +43,10 @@ _E, _D = np.array([
      -10690763975 / 1880347072, 701980252875 / 199316789632,
      -1453857185 / 822651844, 69997945 / 29380423],
 ])
+# Times h and the stages Q, the dense coefficients h Q0 - du, 2 du - h (Q0 +
+# Q6) and h D.Q of a step whose increment is du = h B.Q.
+_FIRST, _LAST = np.eye(7)[[0, 6]]
+_DENSE = np.array([_FIRST - _A[6], 2 * _A[6] - _FIRST - _LAST, _D])
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -74,10 +78,11 @@ class DenseOutput:
     """Piecewise-quartic interpolant of u over the accepted steps from s = 0,
     and the counters of the run that made them.
 
-    A step's row holds u at its start, its increment, and h Q of its first
-    and last stage and their D-combination; a query forms the quartic of the
-    steps it reads. A jump's row holds u, its increment three times and 0,
-    which that quartic reads as the line between its ends. The one
+    A row holds the coefficients c of its step's quartic in tau, the
+    fraction of the step: u = c0 + tau (c1 + (1 - tau) (c2 + tau (c3 +
+    (1 - tau) c4))). A step's are u at its start, its increment du,
+    h Q0 - du, 2 du - h (Q0 + Q6) and h D.Q; a jump's are u, du and 0, the
+    line between its ends. The one
     query-range rule of a trajectory: [0, s_max], and past it a relative
     1e-12 plus an absolute 1e-15, up to s_max (1 + 1e-12) + 1e-15, which
     reads the value at s_max.
@@ -106,13 +111,9 @@ class DenseOutput:
         left = self._knots[seg]
         # A step end reads exactly the u the loop accepted there.
         tau = np.clip((s_arr - left) / (self._knots[seg + 1] - left), 0.0, 1.0)[:, None]
-        # Coefficients in place in this copy: h Q0 - du, then h Q6 - du + that.
         c = self._rows[seg]          # (m, 5, n)
-        c[:, 2] -= c[:, 1]
-        c[:, 3] -= c[:, 1]
-        c[:, 3] += c[:, 2]
         omt = 1.0 - tau
-        out = c[:, 0] + tau * (c[:, 1] + omt * (c[:, 2] + tau * (omt * c[:, 4] - c[:, 3])))
+        out = c[:, 0] + tau * (c[:, 1] + omt * (c[:, 2] + tau * (c[:, 3] + omt * c[:, 4])))
         return out[0] if np.ndim(s) == 0 else out
 
 
@@ -203,19 +204,17 @@ def integrate(
     h = max_step
 
     # Accepted steps and jumps write their dense rows in place, doubling full
-    # buffers. Starting at the rows a run at the step cap fills avoids most
-    # doublings.
-    cap = max(64, int(min(s_end / max_step, 2**16)))
-    knots, rows = np.zeros(cap + 1), np.empty((cap, 5, n))
+    # buffers.
+    knots, rows = np.zeros(65), np.empty((64, 5, n))
     # At these sizes a step costs numpy calls, not flops: an attempt whose h
     # differs from the last one's scales the tableau (behind hA's column of
     # ones) and the error and dense weights with one call each, and every
     # view a step reads is bound here.
-    hA, W = np.ones((7, 8)), np.array([_E / (tol * abs(log_eps)), _D])
+    hA, W = np.ones((7, 8)), np.vstack([_E / (tol * abs(log_eps)), _DENSE])
     hA_h, hW, h_scaled = hA[:, 1:], np.empty_like(W), 0.0
     stages = [(hA[i, :i + 1], R[:i + 1], x[i, :n], x[i], Q[i]) for i in range(1, 6)]
-    hb, he, hd, Q_b = hA[6, 1:7], hW[0], hW[1], Q[:6]
-    u_new, theta_new, x_new, Q_new, Q_ends = np.empty(n), x[6, :n], x[6], Q[6], Q[::6]
+    hb, he, hdense, Q_b = hA[6, 1:7], hW[0], hW[1:], Q[:6]
+    u_new, theta_new, x_new, Q_new = np.empty(n), x[6, :n], x[6], Q[6]
     steps, rejected, jumps, max_h, s, row, jump = 0, 0, 0, 0.0, 0.0, rows[0], None
     while s < s_stop:
         if jump is None:
@@ -237,8 +236,7 @@ def integrate(
             ds, frozen = jump
             np.multiply(Q_new, ds, out=row[1])
             row[1, frozen] = 0.0
-            row[2:4] = row[1]
-            row[4] = 0.0
+            row[2:] = 0.0
         # The last stage, or the jump's end, is at u + increment, as the
         # dense row reads.
         np.add(u, row[1], out=u_new)
@@ -255,8 +253,7 @@ def integrate(
                 h *= max(_MIN_FACTOR, _SAFETY * err_norm ** _ORDER_EXP)
                 continue
 
-            np.multiply(Q_ends, h, out=row[2:4])
-            hd.dot(Q, out=row[4])
+            hdense.dot(Q, out=row[2:])
             ds = h
             steps += 1
             max_h = max(max_h, h)

@@ -174,8 +174,9 @@ def _certify_path(instance: ProblemInstance, k: np.ndarray,
                  "complementarity": np.abs(np.einsum("ij,ij->i", w, z)),
                  "per_coordinate": np.maximum(np.max(np.minimum(w, z), axis=1),
                                               0.0) + 0.0}
-    failing = np.flatnonzero(np.max(list(residuals.values()), axis=0)
-                             > SEGMENT_CHECK_TOL)
+    # A NaN residual, as from a probe that overflows, fails too.
+    failing = np.flatnonzero(~(np.max(list(residuals.values()), axis=0)
+                               <= SEGMENT_CHECK_TOL))
     if failing.size:
         j = failing[0]
         detail = ", ".join(f"{name} {err[j]:.3e}" for name, err in residuals.items())

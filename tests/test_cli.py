@@ -311,6 +311,16 @@ class TestLimitPath:
         assert obj["s_star"] == pytest.approx(1e13)
         assert obj["active_sets"] == [[], [1], [0, 1]]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_certificate_exit_code(self, runner, tmp_path):
+        inst, out = str(tmp_path / "inst.json"), str(tmp_path / "path.json")
+        assert invoke(runner, ["gen", "--d", "3", "--seed", "1",
+                               "--out", inst]).exit_code == 0
+        result = runner.invoke(main, ["limit-path", "--instance", inst,
+                                      "--k", "1e308,1e308,1e308", "--out-json", out])
+        assert result.exit_code == 3
+        assert "fails its KKT certificate" in result.output
+
 
 class TestExperimentsCommands:
     def test_compare_with_config(self, runner, tmp_path):

@@ -314,6 +314,15 @@ class TestSegmentCertificate:
             with pytest.raises(PathInconsistent, match="negative_z [1-9]"):
                 _certify_path(inst, k, self.with_segment(path, 1, bad))
 
+    # Near the top of the double range a probe overflows to inf, and every
+    # residual of its segment is NaN, which fails as a violation does.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("k", [[1e308, 1e308, 1e308], [1e308, 1e-308, 1.0]])
+    def test_nan_residuals_rejected(self, k):
+        inst, _ = generate_direct(3, 1)
+        with pytest.raises(PathInconsistent, match="fails its KKT certificate.* nan"):
+            compute_path(inst, np.array(k))
+
     def test_singular_instance_rejected(self):
         # Construction certifies M, so no singular instance reaches the path.
         with pytest.raises(NotKMatrix):
