@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 assumption/input violation, 3 numerical failure,
-4 a budget ran out (sampling or memory).
+4 a budget ran out (sampling, iterations or memory).
 """
 
 from __future__ import annotations

@@ -29,12 +29,10 @@ class BudgetExceeded(DlnFlowError):
 class AssumptionViolated(ValidationError):
     """Positive-correlation (A1) or anti-correlation (A2) check failed."""
 
-    def __init__(self, assumption: str, indices, message: str | None = None):
+    def __init__(self, assumption: str, indices):
         self.assumption = assumption
         self.indices = tuple(indices)
-        super().__init__(
-            message or f"{assumption} violated at indices {list(self.indices)}"
-        )
+        super().__init__(f"{assumption} violated at indices {list(self.indices)}")
 
 
 class NonFinite(ValidationError):
@@ -70,18 +68,6 @@ class AtBreakpoint(ValidationError):
 
 
 # -- numerical failures ----------------------------------------------------
-
-class MaxIterations(NumericalFailure):
-    """Iterative solver hit its iteration cap; carries the final residual."""
-
-    def __init__(self, residual: float, iterations: int):
-        self.residual = residual
-        self.iterations = iterations
-        super().__init__(
-            f"no convergence after {iterations} iterations "
-            f"(residual {residual:.3e})"
-        )
-
 
 class PositivityViolation(NumericalFailure):
     """A coordinate that is provably positive came out nonpositive."""
@@ -120,6 +106,18 @@ class RejectionBudgetExceeded(BudgetExceeded):
     def __init__(self, attempts: int):
         self.attempts = attempts
         super().__init__(f"no valid instance after {attempts} attempts")
+
+
+class MaxIterations(BudgetExceeded):
+    """Iterative solver hit its iteration cap; carries the final residual."""
+
+    def __init__(self, residual: float, iterations: int):
+        self.residual = residual
+        self.iterations = iterations
+        super().__init__(
+            f"no convergence after {iterations} iterations "
+            f"(residual {residual:.3e})"
+        )
 
 
 def exit_code(exc: BaseException) -> int:

@@ -59,13 +59,11 @@ def write_csv(path, kind: str, header: list[str], rows) -> Path:
     def write(fh):
         fh.write(f"# {CSV_SCHEMA} {kind}\n")
         fh.write(",".join(header) + "\r\n")
-        above = []
-        for row, repeats, mask in zip(rows, reuse.any(axis=1).tolist(), reuse):
-            if repeats:
-                cells = [text if same else "" if v is None else repr(float(v))
-                         for v, text, same in zip(row, above, mask.tolist())]
-            else:
-                cells = ["" if v is None else repr(float(v)) for v in row]
+        # Row 0 reuses nothing, so the header's texts are never read.
+        above = header
+        for row, mask in zip(rows, reuse.tolist()):
+            cells = [text if same else "" if v is None else repr(float(v))
+                     for v, text, same in zip(row, above, mask)]
             if not _NON_FINITE.isdisjoint(cells):
                 raise DomainError(f"non-finite value in {kind} row: {cells}")
             fh.write(",".join(cells) + "\r\n")
@@ -272,7 +270,7 @@ def run_compare(
     for lo, hi in windows:
         state_mask &= ~((grid >= lo) & (grid <= hi))
     avg_lo = 0.1 * s_star
-    avg_mask = (grid >= avg_lo) & (grid <= s_max)
+    avg_mask = grid >= avg_lo
     if not (state_mask.any() and avg_mask.any()):
         raise DomainError(f"no grid point to compare: the state gap needs one off "
                           f"{windows}, the average gap one in [{avg_lo}, {s_max}]")

@@ -62,7 +62,7 @@ def fixed_point(instance: ProblemInstance, support: Iterable[int]) -> FixedPoint
         theta[idx] = theta_active
 
     field = theta * (instance.r - instance.M @ theta)
-    residual = float(np.max(np.abs(field))) if d else 0.0
+    residual = float(np.max(np.abs(field)))
     return FixedPoint(support=tuple(idx.tolist()), theta=theta, residual=residual)
 
 

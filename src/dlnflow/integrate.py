@@ -203,9 +203,9 @@ def integrate(
     f(x[0], Q[0])
     h = max_step
 
-    # Accepted steps and jumps write their dense rows in place, doubling full
-    # buffers.
-    knots, rows = np.zeros(65), np.empty((64, 5, n))
+    # Accepted steps and jumps write their dense rows in place, doubling a
+    # full buffer and copying only its rows.
+    knots, rows = [0.0], np.empty((64, 5, n))
     # At these sizes a step costs numpy calls, not flops: an attempt whose h
     # differs from the last one's scales the tableau (behind hA's column of
     # ones) and the error and dense weights with one call each, and every
@@ -261,7 +261,7 @@ def integrate(
             jumps += 1
         row[0] = u
         s += ds
-        knots[steps + jumps] = s
+        knots.append(s)
         u[...] = u_new
         if floored:
             np.maximum(u, floor, out=base)
@@ -270,10 +270,11 @@ def integrate(
                 if u.item(low) >= floor:
                     floored, u = False, base
         Q[0] = Q_new  # FSAL
-        if steps + jumps == len(rows):
-            knots = np.resize(knots, 2 * len(rows) + 1)
-            rows = np.resize(rows, (2 * len(rows), 5, n))
-        row = rows[steps + jumps]
+        if len(knots) > len(rows):
+            grown = np.empty((2 * len(rows), 5, n))
+            grown[:len(rows)] = rows
+            rows = grown
+        row = rows[len(knots) - 1]
         # A floored run's last stage need not be exp(u), so the hook and the
         # quiet test read exp(u) of their own.
         if step_callback is not None and step_callback(
@@ -292,7 +293,7 @@ def integrate(
     # Six evaluations per attempted step, one before the first one and one
     # at the end of each jump.
     stats = IntegratorStats(steps, rejected, max_h, 1 + 6 * (steps + rejected) + jumps, jumps)
-    return DenseOutput(knots[: steps + jumps + 1], rows[:steps + jumps], stats)
+    return DenseOutput(np.array(knots), rows[:len(knots) - 1], stats)
 
 
 def _quiet_jump(u, theta, Q, q_max, theta_min, span, max_step):

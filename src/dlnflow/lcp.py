@@ -36,6 +36,7 @@ STRICT_TOL = 1e-12
 # A dual root within this relative distance of a breakpoint joins there.
 BREAKPOINT_TOL = 1e-12
 QP_TOL = 1e-10
+QP_MAX_ITER = 500_000
 
 
 @dataclass(frozen=True)
@@ -211,12 +212,12 @@ def solve_lcp(q, M) -> LcpSolution:
     return LcpSolution(w=np.maximum(w, 0.0), z=z, support=support)
 
 
-def solve_qp_nonneg(q, M, max_iter: int = 500_000) -> np.ndarray:
+def solve_qp_nonneg(q, M) -> np.ndarray:
     """Minimize <q, theta> + 0.5 <theta, M theta> over theta >= 0.
 
     Projected gradient descent with the fixed step 1/lambda_max(M), run
-    until the unit-step projected-gradient residual is at most ``QP_TOL``.
-    Deliberately independent of the homotopy code path.
+    until the unit-step projected-gradient residual is at most ``QP_TOL``,
+    for at most ``QP_MAX_ITER`` steps; independent of the homotopy code.
     """
     q = _finite_array(q, "q", (None,))
     M = _finite_array(M, "M", (q.size, q.size))
@@ -227,10 +228,10 @@ def solve_qp_nonneg(q, M, max_iter: int = 500_000) -> np.ndarray:
 
     theta = np.zeros(q.size)
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(QP_MAX_ITER):
         grad = q + M @ theta
         residual = float(np.max(np.abs(theta - np.maximum(theta - grad, 0.0))))
         if residual <= QP_TOL:
             return theta
         theta = np.maximum(theta - step * grad, 0.0)
-    raise MaxIterations(residual=residual, iterations=max_iter)
+    raise MaxIterations(residual=residual, iterations=QP_MAX_ITER)

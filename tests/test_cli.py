@@ -11,6 +11,7 @@ from dlnflow import (compute_path, dynamics, experiments, generate_direct, lcp,
 from dlnflow.cli import main
 from dlnflow.errors import (
     BudgetExceeded,
+    MaxIterations,
     NumericalFailure,
     StepUnderflow,
     ValidationError,
@@ -963,7 +964,9 @@ def _raising(monkeypatch, command, exc):
     (NumericalFailure("no convergence"), 3),
     (BudgetExceeded("out of attempts"), 4),
     (MemoryError("Unable to allocate 298. GiB"), 4),
-], ids=["ValidationError", "NumericalFailure", "BudgetExceeded", "MemoryError"])
+    (MaxIterations(residual=1.0, iterations=2), 4),
+], ids=["ValidationError", "NumericalFailure", "BudgetExceeded", "MemoryError",
+        "MaxIterations"])
 @pytest.mark.parametrize("command", sorted(main.commands))
 def test_every_command_reports_package_errors(runner, monkeypatch, command,
                                               exc, code):

@@ -321,6 +321,15 @@ class TestWriters:
             write_csv(tmp_path / "t.csv", "test-kind", ["a", "b"], [[1.0, value]])
         assert list(tmp_path.glob("*.tmp")) == []
 
+    @pytest.mark.parametrize("rows", [[[None, 1.0], [np.nan, 2.0]],
+                                      [(1.0, None), (2.0, np.nan)]])
+    def test_nan_below_none_rejected(self, tmp_path, rows):
+        # None reads as NaN in the bit table, so the NaN matches the cell
+        # above it bit for bit and must still not reuse its empty text.
+        with pytest.raises(DomainError):
+            write_csv(tmp_path / "t.csv", "test-kind", ["a", "b"], rows)
+        assert list(tmp_path.iterdir()) == []
+
     def test_none_is_an_empty_cell(self, tmp_path):
         p = write_csv(tmp_path / "t.csv", "test-kind", ["a", "b", "c"],
                       [[1.0, None, True], [None, 2.5, False]])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_k_matrix
-from dlnflow import solve_lcp, solve_qp_nonneg
+from dlnflow import lcp, solve_lcp, solve_qp_nonneg
 from dlnflow.errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -232,9 +232,10 @@ class TestQpNonneg:
             theta = solve_qp_nonneg(q, M)
             np.testing.assert_allclose(theta, solve_lcp(q, M).z, atol=1e-8)
 
-    def test_max_iterations(self):
+    def test_max_iterations(self, monkeypatch):
+        monkeypatch.setattr(lcp, "QP_MAX_ITER", 2)
         with pytest.raises(MaxIterations) as info:
-            solve_qp_nonneg([-1.0, -1.0], TRIDIAG, max_iter=2)
+            solve_qp_nonneg([-1.0, -1.0], TRIDIAG)
         assert info.value.residual > 0
         assert info.value.iterations == 2
 
