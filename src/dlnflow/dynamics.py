@@ -221,7 +221,8 @@ def hitting_time_on(trajectory: Trajectory, eta: float) -> float:
     M^{-1} r - theta(s) is therefore, up to that error, nonnegative and
     nonincreasing, and so is the l2 gap: the ball is entered once. The gap
     is read at the step ends, and the first step that ends inside the ball
-    is rooted on its dense quartic to roundoff, by Illinois regula falsi.
+    is rooted to roundoff by Illinois regula falsi on that step's own dense
+    row (``DenseOutput.on_step``), which reads as the dense output does.
     Any run that takes the same steps up to that end, stopped there or not,
     returns the same time bit for bit.
     """
@@ -242,7 +243,7 @@ def hitting_time_on(trajectory: Trajectory, eta: float) -> float:
     while g_ends[1] < 0.0 and ends[1] - ends[0] > 2.0 * tol:
         (lo, hi), (g_lo, g_hi) = ends, g_ends
         s = min(max(lo + (hi - lo) * g_lo / (g_lo - g_hi), lo + tol), hi - tol)
-        g = float(_ball_gap(trajectory.theta_at(s), target, eta))
+        g = float(_ball_gap(np.exp(trajectory._dense.on_step(j - 1, s)), target, eta))
         side = int(g <= 0.0)
         if side == last:
             g_ends[1 - side] *= 0.5

@@ -82,10 +82,10 @@ class DenseOutput:
     fraction of the step: u = c0 + tau (c1 + (1 - tau) (c2 + tau (c3 +
     (1 - tau) c4))). A step's are u at its start, its increment du,
     h Q0 - du, 2 du - h (Q0 + Q6) and h D.Q; a jump's are u, du and 0, the
-    line between its ends. The one
-    query-range rule of a trajectory: [0, s_max], and past it a relative
-    1e-12 plus an absolute 1e-15, up to s_max (1 + 1e-12) + 1e-15, which
-    reads the value at s_max.
+    line between its ends. The one query-range rule of a trajectory:
+    [0, s_max], and past it a relative 1e-12 plus an absolute 1e-15, up to
+    s_max (1 + 1e-12) + 1e-15, which reads the value at s_max. ``on_step``
+    reads one step's row alone, bit for bit as a query inside that step.
     """
 
     def __init__(self, knots: np.ndarray, rows: np.ndarray, stats: IntegratorStats):
@@ -111,10 +111,19 @@ class DenseOutput:
         left = self._knots[seg]
         # A step end reads exactly the u the loop accepted there.
         tau = np.clip((s_arr - left) / (self._knots[seg + 1] - left), 0.0, 1.0)[:, None]
-        c = self._rows[seg]          # (m, 5, n)
-        omt = 1.0 - tau
-        out = c[:, 0] + tau * (c[:, 1] + omt * (c[:, 2] + tau * (c[:, 3] + omt * c[:, 4])))
+        out = _quartic(self._rows[seg].swapaxes(0, 1), tau)
         return out[0] if np.ndim(s) == 0 else out
+
+    def on_step(self, j: int, s: float) -> np.ndarray:
+        """u at s on step j's row, for s between knots j and j + 1."""
+        left = self._knots.item(j)
+        return _quartic(self._rows[j], (s - left) / (self._knots.item(j + 1) - left))
+
+
+def _quartic(c, tau):
+    """The Horner form of a row's quartic, c[i] its coefficient i."""
+    omt = 1.0 - tau
+    return c[0] + tau * (c[1] + omt * (c[2] + tau * (c[3] + omt * c[4])))
 
 
 def integrate(
@@ -207,13 +216,13 @@ def integrate(
     # full buffer and copying only its rows.
     knots, rows = [0.0], np.empty((64, 5, n))
     # At these sizes a step costs numpy calls, not flops: an attempt whose h
-    # differs from the last one's scales the tableau (behind hA's column of
-    # ones) and the error and dense weights with one call each, and every
-    # view a step reads is bound here.
-    hA, W = np.ones((7, 8)), np.vstack([_E / (tol * abs(log_eps)), _DENSE])
-    hA_h, hW, h_scaled = hA[:, 1:], np.empty_like(W), 0.0
-    stages = [(hA[i, :i + 1], R[:i + 1], x[i, :n], x[i], Q[i]) for i in range(1, 6)]
-    hb, he, hdense, Q_b = hA[6, 1:7], hW[0], hW[1:], Q[:6]
+    # differs from the last one's scales the tableau, the error weights and
+    # the dense weights, stacked in W, with one call into hW behind its
+    # column of ones, and every view a step reads is bound here.
+    W, hW = np.vstack([_A, _E / (tol * abs(log_eps)), _DENSE]), np.ones((11, 8))
+    hW_h, h_scaled = hW[:, 1:], 0.0
+    stages = [(hW[i, :i + 1], R[:i + 1], x[i, :n], x[i], Q[i]) for i in range(1, 6)]
+    hb, he, hdense, Q_b = hW[6, 1:7], hW[7, 1:], hW[8:, 1:], Q[:6]
     u_new, theta_new, x_new, Q_new = np.empty(n), x[6, :n], x[6], Q[6]
     steps, rejected, jumps, max_h, s, row, jump = 0, 0, 0, 0.0, 0.0, rows[0], None
     while s < s_stop:
@@ -223,8 +232,7 @@ def integrate(
                 raise StepUnderflow(f"step {h:.3e} underflowed at s={s:.6g}")
 
             if h != h_scaled:
-                np.multiply(_A, h, out=hA_h)
-                np.multiply(W, h, out=hW)
+                np.multiply(W, h, out=hW_h)
                 h_scaled = h
             for a, R_prev, theta, xi, Qi in stages:
                 np.exp(a.dot(R_prev), out=theta)

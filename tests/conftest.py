@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dlnflow import Initialization, ProblemInstance, dynamics, generate_direct
-from dlnflow.errors import DimensionMismatch, DomainError
+from dlnflow.errors import DimensionMismatch, DomainError, NotReached
 from dlnflow.integrate import integrate
 from dlnflow.problem import to_json_dict
 
@@ -146,6 +146,14 @@ def step_budget(ends: int):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(dynamics, "integrate", budgeted)
         yield
+
+
+def hit_or_not_reached(hit, *args):
+    """``hit(*args)``, or ``"not reached"`` where it raises ``NotReached``."""
+    try:
+        return hit(*args)
+    except NotReached:
+        return "not reached"
 
 
 def hitting_stop(target: np.ndarray, eta: float):

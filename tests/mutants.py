@@ -75,8 +75,10 @@ MUTANTS = [
     Mutant("w0-without-log-C", "src/dlnflow/problem.py",
            "return self.k + np.log(self.C) / self.log_epsilon",
            "return self.k",
-           ("tests/test_dynamics.py::TestDynamicsInvariants::"
-            "test_monotonicity_violation_reported",)),
+           ("tests/test_problem.py::TestInitialization::"
+            "test_w0_is_k_plus_log_C_over_log_epsilon",
+            "tests/test_dynamics.py::TestDynamicsInvariants::"
+            "test_monotonicity_violation_reported")),
     Mutant("quiet-delta-1e-8", "src/dlnflow/dynamics.py",
            "QUIET_DELTA = 1e-15\n",
            "QUIET_DELTA = 1e-8\n",
@@ -86,6 +88,17 @@ MUTANTS = [
            "gap_j * gap_j - eta2 < 0.0 and _ball_gap(theta, target, eta) < 0.0",
            ("tests/test_dynamics.py::TestHittingTime::"
             "test_the_stop_is_exact_at_the_squared_radius",)),
+    Mutant("hit-root-reads-the-next-row", "src/dlnflow/dynamics.py",
+           "trajectory._dense.on_step(j - 1, s)",
+           "trajectory._dense.on_step(j, s)",
+           ("tests/test_dynamics.py::TestHittingTime::"
+            "test_the_root_on_a_hand_built_row_is_the_reference",
+            "tests/test_properties.py::"
+            "test_the_root_on_the_entering_row_is_the_reference")),
+    Mutant("step-scale-skips-the-error-rows", "src/dlnflow/integrate.py",
+           "np.multiply(W, h, out=hW_h)",
+           "np.multiply(W, h, out=hW_h), np.copyto(he, W[7])",
+           ("tests/test_integrate.py::test_loop_matches_the_reference_bit_for_bit",)),
     Mutant("floor-lifted-at-first-crossing", "src/dlnflow/integrate.py",
            "            np.maximum(u, floor, out=base)\n"
            "            if u.item(low) >= floor:\n"

@@ -14,6 +14,8 @@ the reference for the one-pass certificate of ``compute_path``, and
 ``csv_bytes`` formats every CSV cell on its own, the reference for
 ``write_csv``. ``exact_path`` and ``exact_s_star`` follow the limit path's
 homotopy and its closed-form convergence time in rational arithmetic.
+``hitting_time_reference`` roots the hit through the trajectory's public
+``theta_at``, the reference for ``hitting_time_on``'s root on one row.
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ from typing import Callable
 
 import numpy as np
 
+from dlnflow.dynamics import Trajectory, _ball_center, _ball_gap
 from dlnflow.errors import (
     DimensionTooLarge,
     DomainError,
+    NotReached,
     NumericalFailure,
     OutOfRange,
     PathInconsistent,
@@ -244,6 +248,31 @@ def csv_bytes(kind: str, header: list[str], rows) -> bytes:
     lines += [",".join("" if v is None else repr(float(v)) for v in row) + "\r\n"
               for row in rows]
     return "".join(lines).encode()
+
+
+def hitting_time_reference(trajectory: Trajectory, eta: float) -> float:
+    """``hitting_time_on`` with every gap of its Illinois root read through
+    ``trajectory.theta_at``, the dense output's range rule, search and clip
+    included: the same scan of step ends, the same brackets and secants."""
+    target = _ball_center(trajectory.instance, eta)
+    gaps = _ball_gap(trajectory.theta_knots, target, eta)
+    j = int(np.argmax(gaps <= 0.0))
+    if not gaps[j] <= 0.0:
+        raise NotReached(trajectory.s_max)
+    if j == 0:
+        return 0.0
+    ends, g_ends = trajectory.knots[j - 1:j + 1].tolist(), gaps[j - 1:j + 1].tolist()
+    tol = 2.0 * float(np.spacing(ends[1]))
+    last = None
+    while g_ends[1] < 0.0 and ends[1] - ends[0] > 2.0 * tol:
+        (lo, hi), (g_lo, g_hi) = ends, g_ends
+        s = min(max(lo + (hi - lo) * g_lo / (g_lo - g_hi), lo + tol), hi - tol)
+        g = float(_ball_gap(trajectory.theta_at(s), target, eta))
+        side = int(g <= 0.0)
+        if side == last:
+            g_ends[1 - side] *= 0.5
+        ends[side], g_ends[side], last = s, g, side
+    return ends[1] * -trajectory.init.log_epsilon
 
 
 def lyapunov(theta, fp: FixedPoint) -> float:

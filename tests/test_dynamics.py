@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from conftest import (
+    hit_or_not_reached,
     hitting_stop,
     random_instance,
     recorded_integrate,
@@ -31,8 +32,8 @@ from dlnflow.errors import (
     NotReached,
     OutOfRange,
 )
-from dlnflow.integrate import flow_product, integrate
-from oracles import in_invariant_region, lyapunov
+from dlnflow.integrate import DenseOutput, IntegratorStats, flow_product, integrate
+from oracles import hitting_time_reference, in_invariant_region, lyapunov
 
 TIGHT_TOL = 1e-11
 
@@ -430,6 +431,32 @@ class TestHittingTime:
         traj = simulate(scalar_instance, init, 1.0)
         assert hitting_time_on(traj, 0.1) == 0.0
         assert hitting_time(scalar_instance, init, 0.1, s_cap=1.0) == 0.0
+
+    @pytest.mark.parametrize("theta_ends, hit", [
+        # A step outside the ball, then a jump's linear row into it: the
+        # root lies strictly inside the jump.
+        ([[1e-3, 1e-3], [1.0, 0.5], [1.9, 0.95]], "in the jump"),
+        ([[1.9, 0.95], [1.0, 0.5], [1.9, 0.95]], 0.0),
+        ([[1e-3, 1e-3], [1.0, 0.5], [1.2, 0.6]], "not reached"),
+    ])
+    def test_the_root_on_a_hand_built_row_is_the_reference(self, separable_instance,
+                                                           theta_ends, hit):
+        # Knots 0, 0.6 and 1.5 of a dense output built by hand: a step's
+        # quartic row, then a jump's linear row (u, du, 0, 0, 0). The ball of
+        # radius 0.5 is around the minimizer (2, 1).
+        u = np.log(theta_ends)
+        rows = np.array([[u[0], u[1] - u[0], [0.1, -0.2], [-0.05, 0.3], [0.02, 0.01]],
+                         [u[1], u[2] - u[1], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]])
+        knots = np.array([0.0, 0.6, 1.5])
+        init = make_init(2, 1e-10)
+        traj = dynamics.Trajectory(separable_instance, init, knots,
+                                   DenseOutput(knots, rows, IntegratorStats()))
+        tau = hit_or_not_reached(hitting_time_on, traj, 0.5)
+        assert tau == hit_or_not_reached(hitting_time_reference, traj, 0.5)
+        if hit == "in the jump":
+            assert 0.6 < tau / -init.log_epsilon < 1.5
+        else:
+            assert tau == hit
 
     def test_stop_ends_the_run_at_the_hit(self, separable_instance):
         init = make_init(2, 1e-12)

@@ -392,6 +392,14 @@ class TestInitialization:
         with pytest.raises(DomainError):
             Initialization(**kwargs)
 
+    def test_w0_is_k_plus_log_C_over_log_epsilon(self):
+        # theta(0) = C eps^k, so w(0) = log(theta(0)) / log(eps).
+        init = Initialization(C=[2.0, 0.5], k=[1.0, 1.5], epsilon=1e-10)
+        np.testing.assert_array_equal(
+            init.w0, np.array([1.0, 1.5]) + np.log([2.0, 0.5]) / np.log(1e-10))
+        unit = Initialization(C=[1.0, 1.0], k=[1.0, 1.5], epsilon=1e-10)
+        np.testing.assert_array_equal(unit.w0, [1.0, 1.5])
+
     @pytest.mark.parametrize("k", [[0.0, 1.0], [1.0, -2.0]])
     def test_k_rule_shared_with_the_limit_path(self, tridiag_instance, k):
         for build in (lambda: Initialization(C=[1.0, 1.0], k=k, epsilon=0.1),

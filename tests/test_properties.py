@@ -11,7 +11,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from conftest import hitting_stop, random_instance, random_k_matrix, recorded_integrate
+from conftest import (
+    hit_or_not_reached,
+    hitting_stop,
+    random_instance,
+    random_k_matrix,
+    recorded_integrate,
+)
 from dlnflow import (
     Initialization,
     ProblemInstance,
@@ -30,7 +36,13 @@ from dlnflow.dynamics import (
 )
 from dlnflow.errors import NotReached, PathInconsistent
 from dlnflow.limit_path import SEGMENT_CHECK_TOL, _certify_path
-from oracles import exact_path, exact_s_star, solve_lcp_bruteforce, verify_path
+from oracles import (
+    exact_path,
+    exact_s_star,
+    hitting_time_reference,
+    solve_lcp_bruteforce,
+    verify_path,
+)
 
 AGREE_TOL = 1e-8
 
@@ -483,13 +495,6 @@ def test_the_squared_radius_stop_decides_as_the_gap(d, seed):
     assert inside == (_ball_gap(thetas, target, eta) <= 0.0).tolist()
 
 
-def hit_or_not_reached(hit, *args):
-    try:
-        return hit(*args)
-    except NotReached:
-        return "not reached"
-
-
 @settings(derandomize=True, deadline=None, database=None, max_examples=12)
 @given(st.integers(1, 32), st.integers(0, 2**32 - 1), st.floats(-300.0, -6.0),
        st.booleans(), st.floats(0.01, 0.9))
@@ -503,20 +508,44 @@ def test_the_stopped_run_roots_the_hit_of_the_full_run(d, seed, log10_eps, tie,
     # one tested first can enter the ball while the other is still outside.
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, d)
-    target = inst.minimizer()
-    if tie and d > 1:
-        # (M^{-1} k)_i / target_i = rho_i, largest at 1 on coordinates 0 and
-        # 1. Off-diagonal entries of M are nonpositive, so
-        # k_i >= r_i - M_ii target_i (1 - rho_i) >= r_i / 2.
-        rho = 1.0 - rng.uniform(0.0, 0.5, d) * inst.r / (np.diag(inst.M) * target)
-        rho[:2] = 1.0
-        k = inst.M @ (rho * target)
-        k *= rng.uniform(0.5, 2.0) / k.min()
-    else:
-        k = rng.uniform(0.5, 2.0, d)
+    k = k_with_a_tie(rng, inst) if tie and d > 1 else rng.uniform(0.5, 2.0, d)
     init = Initialization(C=rng.uniform(0.5, 2.0, d), k=k, epsilon=10.0 ** log10_eps)
-    eta = eta_fraction * float(target.min())
+    eta = eta_fraction * float(inst.minimizer().min())
     s_cap = 2.0 * compute_path(inst, k).s_star
     full = simulate(inst, init, s_cap, np.array([0.0, s_cap]))
     assert (hit_or_not_reached(hitting_time, inst, init, eta, s_cap)
             == hit_or_not_reached(hitting_time_on, full, eta))
+
+
+def k_with_a_tie(rng, inst):
+    """A k at which coordinates 0 and 1 join the limit path last, together.
+
+    (M^{-1} k)_i / target_i = rho_i, largest at 1 on coordinates 0 and 1.
+    Off-diagonal entries of M are nonpositive, so
+    k_i >= r_i - M_ii target_i (1 - rho_i) >= r_i / 2."""
+    target = inst.minimizer()
+    rho = 1.0 - rng.uniform(0.0, 0.5, inst.d) * inst.r / (np.diag(inst.M) * target)
+    rho[:2] = 1.0
+    k = inst.M @ (rho * target)
+    return k * (rng.uniform(0.5, 2.0) / k.min())
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=24)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(-300.0, -6.0),
+       st.booleans(), st.floats(0.01, 0.9))
+def test_the_root_on_the_entering_row_is_the_reference(d, seed, log10_eps, tie,
+                                                       eta_fraction):
+    # hitting_time_on roots the gap on the entering step's row alone; the
+    # reference reads every gap through theta_at. Bit for bit the same
+    # time, or NotReached on both: a quarter of the runs end at s*/2, before
+    # the hit.
+    rng = np.random.default_rng(seed)
+    cap_fraction = 0.5 if rng.uniform() < 0.25 else 2.0
+    inst = random_instance(rng, d)
+    k = k_with_a_tie(rng, inst) if tie and d > 1 else rng.uniform(0.5, 2.0, d)
+    init = Initialization(C=rng.uniform(0.5, 2.0, d), k=k, epsilon=10.0 ** log10_eps)
+    eta = eta_fraction * float(inst.minimizer().min())
+    s_cap = cap_fraction * compute_path(inst, k).s_star
+    traj = simulate(inst, init, s_cap, np.array([0.0, s_cap]))
+    assert (hit_or_not_reached(hitting_time_on, traj, eta)
+            == hit_or_not_reached(hitting_time_reference, traj, eta))
