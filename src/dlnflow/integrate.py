@@ -2,8 +2,8 @@
 w' = M theta - r, theta = exp(L w), L = log(epsilon), with quartic dense output.
 
 The state is u = L w = log theta. Each stage is kept as its theta and
-Q = du/ds = L (M theta - r), with u in the row above the Q's, so a stage is
-three calls: one dot of [1, h a] with those rows for its exponent
+Q = du/ds = L (M theta - r), with a copy of u in the row above the Q's, so a
+stage is three calls: one dot of [1, h a] with those rows for its exponent
 u + h (a . Q), one exp and one product (the last stage adds the step's
 increment to u instead). A run that starts below a floor far under the
 roundoff of Q takes max(u, floor) for that row until every coordinate has
@@ -202,29 +202,31 @@ def integrate(
     floored = u0[low] < floor
 
     # Row i of x is stage i's [theta, 1]. R = [base, Q_0 ... Q_6], so stage
-    # i's exponent is [1, h A[i, :i]] . R[:i + 1]. The base is max(u, floor):
-    # u itself unless the run is floored, which keeps u in its own array.
+    # i's exponent is [1, h A[i, :i]] . R[:i + 1]. The base is max(u, floor),
+    # a copy of u unless the run is floored; u itself lives in its dense row.
     x, R = np.ones((7, n + 1)), np.empty((8, n))
     base, Q = R[0], R[1:]
     np.maximum(u0, floor, out=base)
-    u = u0 if floored else base
     np.exp(base, out=x[0, :n])
     f(x[0], Q[0])
     h = max_step
 
-    # Accepted steps and jumps write their dense rows in place, doubling a
-    # full buffer and copying only its rows.
+    # Accepted steps and jumps write their dense rows in place. A step's u
+    # is its row's first slot, which the step before writes, so the buffer
+    # doubles, copying only its rows, once that slot would not exist.
     knots, rows = [0.0], np.empty((64, 5, n))
+    rows[0, 0] = u0
     # At these sizes a step costs numpy calls, not flops: an attempt whose h
     # differs from the last one's scales the tableau, the error weights and
     # the dense weights, stacked in W, with one call into hW behind its
-    # column of ones, and every view a step reads is bound here.
+    # column of ones, and every view and method a step calls is bound here.
     W, hW = np.vstack([_A, _E / (tol * abs(log_eps)), _DENSE]), np.ones((11, 8))
     hW_h, h_scaled = hW[:, 1:], 0.0
-    stages = [(hW[i, :i + 1], R[:i + 1], x[i, :n], x[i], Q[i]) for i in range(1, 6)]
-    hb, he, hdense, Q_b = hW[6, 1:7], hW[7, 1:], hW[8:, 1:], Q[:6]
-    u_new, theta_new, x_new, Q_new = np.empty(n), x[6, :n], x[6], Q[6]
-    steps, rejected, jumps, max_h, s, row, jump = 0, 0, 0, 0.0, 0.0, rows[0], None
+    stages = [(hW[i, :i + 1].dot, R[:i + 1], x[i, :n], x[i], Q[i]) for i in range(1, 6)]
+    hb, he, hdense, Q_b = hW[6, 1:7].dot, hW[7, 1:].dot, hW[8:, 1:].dot, Q[:6]
+    exp, add, theta_new, x_new, Q_new = np.exp, np.add, x[6, :n], x[6], Q[6]
+    steps, rejected, jumps, max_h, s, jump = 0, 0, 0, 0.0, 0.0, None
+    row, u, du, u_new = rows[0], rows[0, 0], rows[0, 1], rows[1, 0]
     while s < s_stop:
         if jump is None:
             h = min(h, s_end - s, max_step)
@@ -234,25 +236,26 @@ def integrate(
             if h != h_scaled:
                 np.multiply(W, h, out=hW_h)
                 h_scaled = h
-            for a, R_prev, theta, xi, Qi in stages:
-                np.exp(a.dot(R_prev), out=theta)
+            for a_dot, R_prev, theta, xi, Qi in stages:
+                a_dot(R_prev, theta)
+                exp(theta, theta)
                 f(xi, Qi)
-            hb.dot(Q_b, out=row[1])
+            hb(Q_b, du)
         else:
             # A linear row: the coordinates that matter stay, the others
             # move at the rate of the step end the jump starts from.
             ds, frozen = jump
-            np.multiply(Q_new, ds, out=row[1])
-            row[1, frozen] = 0.0
+            np.multiply(Q_new, ds, out=du)
+            du[frozen] = 0.0
             row[2:] = 0.0
         # The last stage, or the jump's end, is at u + increment, as the
         # dense row reads.
-        np.add(u, row[1], out=u_new)
-        np.exp(np.maximum(u_new, floor, out=theta_new) if floored else u_new, out=theta_new)
+        add(u, du, u_new)
+        exp(np.maximum(u_new, floor, out=theta_new) if floored else u_new, theta_new)
         f(x_new, Q_new)
 
         if jump is None:
-            q = he.dot(Q)
+            q = he(Q)
             err_norm = math.sqrt(q.dot(q) / n)
 
             # inf and NaN fail too, and max() makes their factor _MIN_FACTOR.
@@ -261,28 +264,29 @@ def integrate(
                 h *= max(_MIN_FACTOR, _SAFETY * err_norm ** _ORDER_EXP)
                 continue
 
-            hdense.dot(Q, out=row[2:])
+            hdense(Q, row[2:])
             ds = h
             steps += 1
             max_h = max(max_h, h)
         else:
             jumps += 1
-        row[0] = u
         s += ds
         knots.append(s)
-        u[...] = u_new
         if floored:
-            np.maximum(u, floor, out=base)
-            if u.item(low) >= floor:
-                low = int(u.argmin())
-                if u.item(low) >= floor:
-                    floored, u = False, base
+            np.maximum(u_new, floor, out=base)
+            if u_new.item(low) >= floor:
+                low = int(u_new.argmin())
+                if u_new.item(low) >= floor:
+                    floored = False
+        else:
+            base[...] = u_new
         Q[0] = Q_new  # FSAL
-        if len(knots) > len(rows):
+        if len(knots) == len(rows):
             grown = np.empty((2 * len(rows), 5, n))
             grown[:len(rows)] = rows
             rows = grown
         row = rows[len(knots) - 1]
+        u, du, u_new = row[0], row[1], rows[len(knots), 0]
         # A floored run's last stage need not be exp(u), so the hook and the
         # quiet test read exp(u) of their own.
         if step_callback is not None and step_callback(

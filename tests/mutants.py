@@ -100,20 +100,30 @@ MUTANTS = [
            "np.multiply(W, h, out=hW_h), np.copyto(he, W[7])",
            ("tests/test_integrate.py::test_loop_matches_the_reference_bit_for_bit",)),
     Mutant("floor-lifted-at-first-crossing", "src/dlnflow/integrate.py",
-           "            np.maximum(u, floor, out=base)\n"
-           "            if u.item(low) >= floor:\n"
-           "                low = int(u.argmin())\n"
-           "                if u.item(low) >= floor:\n",
-           "            crossed = bool(((u >= floor) & (base <= floor)).any())\n"
-           "            np.maximum(u, floor, out=base)\n"
+           "            np.maximum(u_new, floor, out=base)\n"
+           "            if u_new.item(low) >= floor:\n"
+           "                low = int(u_new.argmin())\n"
+           "                if u_new.item(low) >= floor:\n",
+           "            crossed = bool(((u_new >= floor) & (base <= floor)).any())\n"
+           "            np.maximum(u_new, floor, out=base)\n"
            "            if crossed:\n"
            "                if True:\n",
            ("tests/test_integrate.py::test_no_stage_theta_is_subnormal",)),
     Mutant("floor-lowest-never-re-sought", "src/dlnflow/integrate.py",
-           "                low = int(u.argmin())\n"
-           "                if u.item(low) >= floor:\n",
-           "                if u.item(low) >= floor:\n",
+           "                low = int(u_new.argmin())\n"
+           "                if u_new.item(low) >= floor:\n",
+           "                if u_new.item(low) >= floor:\n",
            ("tests/test_integrate.py::test_no_stage_theta_is_subnormal",)),
+    Mutant("base-not-refreshed", "src/dlnflow/integrate.py",
+           "        else:\n"
+           "            base[...] = u_new\n",
+           "",
+           ("tests/test_integrate.py::test_loop_matches_the_reference_bit_for_bit",)),
+    Mutant("buffer-grows-a-row-late", "src/dlnflow/integrate.py",
+           "if len(knots) == len(rows):",
+           "if len(knots) > len(rows):",
+           ("tests/test_integrate.py::test_loop_matches_the_reference_bit_for_bit"
+            "[extreme-d32]",)),
     Mutant("csv-reuses-non-finite", "src/dlnflow/experiments.py",
            "np.logical_and(bits[1:] == bits[:-1], np.isfinite(table[:-1]), out=reuse[1:])",
            "np.equal(bits[1:], bits[:-1], out=reuse[1:])",

@@ -230,6 +230,12 @@ REFERENCE_CASES = {
     "rejections": lambda: simulated(4, 7, 1e-12, 2.0),
     "callback-stop": lambda: (logistic(1e-6, 20.0, 1e-9), ([[1.0]], [1.0])),
     "extreme-d32": lambda: simulated(32, 3, 1e-300),
+    # n steps at the cap, all accepted: the row buffer starts at 64 rows and
+    # doubles once the next row's first slot would not exist.
+    **{f"rows-{n}": lambda n=n: (logistic(0.01, 10.0, 1e-8,
+                                          max_step=10.0 / -math.log(1e-6) / (n - 0.5)),
+                                 ([[1.0]], [1.0]))
+       for n in (63, 64, 65)},
 }
 # Roundoff tolerance on w, relative to 1 + |w|: the loop and the reference
 # evaluate the right-hand side in different orders, and a state carries
@@ -247,12 +253,6 @@ def test_loop_matches_the_reference_bit_for_bit(case):
     # The reference loop hands its stop w, so both stops decide on theta.
     reference_stop = None if stop is None else (lambda w: stop(np.exp(w * log_eps)))
     calls, reference_calls = [], []
-
-    def callback(theta):
-        calls.append(theta)
-        return stop is not None and stop(theta)
-
-    res = integrate(**args, step_callback=callback)
     M, r = np.asarray(M, dtype=float), np.asarray(r, dtype=float)
     # simulate's runs jump over quiet stretches; the reference is handed the
     # flow and delta and forms its own thresholds, in w.
@@ -262,6 +262,15 @@ def test_loop_matches_the_reference_bit_for_bit(case):
                               atol=args["tol"], max_step=args["max_step"],
                               step_callback=lambda *step: reference_calls.append(step),
                               stop=reference_stop, quiet=quiet)
+
+    def callback(theta):
+        calls.append(theta)
+        # A loop that takes more steps than the reference fails at the
+        # first extra one, not when it has run away.
+        assert len(calls) <= len(reference_calls)
+        return stop is not None and stop(theta)
+
+    res = integrate(**args, step_callback=callback)
     # The same steps, accepted and rejected, and the same jumps.
     assert (res.stats.steps, res.stats.rejected, res.stats.jumps,
             res.stats.rhs_evaluations) == (ref.stats.steps, ref.stats.rejected,
@@ -269,6 +278,8 @@ def test_loop_matches_the_reference_bit_for_bit(case):
     assert res.stats.max_step == pytest.approx(ref.stats.max_step, rel=1e-9)
     if case == "rejections":
         assert res.stats.rejected > 0
+    if case.startswith("rows-"):
+        assert (res.stats.steps, res.stats.rejected) == (int(case[5:]), 0)
     if case == "extreme-d32":
         # More steps than a run at the h_stab cap, and more than the 64
         # rows the dense buffer starts with, so the buffer grew; the longest
@@ -366,6 +377,24 @@ def test_no_stage_theta_is_subnormal(case):
         u = res.step_ends[1]
         crossed = np.argmax(u >= _FLOOR, axis=0)
         assert u[0].argmin() == 7 and 0 < crossed[3] < crossed[7] < crossed[2]
+
+
+@pytest.mark.parametrize("case", ["extreme-d32", "spread-k"])
+def test_each_row_starts_where_the_one_before_ends(case):
+    """A row's u is the slot the step before it writes, u + du, bit for bit,
+    through steps, jumps, the doubling of the row buffer and the lift of
+    the floor; and a query at the knots reads ``step_ends``. Both runs start
+    floored and lift the floor before their last step end."""
+    args, _ = SUBNORMAL_CASES[case]()
+    res = integrate(**args)
+    knots, u = res.step_ends
+    rows = res._rows
+    assert res.stats.jumps > 0 and len(rows) > 64
+    lifted = np.flatnonzero(u.min(axis=1) >= _FLOOR)
+    assert u[0].min() < _FLOOR and 0 < lifted[0] < len(rows)
+    np.testing.assert_array_equal(rows[0, 0], args["log_eps"] * args["w0"])
+    np.testing.assert_array_equal(rows[1:, 0], rows[:-1, 0] + rows[:-1, 1])
+    np.testing.assert_array_equal(res(knots), u)
 
 
 def test_the_tableau_the_loop_reads():
