@@ -128,8 +128,8 @@ def simulate(
     does, is false inside a jump whenever it is false at its start. The
     quiet thresholds also set ``integrate``'s floor: a run with some
     theta_i(0) below exp(-650), so epsilon below about 5e-283 for C_i = k_i = 1,
-    starts its stage exponents from max(u, floor), which keeps subnormal
-    theta out of the products with M and changes no step (``integrate``).
+    takes its stage exponents from max(u, floor): no subnormal theta enters
+    a product with M, no step changes, and the stop reads exp(u) (``integrate``).
 
     Once the run ends, a coordinate decreasing from one step end to the next
     by more than 1e-8 times its cap max(theta*_i, theta_i(0)) raises

@@ -146,9 +146,9 @@ def integrate(
     attempt is ``max_step`` clipped to the span. If given,
     ``step_callback(theta_new)`` is called after each accepted step and each
     jump, and may return true to end the run there, at the dense output's
-    ``s_max``; ``theta_new`` is an array of its own, bit for bit exp(u) at
-    that end of ``step_ends``. A span too short for one step is
-    ``OutOfRange``.
+    ``s_max``; ``theta_new`` is a copy of the last stage's theta, which at
+    every step end, in every run, is exp(u) bit for bit at that end of
+    ``step_ends``. A span too short for one step is ``OutOfRange``.
 
     ``quiet = (q_max, theta_min)`` steps over quiet stretches in closed form.
     A coordinate matters when its theta exceeds ``theta_min``. A step end is
@@ -170,23 +170,23 @@ def integrate(
     Given ``quiet``, a run whose u0 has an entry below
     ``floor = min(-650, log(theta_min e / n))``, e the unit roundoff, is
     floored: each stage's exponent starts from max(u, floor) instead of u.
-    Below u = -708.4 exp(u) is subnormal, and a product with a subnormal
-    theta runs several times slower; a coordinate climbing from far below,
-    as at epsilon = 1e-300, passes through that band. Its stages climb from
-    exp(floor) instead, 58 above the band. The dense rows keep the true u,
-    and the hook and the quiet test get exp(u). A floored theta_j is at
-    most e theta_min / n at a step's start, so in ``simulate``'s flow,
-    where theta_min = delta min r / max|M|, the floored coordinates move
-    any (M theta)_i by at most e delta min r, delta = 1e-15 times the
-    roundoff of its r_i term, and Q, the steps and the dense output come
-    out as without the floor. Other runs take u itself and pay nothing; a
-    run that starts above the floor and grows never meets the band. A
-    floored run tests its lowest coordinate at each step end and jump end,
-    and from the first at which every u_i is at the floor or above, where
-    max(u, floor) is u, it takes u itself too. A coordinate below the floor
-    has Q > 0, as the off-diagonal entries of M are nonpositive, and along
-    ``simulate``'s flow no coordinate falls back below it, so the lift
-    changes no step either.
+    Below u = -708.4 exp(u) is subnormal, and a product with a subnormal theta
+    runs several times slower; a coordinate climbing from far below, as at
+    epsilon = 1e-300, passes through that band. Its stages climb from
+    exp(floor) instead, 58 above the band. The dense rows keep the true u, and
+    an accepted step or jump writes exp(u) over its last stage's theta, so
+    every run's step ends hold exp(u) there. A floored theta_j is at most
+    e theta_min / n at a step's start, so in ``simulate``'s flow, where
+    theta_min = delta min r / max|M|, the floored coordinates move any
+    (M theta)_i by at most e delta min r, delta = 1e-15 times the roundoff of
+    its r_i term, and Q, the steps and the dense output come out as without
+    the floor. Other runs take u itself and pay nothing; a run that starts
+    above the floor and grows never meets the band. A floored run tests its
+    lowest coordinate at each step and jump end; from the first at which every
+    u_i is at the floor or above, where max(u, floor) is u, it takes u itself
+    too. A coordinate below the floor has Q > 0, as the off-diagonal entries
+    of M are nonpositive, and along ``simulate``'s flow no coordinate falls
+    back below it, so the lift changes no step either.
     """
     # The loop's end test, applied at s = 0.
     s_stop = s_end - 1e-14 * max(1.0, s_end)
@@ -274,10 +274,10 @@ def integrate(
         knots.append(s)
         if floored:
             np.maximum(u_new, floor, out=base)
+            exp(u_new, theta_new)
             if u_new.item(low) >= floor:
                 low = int(u_new.argmin())
-                if u_new.item(low) >= floor:
-                    floored = False
+            floored = u_new.item(low) < floor
         else:
             base[...] = u_new
         Q[0] = Q_new  # FSAL
@@ -287,20 +287,16 @@ def integrate(
             rows = grown
         row = rows[len(knots) - 1]
         u, du, u_new = row[0], row[1], rows[len(knots), 0]
-        # A floored run's last stage need not be exp(u), so the hook and the
-        # quiet test read exp(u) of their own.
-        if step_callback is not None and step_callback(
-                np.exp(u) if floored else theta_new.copy()):
+        if step_callback is not None and step_callback(theta_new.copy()):
             break
 
         if jump is not None:
             jump, h = None, max_step
             continue
         if quiet is not None and h == max_step and err_norm * tol < _QUIET_ERR:
-            jump = _quiet_jump(u, np.exp(u) if floored else theta_new, Q_new, *quiet,
-                               s_end - s, max_step)
+            jump = _quiet_jump(u, theta_new, Q_new, *quiet, s_end - s, max_step)
         h *= (_MAX_FACTOR if err_norm == 0.0
-              else min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm ** _ORDER_EXP)))
+              else min(_MAX_FACTOR, _SAFETY * err_norm ** _ORDER_EXP))
 
     # Six evaluations per attempted step, one before the first one and one
     # at the end of each jump.

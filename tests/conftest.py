@@ -91,12 +91,17 @@ class _NotIntegrated(Exception):
 
 
 @contextmanager
-def recorded_integrate(run: bool = True):
+def recorded_integrate(run: bool = True, budget: int | None = None):
     """Inside the block, ``dynamics.integrate`` appends the arguments of each
     call, by keyword, to the yielded list, and runs as usual. Each record's
     ``"steps"`` lists the theta of every call of its step callback; a call
     without one stays without one and records none.
-    With ``run=False`` the block ends at the first call instead."""
+    With ``run=False`` the block ends at the first call instead.
+    With a ``budget``, every call gets a hook and records its thetas; the
+    hook fails the test once it has been called more than ``budget`` times,
+    at step and jump ends, so that a run that would not end fails by count,
+    not by hanging. It returns what the run's own hook returns, so the run
+    is the same bit for bit."""
     calls = []
     signature = inspect.signature(integrate)
 
@@ -106,13 +111,15 @@ def recorded_integrate(run: bool = True):
 
         def hook(theta):
             steps.append(theta)
-            return callback(theta)
+            if budget is not None and len(steps) > budget:
+                pytest.fail(f"integrate passed {budget} step and jump ends")
+            return callback is not None and callback(theta)
 
         calls.append({**arguments, "steps": steps})
         if not run:
             raise _NotIntegrated
-        return integrate(**{**arguments,
-                            "step_callback": None if callback is None else hook})
+        unhooked = callback is None and budget is None
+        return integrate(**{**arguments, "step_callback": None if unhooked else hook})
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(dynamics, "integrate", spy)
@@ -120,32 +127,6 @@ def recorded_integrate(run: bool = True):
             yield calls
         except _NotIntegrated:
             pass
-
-
-@contextmanager
-def step_budget(ends: int):
-    """Inside the block, each run of ``dynamics.integrate`` fails the test
-    once its hook has been called more than ``ends`` times, at step and jump
-    ends, so that a run that would not end fails by count, not by hanging.
-    The hook returns what the run's own hook returns, so the run is the
-    same bit for bit."""
-    signature = inspect.signature(integrate)
-
-    def budgeted(*args, **kwargs):
-        arguments = signature.bind(*args, **kwargs).arguments
-        callback, calls = arguments.get("step_callback"), [0]
-
-        def hook(theta):
-            calls[0] += 1
-            if calls[0] > ends:
-                pytest.fail(f"integrate passed {ends} step and jump ends")
-            return callback is not None and callback(theta)
-
-        return integrate(**{**arguments, "step_callback": hook})
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(dynamics, "integrate", budgeted)
-        yield
 
 
 def hit_or_not_reached(hit, *args):

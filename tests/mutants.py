@@ -6,15 +6,19 @@ Each entry makes one exact source edit, ``old`` -> ``new``, in a temporary
 copy of the tree and runs ``pytest -x`` there on the tests it names. The
 mutant is killed when that run ends with failing tests (pytest's exit code
 1). It survives when they all pass, and any other exit code, such as a
-named test that no longer exists, is an error. The script prints one line
-per mutant and exits 1 unless every mutant it ran was killed. Standard
-library only; ``tests/test_mutants.py`` checks in tier-1 that each ``old``
-occurs exactly once in its file, so moved code must update this registry.
+named test that no longer exists, is an error. So is a run that passes
+``TIMEOUT_S`` or raises ``MemoryError`` in its ``MEMORY_BYTES`` of
+address space, the bounds that stop a mutant whose loop runs away. The
+script prints one line per mutant and exits 1 unless every mutant it ran
+was killed. Standard library only; ``tests/test_mutants.py`` checks in
+tier-1 that each ``old`` occurs exactly once in its file, so moved code
+must update this registry.
 """
 
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -24,6 +28,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# Each mutant's pytest takes about 2 s and 0.37 GB of address space.
+TIMEOUT_S = 120.0
+MEMORY_BYTES = 4 << 30
 
 
 @dataclass(frozen=True)
@@ -101,19 +108,27 @@ MUTANTS = [
            ("tests/test_integrate.py::test_loop_matches_the_reference_bit_for_bit",)),
     Mutant("floor-lifted-at-first-crossing", "src/dlnflow/integrate.py",
            "            np.maximum(u_new, floor, out=base)\n"
+           "            exp(u_new, theta_new)\n"
            "            if u_new.item(low) >= floor:\n"
            "                low = int(u_new.argmin())\n"
-           "                if u_new.item(low) >= floor:\n",
+           "            floored = u_new.item(low) < floor\n",
            "            crossed = bool(((u_new >= floor) & (base <= floor)).any())\n"
            "            np.maximum(u_new, floor, out=base)\n"
-           "            if crossed:\n"
-           "                if True:\n",
+           "            exp(u_new, theta_new)\n"
+           "            floored = not crossed\n",
            ("tests/test_integrate.py::test_no_stage_theta_is_subnormal",)),
     Mutant("floor-lowest-never-re-sought", "src/dlnflow/integrate.py",
-           "                low = int(u_new.argmin())\n"
-           "                if u_new.item(low) >= floor:\n",
-           "                if u_new.item(low) >= floor:\n",
+           "            if u_new.item(low) >= floor:\n"
+           "                low = int(u_new.argmin())\n",
+           "",
            ("tests/test_integrate.py::test_no_stage_theta_is_subnormal",)),
+    Mutant("floored-end-without-exp-u", "src/dlnflow/integrate.py",
+           "            exp(u_new, theta_new)\n",
+           "",
+           ("tests/test_integrate.py::test_loop_matches_the_reference_bit_for_bit"
+            "[extreme-d32]",
+            "tests/test_integrate.py::test_a_hook_that_never_stops_changes_nothing"
+            "[extreme-d32]")),
     Mutant("base-not-refreshed", "src/dlnflow/integrate.py",
            "        else:\n"
            "            base[...] = u_new\n",
@@ -145,6 +160,10 @@ def apply(mutant: Mutant, root: Path) -> None:
     path.write_text(text.replace(mutant.old, mutant.new))
 
 
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
+
+
 def run(mutant: Mutant) -> tuple[str, float]:
     """``killed``, ``survived`` or ``error: ...``, and the wall time."""
     start = time.perf_counter()
@@ -156,11 +175,17 @@ def run(mutant: Mutant) -> tuple[str, float]:
         apply(mutant, tree)
         env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                    PYTHONDONTWRITEBYTECODE="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             *mutant.tests],
-            cwd=tree, env=env, capture_output=True, text=True)
-    if proc.returncode == 1:
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                 *mutant.tests],
+                cwd=tree, env=env, capture_output=True, text=True,
+                timeout=TIMEOUT_S, preexec_fn=_cap_memory)
+        except subprocess.TimeoutExpired:
+            return f"error: still running after {TIMEOUT_S:g} s", time.perf_counter() - start
+    if "MemoryError" in proc.stdout + proc.stderr:
+        outcome = f"error: out of its {MEMORY_BYTES / 2**30:g} GiB of address space"
+    elif proc.returncode == 1:
         outcome = "killed"
     elif proc.returncode == 0:
         outcome = "survived"

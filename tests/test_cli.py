@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import BAD_DATA_FILES, deadline, step_budget
+from conftest import BAD_DATA_FILES, deadline, recorded_integrate
 from dlnflow import (compute_path, dynamics, experiments, generate_direct, lcp,
                      problem, save_instance)
 from dlnflow.cli import main
@@ -380,7 +380,7 @@ class TestExperimentsCommands:
         # Past s* every run is one jump to s_max, however far that is.
         inst = tmp_path / "inst.json"
         save_instance(generate_direct(4, 7)[0], inst)
-        with step_budget(1000):
+        with recorded_integrate(budget=1000):
             result = invoke(runner, [
                 "--out-dir", str(tmp_path), "compare", "--instance", str(inst),
                 "--epsilons", "1e-8,1e-12,1e-300", "--s-max", "1e300"])

@@ -12,7 +12,6 @@ from conftest import (
     random_instance,
     recorded_integrate,
     scalar_logistic,
-    step_budget,
 )
 from dlnflow import (
     Initialization,
@@ -237,7 +236,7 @@ class TestQuietStretches:
         # longer runs take the same steps and end on M^{-1} r. Without jumps
         # the run to s = 1000 takes 294,913 steps.
         inst, _ = generate_direct(4, 7)
-        with step_budget(1000):
+        with recorded_integrate(budget=1000):
             runs = [simulate(inst, make_init(4, 1e-300), s_max)
                     for s_max in (10.0, 100.0, 1000.0)]
         assert len({(t.stats.steps, t.stats.rejected, t.stats.jumps) for t in runs}) == 1
@@ -249,8 +248,8 @@ class TestQuietStretches:
         # step drops. The certificate reads the run once its span is
         # integrated, and the converged tail to s = 1000 is one jump.
         init = make_init(2, 0.5, C=[10.0, 10.0])
-        with step_budget(1000), pytest.raises(MonotonicityViolated,
-                                              match=r"^theta_0 decreased .* over \[0, "):
+        with recorded_integrate(budget=1000), pytest.raises(
+                MonotonicityViolated, match=r"^theta_0 decreased .* over \[0, "):
             simulate(tridiag_instance, init, 1e3)
 
 

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import scalar_logistic, step_budget
+from conftest import recorded_integrate, scalar_logistic
 from dlnflow import (
     ProblemInstance,
     compute_path,
@@ -146,7 +146,7 @@ class TestRunHitting:
         # k_last, and the plateau before the last activation is one jump.
         # Without jumps k_last = 1e4 takes 13 s, and 1e8 does not end.
         inst, _ = generate_direct(4, 7)
-        with step_budget(2000):
+        with recorded_integrate(budget=2000):
             table = run_hitting(inst, np.ones(4), [1.0, 1.0, 1.0, k_last], [1e-12])
         row, = table.rows
         assert row.reached and row.relative_error <= 1e-5
